@@ -21,6 +21,7 @@ from scipy.signal import lfilter
 from .filters import AdaptiveFilter, FilterConfig, SingularSystemError, filter_step
 from .gains import StallGuards
 from .signals import (
+    MISALIGNMENT_FLOOR_DB,
     EchoScenario,
     ImpulseResponse,
     gen_excitation,
@@ -153,6 +154,7 @@ def _stream_misalignment(config: FilterConfig, x, d, segments):
     filt = AdaptiveFilter(config)
     state, history, desired = filt.state, filt.history, filt._desired
     mis = np.empty(x.size)
+    inf = math.inf
     for start, end, response in segments:
         truth = response.taps
         truth_power = float(truth @ truth)
@@ -167,7 +169,12 @@ def _stream_misalignment(config: FilterConfig, x, d, segments):
             # Same quantity as signals.misalignment_db, inlined for the hot loop.
             diff = state.weights - truth
             ratio = float(diff @ diff) / truth_power
-            mis[n] = 10.0 * math.log10(ratio) if ratio > 1e-30 else -300.0
+            if 1e-30 < ratio < inf:
+                mis[n] = 10.0 * math.log10(ratio)
+            elif ratio <= 1e-30:
+                mis[n] = MISALIGNMENT_FLOOR_DB
+            else:  # NaN or infinite: the weights left the finite range
+                return None, f"diverged at sample {n}: misalignment ratio is {ratio}"
     return mis, None
 
 
@@ -179,9 +186,10 @@ def _time_to_threshold(segment_values: np.ndarray, threshold: float) -> int | No
 def run_experiment(config: ExperimentConfig):
     """Run every panel entry over the scenario.
 
-    Returns ``(traces, summary)``.  A solver failure aborts only the
-    offending panel entry; it is recorded in ``summary.failures`` and the
-    remaining entries still run.
+    Returns ``(traces, summary)``.  A solver failure or a non-finite
+    misalignment (diverged or NaN-fed weights) aborts only the offending
+    panel entry; it is recorded in ``summary.failures`` with its sample
+    index and the remaining entries still run.
     """
     x, d = synthesize_scenario(config.scenario)
     segments = config.scenario.segments()

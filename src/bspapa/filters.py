@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import lu_factor, lu_solve
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .gains import BlockPartition, GainVector, StallGuards, block_l2_norms, proportionate_gains
 
@@ -56,6 +56,7 @@ _SCALAR_VARIANTS = frozenset({"pnlms", "bs-pnlms"})
 # block norms; their group size is pinned to one tap.
 _PER_TAP_VARIANTS = frozenset({"papa", "mpapa", "pnlms"})
 _FORCED_GROUP_SIZE = {"apa": "full", "papa": 1, "mpapa": 1, "pnlms": 1}
+_EPS = float(np.finfo(float).eps)
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -174,6 +175,11 @@ class RegressorHistory:
     in a ring buffer mirrored at two offsets, so the newest-first window is
     always one contiguous slice.  Samples earlier than the stream start read
     as zero.
+
+    Every array handed out is a view of the ring buffer, valid until the
+    next push.  :meth:`regressor_matrix` and :meth:`block_windows` index
+    read-only strided views built once per history (the block views once
+    per group size), so they cost one integer index per call.
     """
 
     def __init__(self, filter_length: int, projection_order: int):
@@ -186,6 +192,15 @@ class RegressorHistory:
         self._span = filter_length + projection_order - 1
         self._buf = np.zeros(2 * self._span)
         self._head = 0
+        step = self._buf.strides[0]
+        # Entry h is X(n).T for head position h: row j is x(n - j).
+        self._xt = as_strided(
+            self._buf,
+            (self._span, projection_order, filter_length),
+            (step, step, step),
+            writeable=False,
+        )
+        self._block_views: dict[int, np.ndarray] = {}
 
     def push(self, sample: float) -> None:
         """Append ``sample`` as the newest input x(n)."""
@@ -210,8 +225,28 @@ class RegressorHistory:
 
     def regressor_matrix(self) -> np.ndarray:
         """The L-by-M matrix whose column j is the input vector delayed j samples."""
-        stacked = sliding_window_view(self.window(), self.filter_length)
-        return stacked[: self.projection_order].T
+        return self._xt[self._head].T
+
+    def block_windows(self, group_size: int) -> np.ndarray:
+        """The N-by-(P+M-1) samples each block of ``group_size`` taps reads.
+
+        Row k holds window entries ``k*P .. k*P + P + M - 2``: every
+        regressor entry of block k is one of them.
+        """
+        views = self._block_views.get(group_size)
+        if views is None:
+            BlockPartition(self.filter_length, group_size)  # validates divisibility
+            step = self._buf.strides[0]
+            shape = (
+                self._span,
+                self.filter_length // group_size,
+                group_size + self.projection_order - 1,
+            )
+            views = as_strided(
+                self._buf, shape, (step, group_size * step, step), writeable=False
+            )
+            self._block_views[group_size] = views
+        return views[self._head]
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,8 +291,8 @@ def build_weighted_regressor_efficient(gains: GainVector, history: RegressorHist
 
     Within a block all regressor entries are the block gain times one of
     P+M-1 consecutive input samples, so each product is computed once and
-    placed via a sliding window.  The result is bit-exact equal to the
-    direct construction.
+    placed through a strided view in which entry (k, i, j) reads product
+    (k, i + j).  The result is bit-exact equal to the direct construction.
     """
     if gains.partition.filter_length != history.filter_length:
         raise ValueError(
@@ -266,13 +301,13 @@ def build_weighted_regressor_efficient(gains: GainVector, history: RegressorHist
         )
     group = gains.partition.group_size
     order = history.projection_order
-    span = group + order - 1
-    windows = sliding_window_view(history.window(), span)[::group]  # (N, P+M-1)
-    products = gains.block_gains[:, None] * windows
-    matrix = sliding_window_view(products, order, axis=1).reshape(
-        history.filter_length, order
+    products = gains.block_gains[:, None] * history.block_windows(group)  # (N, P+M-1)
+    row, step = products.strides
+    placed = np.ndarray(
+        (products.shape[0], group, order), buffer=products, strides=(row, step, step)
     )
-    return WeightedRegressor(matrix, span * gains.partition.block_count)
+    matrix = placed.reshape(history.filter_length, order)
+    return WeightedRegressor(matrix, products.size)
 
 
 def update_memory_regressor(state: FilterState, gains: GainVector, newest_input) -> np.ndarray:
@@ -297,8 +332,11 @@ def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
     """Solve ``(matrix + delta*I) z = rhs`` by LU with partial pivoting.
 
     One general factorization covers all variants, since the memory members
-    produce nonsymmetric systems.  A pivot collapsing to working precision
-    raises :class:`SingularSystemError` carrying the offending magnitude.
+    produce nonsymmetric systems.  The LAPACK routines ``dgetrf``/``dgetrs``
+    are called directly, without scipy's ``lu_factor``/``lu_solve`` wrappers.
+    A pivot collapsing to working precision raises
+    :class:`SingularSystemError` carrying the offending magnitude, and no
+    warning is emitted on that path.
     """
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -309,15 +347,20 @@ def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
     if delta < 0:
         raise ValueError(f"regularization must be nonnegative, got {delta}")
     system = a + delta * np.eye(a.shape[0])
-    lu, piv = lu_factor(system, check_finite=False)
+    lu, piv, info = dgetrf(system, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"dgetrf rejected argument {-info}")
     pivots = np.abs(lu.diagonal())
     smallest = float(pivots.min())
-    if smallest <= a.shape[0] * np.finfo(float).eps * float(pivots.max()):
+    if smallest <= a.shape[0] * _EPS * float(pivots.max()):
         raise SingularSystemError(
             f"projection system singular to working precision (pivot {smallest:.3e})",
             pivot=smallest,
         )
-    return lu_solve((lu, piv), b, check_finite=False)
+    solution, info = dgetrs(lu, piv, b)
+    if info < 0:
+        raise ValueError(f"dgetrs rejected argument {-info}")
+    return solution
 
 
 def variant_gains(config: FilterConfig, weights) -> GainVector:

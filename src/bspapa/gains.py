@@ -117,7 +117,7 @@ def block_l2_norms(weights, partition: BlockPartition) -> np.ndarray:
             f"expected a weight vector of length {partition.filter_length}, got shape {w.shape}"
         )
     blocks = w.reshape(partition.block_count, partition.group_size)
-    return np.sqrt(np.sum(blocks * blocks, axis=1))
+    return np.sqrt((blocks * blocks).sum(axis=1))
 
 
 def proportionate_gains(
@@ -148,7 +148,7 @@ def proportionate_gains(
     norms = np.asarray(block_norms, dtype=float)
     if norms.ndim != 1 or norms.size == 0:
         raise ValueError("block_norms must be a nonempty 1-D vector")
-    if np.any(norms < 0):
+    if norms.min() < 0:
         raise ValueError("block norms must be nonnegative")
     if partition is None:
         partition = BlockPartition(norms.size, 1)
@@ -158,7 +158,8 @@ def proportionate_gains(
         )
     floor = guards.rho * max(guards.q, float(norms.max()))
     gamma = np.maximum(floor, norms)
-    return GainVector(gamma / gamma.mean(), partition)
+    # The same add-reduce and divide as gamma.mean(), without its dispatch.
+    return GainVector(gamma / (gamma.sum() / gamma.size), partition)
 
 
 def block_gains(weights, partition: BlockPartition, guards: StallGuards) -> GainVector:

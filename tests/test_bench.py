@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -122,13 +123,32 @@ class TestRunExperiment:
         exp = ExperimentConfig(
             scenario=sc, panel=[("doomed", doomed), ("healthy", healthy)], trace_decimation=1
         )
-        with pytest.warns(Warning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the singular path must not warn
             traces, summary = run_experiment(exp)
         assert [t.label for t in traces] == ["healthy"]
         assert "doomed" in summary.failures
         # apa pins group_size to L=32; efficient count is (P+M-1)*N = 35
         assert summary.row("healthy", 0).mults_per_step == 35
         assert summary.rows[0].label == "healthy"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_desired_sample_aborts_entry(self, monkeypatch, bad):
+        sc = small_scenario(total=300, switch=None)
+        x, d = synthesize_scenario(sc)
+        d = d.copy()
+        d[100] = bad
+        monkeypatch.setattr("bspapa.bench.synthesize_scenario", lambda scenario: (x, d))
+        panel = small_panel() + [
+            ("BS-PNLMS", FilterConfig("bs-pnlms", 32, 1, group_size=4, step_size=0.2)),
+            ("BS-MPAPA", FilterConfig("bs-mpapa", 32, 4, group_size=4, step_size=0.2)),
+        ]
+        traces, summary = run_experiment(
+            ExperimentConfig(scenario=sc, panel=panel, trace_decimation=1)
+        )
+        assert traces == [] and summary.rows == []
+        for label, _ in panel:
+            assert summary.failures[label].startswith("diverged at sample 100:")
 
     def test_steady_state_is_tail_mean(self):
         exp = ExperimentConfig(scenario=small_scenario(switch=None, total=1000),

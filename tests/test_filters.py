@@ -321,7 +321,6 @@ class TestSolveRegularized:
         z = solve_regularized(a, 0.3, e)
         np.testing.assert_allclose((a + 0.3 * np.eye(5)) @ z, e, atol=1e-10)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_raises_with_pivot(self):
         singular = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularSystemError) as excinfo:
