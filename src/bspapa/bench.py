@@ -18,10 +18,9 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import lfilter
 
-from .filters import AdaptiveFilter, FilterConfig, SingularSystemError, filter_step
+from .filters import AdaptiveFilter, FilterConfig, SingularSystemError
 from .gains import StallGuards
 from .signals import (
-    MISALIGNMENT_FLOOR_DB,
     EchoScenario,
     ImpulseResponse,
     gen_excitation,
@@ -152,29 +151,18 @@ def synthesize_scenario(scenario: EchoScenario) -> tuple[np.ndarray, np.ndarray]
 def _stream_misalignment(config: FilterConfig, x, d, segments):
     """Run one filter over the stream; per-sample misalignment or a failure."""
     filt = AdaptiveFilter(config)
-    state, history, desired = filt.state, filt.history, filt._desired
     mis = np.empty(x.size)
-    inf = math.inf
     for start, end, response in segments:
         truth = response.taps
-        truth_power = float(truth @ truth)
         for n in range(start, end):
-            history.push(x[n])
-            desired[1:] = desired[:-1]
-            desired[0] = d[n]
             try:
-                filter_step(config, state, history, desired)
+                filt.process(x[n], d[n])
             except SingularSystemError as exc:
                 return None, f"aborted at sample {n}: {exc}"
-            # Same quantity as signals.misalignment_db, inlined for the hot loop.
-            diff = state.weights - truth
-            ratio = float(diff @ diff) / truth_power
-            if 1e-30 < ratio < inf:
-                mis[n] = 10.0 * math.log10(ratio)
-            elif ratio <= 1e-30:
-                mis[n] = MISALIGNMENT_FLOOR_DB
-            else:  # NaN or infinite: the weights left the finite range
-                return None, f"diverged at sample {n}: misalignment ratio is {ratio}"
+            value = misalignment_db(truth, filt.weights)
+            if not math.isfinite(value):  # the weights left the finite range
+                return None, f"diverged at sample {n}: misalignment is {value} dB"
+            mis[n] = value
     return mis, None
 
 
@@ -266,7 +254,6 @@ def _paper_filter(variant: str, group_size: int | None = None) -> FilterConfig:
         step_size=0.01,
         regularization=0.01,
         guards=StallGuards(rho=0.01, q=0.01),
-        regressor_mode="efficient",
     )
 
 
@@ -321,6 +308,13 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _integer(value, path: str) -> int:
+    """``value`` if it is a JSON integer; floats and booleans are not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 def experiment_from_dict(raw: dict) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from parsed JSON, with field-path errors."""
     if not isinstance(raw, dict):
@@ -328,7 +322,7 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
     sc = _require(raw, "scenario", "config")
     if not isinstance(sc, dict):
         raise ConfigError("scenario: expected an object")
-    filter_length = int(_require(sc, "filter_length", "scenario"))
+    filter_length = _integer(_require(sc, "filter_length", "scenario"), "scenario.filter_length")
     schedule_raw = _require(sc, "schedule", "scenario")
     if not isinstance(schedule_raw, list) or not schedule_raw:
         raise ConfigError("scenario.schedule: expected a nonempty list")
@@ -338,20 +332,23 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: expected an object")
         clusters = _require(entry, "clusters", path)
-        ir_seed = int(entry.get("seed", _PRESET_IR_SEEDS[0] + j))
+        ir_seed = _integer(entry.get("seed", _PRESET_IR_SEEDS[0] + j), f"{path}.seed")
+        switch = _integer(_require(entry, "switch_sample", path), f"{path}.switch_sample")
         try:
             response = make_block_sparse_ir(filter_length, clusters, seed=ir_seed)
         except ValueError as exc:
             raise ConfigError(f"{path}.clusters: {exc}") from exc
-        schedule.append((int(_require(entry, "switch_sample", path)), response))
+        schedule.append((switch, response))
+    seed = _integer(sc.get("seed", 0), "scenario.seed")
+    total = _integer(_require(sc, "total_samples", "scenario"), "scenario.total_samples")
     try:
         scenario = EchoScenario(
             schedule=tuple(schedule),
             excitation=sc.get("excitation", "ar1"),
             pole=sc.get("pole", 0.8),
             snr_db=sc.get("snr_db", 30.0),
-            seed=int(sc.get("seed", 0)),
-            total_samples=int(_require(sc, "total_samples", "scenario")),
+            seed=seed,
+            total_samples=total,
         )
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
@@ -365,27 +362,30 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: expected an object")
         label = str(_require(entry, "label", path))
+        order = _integer(entry.get("projection_order", 1), f"{path}.projection_order")
+        group = entry.get("group_size")
+        group = None if group is None else _integer(group, f"{path}.group_size")
         try:
             cfg = FilterConfig(
                 variant=str(_require(entry, "variant", path)),
                 filter_length=filter_length,
-                projection_order=int(entry.get("projection_order", 1)),
-                group_size=entry.get("group_size"),
+                projection_order=order,
+                group_size=group,
                 step_size=float(entry.get("step_size", 0.01)),
                 regularization=float(entry.get("regularization", 0.01)),
                 guards=StallGuards(
                     rho=float(entry.get("rho", 0.01)), q=float(entry.get("q", 0.01))
                 ),
-                regressor_mode=str(entry.get("regressor_mode", "efficient")),
             )
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         panel.append((label, cfg))
+    decimation = _integer(raw.get("trace_decimation", 10), "trace_decimation")
     try:
         return ExperimentConfig(
             scenario=scenario,
             panel=panel,
-            trace_decimation=int(raw.get("trace_decimation", 10)),
+            trace_decimation=decimation,
             output_path=raw.get("output_path"),
         )
     except ConfigError:

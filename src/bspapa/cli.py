@@ -52,15 +52,11 @@ def _cmd_equiv_suite(args) -> int:
 
 def _cmd_count_mults(args) -> int:
     # Instantiating the config validates the (L, M, P) combination.
-    cfg_eff = FilterConfig(
-        "bs-papa", args.L, args.M, args.P, regressor_mode="efficient"
-    )
-    cfg_dir = FilterConfig("bs-papa", args.L, args.M, args.P, regressor_mode="direct")
-    blocks = cfg_eff.block_count
+    cfg = FilterConfig("bs-papa", args.L, args.M, args.P)
     print(
-        f"L={args.L} M={args.M} P={args.P} (N={blocks}): "
-        f"direct M*L = {cfg_dir.multiplications_per_step}, "
-        f"efficient (P+M-1)*N = {cfg_eff.multiplications_per_step}"
+        f"L={args.L} M={args.M} P={args.P} (N={cfg.block_count}): "
+        f"direct M*L = {args.M * args.L}, "
+        f"efficient (P+M-1)*N = {cfg.multiplications_per_step}"
     )
     return 0
 

@@ -1,29 +1,24 @@
 """Per-sample update engines for the proportionate affine projection family.
 
-Variants
---------
-``apa``
-    Uniform gains: the plain affine projection update.
-``papa`` / ``pnlms``
-    Per-tap proportionate gains from coefficient magnitudes.
-``bs-papa`` / ``bs-pnlms``
-    Block proportionate gains from group Euclidean norms.
-``mpapa`` / ``bs-mpapa``
-    Memory variants that keep previously weighted regressor columns with
-    their historical gains instead of reweighting the whole window every
-    sample.
+Every variant name is an alias over three axes of one block-sparse update
+(``_ALIASES``): the group size (one full-length block for ``apa``, one tap
+for ``papa``/``mpapa``/``pnlms``, a chosen P for the ``bs-*`` members),
+regressor memory (``mpapa``/``bs-mpapa`` keep previously weighted columns
+with their historical gains instead of reweighting the whole window), and
+the projection order (pinned to one for ``pnlms``/``bs-pnlms``).
 
 All projection members share one update: with ``W`` the gain-weighted
-regressor, ``h += mu * W @ solve(X.T @ W + delta*I, e)``.  They differ only
-in how the gains and ``W`` are produced.  The single-projection members
-(``pnlms``, ``bs-pnlms``) apply the scalar-normalized form of the same step
+regressor, ``h += mu * W @ solve(X.T @ W + delta*I, e)``.  The
+single-projection members apply the scalar-normalized form of the same step
 and skip the linear solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -48,14 +43,18 @@ __all__ = [
     "filter_step",
 ]
 
-VARIANTS = ("apa", "papa", "bs-papa", "mpapa", "bs-mpapa", "bs-pnlms", "pnlms")
-
-_MEMORY_VARIANTS = frozenset({"mpapa", "bs-mpapa"})
-_SCALAR_VARIANTS = frozenset({"pnlms", "bs-pnlms"})
-# Members whose gains come straight from per-tap magnitudes rather than
-# block norms; their group size is pinned to one tap.
-_PER_TAP_VARIANTS = frozenset({"papa", "mpapa", "pnlms"})
-_FORCED_GROUP_SIZE = {"apa": "full", "papa": 1, "mpapa": 1, "pnlms": 1}
+# name -> (group size, memory, projection order).  A group size of "full"
+# is one block spanning the filter; None leaves the axis to the caller.
+_ALIASES = {
+    "apa": ("full", False, None),
+    "papa": (1, False, None),
+    "bs-papa": (None, False, None),
+    "mpapa": (1, True, None),
+    "bs-mpapa": (None, True, None),
+    "bs-pnlms": (None, False, 1),
+    "pnlms": (1, False, 1),
+}
+VARIANTS = tuple(_ALIASES)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -71,17 +70,12 @@ class SingularSystemError(np.linalg.LinAlgError):
 class FilterConfig:
     """Static description of one adaptive filter.
 
-    Named special cases pin their implied parameters at construction:
+    The variant name pins the axes it implies (see the module table):
     ``apa`` forces a single full-length block, ``papa``/``mpapa``/``pnlms``
     force one-tap blocks, and the ``*-pnlms`` members require a projection
     order of one.  The block-sparse members need an explicit ``group_size``
-    dividing ``filter_length``.
-
-    ``regressor_mode`` selects how the gain-weighted regressor is built for
-    the projection members: ``"direct"`` multiplies every entry, while
-    ``"efficient"`` computes each product once per block and reuses it
-    across the sliding projection window.  Both produce bit-identical
-    matrices.
+    dividing ``filter_length``.  The weighted regressor is always built
+    with per-block product reuse (see :func:`build_weighted_regressor_efficient`).
     """
 
     variant: str
@@ -91,10 +85,11 @@ class FilterConfig:
     step_size: float = 0.01
     regularization: float = 0.01
     guards: StallGuards = StallGuards()
-    regressor_mode: str = "efficient"
+    # Read-only constant, not a field: perfbench/replay.py reads it.
+    regressor_mode: ClassVar[str] = "efficient"
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
+        if self.variant not in _ALIASES:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.filter_length < 1:
             raise ValueError(f"filter_length must be positive, got {self.filter_length}")
@@ -104,23 +99,21 @@ class FilterConfig:
         # null reference in benchmark panels.
         if not 0.0 <= self.step_size <= 2.0:
             raise ValueError(f"step_size must lie in [0, 2], got {self.step_size}")
-        if self.regularization < 0:
-            raise ValueError(f"regularization must be nonnegative, got {self.regularization}")
-        if self.regressor_mode not in ("direct", "efficient"):
-            raise ValueError(f"regressor_mode must be 'direct' or 'efficient', got {self.regressor_mode!r}")
-        forced = _FORCED_GROUP_SIZE.get(self.variant)
-        if forced is not None:
-            forced = self.filter_length if forced == "full" else forced
-            if self.group_size not in (None, forced):
+        if not 0.0 <= self.regularization < math.inf:
+            raise ValueError(f"regularization must be finite and nonnegative, got {self.regularization}")
+        group, _, order = _ALIASES[self.variant]
+        if group is not None:
+            group = self.filter_length if group == "full" else group
+            if self.group_size not in (None, group):
                 raise ValueError(
-                    f"variant {self.variant!r} implies group_size={forced}, got {self.group_size}"
+                    f"variant {self.variant!r} implies group_size={group}, got {self.group_size}"
                 )
-            object.__setattr__(self, "group_size", forced)
+            object.__setattr__(self, "group_size", group)
         elif self.group_size is None:
             raise ValueError(f"variant {self.variant!r} requires an explicit group_size")
-        if self.variant in _SCALAR_VARIANTS and self.projection_order != 1:
+        if order is not None and self.projection_order != order:
             raise ValueError(
-                f"variant {self.variant!r} is the projection_order=1 member, "
+                f"variant {self.variant!r} is the projection_order={order} member, "
                 f"got projection_order={self.projection_order}"
             )
         BlockPartition(self.filter_length, self.group_size)  # validates divisibility
@@ -136,19 +129,17 @@ class FilterConfig:
 
     @cached_property
     def is_memory(self) -> bool:
-        return self.variant in _MEMORY_VARIANTS
+        return _ALIASES[self.variant][1]
 
     @cached_property
     def is_scalar(self) -> bool:
-        return self.variant in _SCALAR_VARIANTS
+        return _ALIASES[self.variant][2] == 1
 
     @property
     def multiplications_per_step(self) -> int:
         """Products spent building the weighted regressor each sample."""
         if self.is_memory:
             return self.filter_length
-        if self.regressor_mode == "direct" and not self.is_scalar:
-            return self.projection_order * self.filter_length
         return (self.group_size + self.projection_order - 1) * self.block_count
 
 
@@ -276,7 +267,7 @@ def error_vector(history: RegressorHistory, desired, weights) -> np.ndarray:
 
 
 def build_weighted_regressor_direct(gains: GainVector, history: RegressorHistory) -> WeightedRegressor:
-    """Weighted regressor by plain row scaling: M*L products."""
+    """Weighted regressor by plain row scaling: M*L products; the reference for the efficient build."""
     if gains.partition.filter_length != history.filter_length:
         raise ValueError(
             f"gains cover {gains.partition.filter_length} taps but history holds "
@@ -364,27 +355,28 @@ def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
 
 
 def variant_gains(config: FilterConfig, weights) -> GainVector:
-    """Gain vector a variant derives from the current weights.
-
-    ``apa`` uses the identity; the per-tap members use coefficient
-    magnitudes; the block-sparse members use block Euclidean norms.
+    """Gains from the grouping alone: the identity for one block spanning the
+    filter, coefficient magnitudes for one-tap blocks, block Euclidean norms
+    otherwise.  The first two are the block rule's exact values: a lone
+    floored norm over itself is one, and ``sqrt(w*w) == |w|`` short of
+    overflow (underflowed taps sit below the ``rho*q`` floor anyway).
     """
     part = config.partition
-    if config.variant == "apa":
+    if part.block_count == 1:
         return GainVector(np.ones(1), part)
-    if config.variant in _PER_TAP_VARIANTS:
+    if part.group_size == 1:
         return proportionate_gains(np.abs(np.asarray(weights, dtype=float)), config.guards, part)
     return proportionate_gains(block_l2_norms(weights, part), config.guards, part)
 
 
 def filter_step(
     config: FilterConfig, state: FilterState, history: RegressorHistory, desired
-) -> FilterState:
-    """Advance one adaptation step; mutates and returns ``state``.
+) -> float:
+    """Advance one adaptation step, mutating ``state``; return the a-priori error.
 
     ``history`` must already contain x(n); ``desired`` holds the newest M
     desired samples, newest first.  Gains are recomputed from the current
-    weights every call.
+    weights every call; the returned ``d(n) - x(n).T @ w`` uses the old weights.
     """
     if (
         history.filter_length != config.filter_length
@@ -403,21 +395,20 @@ def filter_step(
 
     if config.is_scalar:
         x = history.input_vector()
-        err = desired[0] - float(x @ weights)
+        prior = desired[0] - float(x @ weights)
         weighted = gains.expand() * x
         denom = float(x @ weighted) + delta
         if denom == 0.0:
             raise SingularSystemError(
                 "scalar normalization is zero (silent input with delta=0)", pivot=0.0
             )
-        weights += (mu * err / denom) * weighted
+        weights += (mu * prior / denom) * weighted
     else:
         regressor_t = history.regressor_matrix().T
         err = desired - regressor_t @ weights
+        prior = float(err[0])
         if config.is_memory:
             weighted = update_memory_regressor(state, gains, history.input_vector())
-        elif config.regressor_mode == "direct":
-            weighted = build_weighted_regressor_direct(gains, history).matrix
         else:
             weighted = build_weighted_regressor_efficient(gains, history).matrix
         gram = regressor_t @ weighted
@@ -425,7 +416,7 @@ def filter_step(
         weights += mu * (weighted @ correction)
 
     state.step_counter += 1
-    return state
+    return prior
 
 
 class AdaptiveFilter:
@@ -449,11 +440,9 @@ class AdaptiveFilter:
         return self.state.weights
 
     def process(self, sample: float, desired: float) -> float:
-        """Consume one (input, desired) pair and return the a-priori error."""
+        """Consume one (input, desired) pair, adapt, and return the a-priori error."""
         self.history.push(sample)
         d = self._desired
         d[1:] = d[:-1]
         d[0] = desired
-        prior = desired - float(self.history.input_vector() @ self.state.weights)
-        filter_step(self.config, self.state, self.history, d)
-        return prior
+        return filter_step(self.config, self.state, self.history, d)

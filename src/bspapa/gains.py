@@ -10,6 +10,7 @@ while a single group spanning the whole filter degenerates to a uniform
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +67,10 @@ class StallGuards:
     q: float = 0.01
 
     def __post_init__(self) -> None:
-        if not self.rho > 0:
-            raise ValueError(f"rho must be strictly positive, got {self.rho}")
-        if not self.q > 0:
-            raise ValueError(f"q must be strictly positive, got {self.q}")
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"rho must be finite and strictly positive, got {self.rho}")
+        if not 0 < self.q < math.inf:
+            raise ValueError(f"q must be finite and strictly positive, got {self.q}")
 
 
 @dataclass(frozen=True, eq=False)

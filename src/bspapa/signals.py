@@ -8,6 +8,7 @@ be reproduced byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,19 +151,23 @@ def scale_noise_for_snr(clean_echo, snr_db: float, seed: int) -> np.ndarray:
 
 
 def misalignment_db(true_h, est_h) -> float:
-    """Normalized misalignment 10*log10(||h - h_est||^2 / ||h||^2), floored at -300 dB."""
+    """Normalized misalignment 10*log10(||h - h_est||^2 / ||h||^2), floored at -300 dB.
+
+    A non-finite estimate gives NaN or +inf, never a finite value.
+    """
     h = np.asarray(true_h, dtype=float)
     w = np.asarray(est_h, dtype=float)
     if h.shape != w.shape:
         raise ValueError(f"shape mismatch: {h.shape} vs {w.shape}")
-    denom = float(h @ h)
+    # np.dot: the same BLAS dot as ``@`` on vectors, minus the ufunc dispatch
+    denom = float(np.dot(h, h))
     if denom == 0.0:
         raise ValueError("true system has zero norm; misalignment is undefined")
     diff = w - h
-    ratio = float(diff @ diff) / denom
-    if ratio <= 1e-30:
+    ratio = float(np.dot(diff, diff)) / denom
+    if ratio <= 1e-30:  # 10*log10(1e-30) is the floor itself
         return MISALIGNMENT_FLOOR_DB
-    return max(10.0 * np.log10(ratio), MISALIGNMENT_FLOOR_DB)
+    return 10.0 * math.log10(ratio)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,6 +203,8 @@ class EchoScenario:
             raise ValueError(f"total_samples must be >= 1, got {self.total_samples}")
         if switches[-1] >= self.total_samples:
             raise ValueError("schedule switches past the end of the run")
+        if self.snr_db is not None and not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite (or None for no noise), got {self.snr_db}")
         if self.excitation not in ("white", "ar1"):
             raise ValueError(f"unknown excitation {self.excitation!r}")
         if self.excitation == "ar1":

@@ -63,8 +63,15 @@ def reference_block_gains(config, weights) -> np.ndarray:
     return gamma / gamma.mean()
 
 
-def reference_filter_step(config, state, history, desired) -> None:
-    """One step of ``filter_step`` built from the reference pieces above."""
+def reference_filter_step(config, state, history, desired, build="efficient") -> None:
+    """One step of ``filter_step`` built from the reference pieces above.
+
+    With ``build="direct"`` the projection members without memory also
+    scale every regressor entry and require that matrix to equal the
+    placed products exactly.  The step goes on with the placed products
+    either way: they can be an overlapping strided view (one block, M > 1),
+    and matmul's summation order depends on the operand layout.
+    """
     weights = state.weights
     block = reference_block_gains(config, weights)
     per_tap = np.repeat(block, config.group_size)
@@ -82,10 +89,12 @@ def reference_filter_step(config, state, history, desired) -> None:
         mem[:, 1:] = mem[:, :-1]
         mem[:, 0] = per_tap * x
         weighted = mem
-    elif config.regressor_mode == "direct":
-        weighted = per_tap[:, None] * reference_regressor_matrix(history)
     else:
         weighted = reference_efficient_build(block, config.group_size, history)
+        if build == "direct":
+            direct = per_tap[:, None] * reference_regressor_matrix(history)
+            if not np.array_equal(direct, weighted):
+                raise AssertionError("direct and efficient weighted regressors differ")
     gram = regressor_t @ weighted
     weights += mu * (weighted @ reference_solve(gram, delta, err))
 

@@ -90,7 +90,7 @@ class TestRunExperiment:
             assert trace.values[600] > trace.values[599]
 
     def test_trace_matches_misalignment_op(self):
-        # the inlined hot-loop metric must agree with the public function
+        # run_experiment records exactly what process() plus misalignment_db give
         sc = small_scenario(total=300, switch=None)
         cfg = FilterConfig("bs-papa", 32, 4, group_size=4, step_size=0.2)
         exp = ExperimentConfig(scenario=sc, panel=[("one", cfg)], trace_decimation=1)
@@ -104,7 +104,7 @@ class TestRunExperiment:
         for n in range(300):
             filt.process(x[n], d[n])
             expected[n] = misalignment_db(sc.schedule[0][1].taps, filt.weights)
-        np.testing.assert_allclose(traces[0].values, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(traces[0].values, expected)
 
     def test_panel_independence(self):
         exp_full = ExperimentConfig(scenario=small_scenario(), panel=small_panel(), trace_decimation=7)
@@ -285,6 +285,51 @@ class TestConfigParsing:
             experiment_from_dict(raw)
         assert "scenario.schedule[1].clusters" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "where,field,value",
+        [
+            ("panel", "regularization", float("nan")),
+            ("panel", "regularization", float("inf")),
+            ("panel", "rho", float("inf")),
+            ("panel", "q", float("inf")),
+            ("scenario", "snr_db", float("nan")),
+            ("scenario", "snr_db", float("-inf")),
+            ("scenario", "snr_db", float("inf")),
+        ],
+    )
+    def test_non_finite_value_names_field(self, where, field, value):
+        raw = self.raw()
+        target = raw["panel"][0] if where == "panel" else raw["scenario"]
+        target[field] = value
+        with pytest.raises(ConfigError) as excinfo:
+            experiment_from_dict(raw)
+        message = str(excinfo.value)
+        assert message.startswith("panel[0]:" if where == "panel" else "scenario:")
+        assert field in message
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("group_size", 4.0),
+            ("group_size", True),
+            ("group_size", "4"),
+            ("projection_order", 2.7),
+            ("projection_order", 4.0),
+            ("projection_order", True),
+        ],
+    )
+    def test_malformed_integer_names_field(self, field, value):
+        raw = self.raw()
+        raw["panel"][0][field] = value
+        with pytest.raises(ConfigError) as excinfo:
+            experiment_from_dict(raw)
+        assert str(excinfo.value).startswith(f"panel[0].{field}: expected an integer")
+
+    def test_regressor_mode_key_is_ignored(self):
+        raw = self.raw()
+        raw["panel"][0]["regressor_mode"] = "direct"
+        assert experiment_from_dict(raw).panel == experiment_from_dict(self.raw()).panel
+
     def test_with_seed_replaces_only_seed(self):
         exp = experiment_from_dict(self.raw())
         reseeded = with_seed(exp, 99)
@@ -360,6 +405,15 @@ class TestCli:
         bad.write_text(json.dumps({"scenario": {}}))
         assert cli_main(["run", "--config", str(bad)]) == 1
         assert "scenario" in capsys.readouterr().err
+
+    def test_run_rejects_non_finite_json_literal(self, tmp_path, capsys):
+        raw = TestConfigParsing().raw()
+        raw["scenario"]["snr_db"] = float("-inf")
+        path = tmp_path / "neg_inf.json"
+        path.write_text(json.dumps(raw))  # writes the -Infinity literal json.load accepts
+        assert "-Infinity" in path.read_text()
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        assert "snr_db" in capsys.readouterr().err
 
     def test_count_mults(self, capsys):
         assert cli_main(["count-mults", "--L", "1024", "--M", "8", "--P", "32"]) == 0

@@ -73,9 +73,9 @@ def test_solve_matches_lu_wrappers(order):
 
 @pytest.mark.parametrize("L,M,P", SHAPES)
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("mode", ["efficient", "direct"])
-def test_filter_step_bit_identical_to_reference(variant, L, M, P, mode):
-    cfg = variant_config(variant, L, M, P, step_size=0.3, regularization=0.01, regressor_mode=mode)
+@pytest.mark.parametrize("build", ["efficient", "direct"])
+def test_filter_step_bit_identical_to_reference(variant, L, M, P, build):
+    cfg = variant_config(variant, L, M, P, step_size=0.3, regularization=0.01)
     rng = np.random.default_rng(7)
     target = rng.standard_normal(L) * (rng.uniform(size=L) < 0.2)
     x = rng.standard_normal(300)
@@ -88,7 +88,7 @@ def test_filter_step_bit_identical_to_reference(variant, L, M, P, mode):
         desired[1:] = desired[:-1]
         desired[0] = d[n]
         filter_step(cfg, state, history, desired)
-        reference_filter_step(cfg, ref_state, history, desired)
+        reference_filter_step(cfg, ref_state, history, desired, build)
     assert np.array_equal(state.weights, ref_state.weights)
     assert np.any(state.weights != 0.0)
 
