@@ -315,6 +315,13 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _number(value, path: str):
+    """``value`` if it is a JSON number or null; booleans and strings are not coerced."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    return value
+
+
 def experiment_from_dict(raw: dict) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from parsed JSON, with field-path errors."""
     if not isinstance(raw, dict):
@@ -341,12 +348,17 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
         schedule.append((switch, response))
     seed = _integer(sc.get("seed", 0), "scenario.seed")
     total = _integer(_require(sc, "total_samples", "scenario"), "scenario.total_samples")
+    excitation = sc.get("excitation", "ar1")
+    if not isinstance(excitation, str):
+        raise ConfigError(f"scenario.excitation: expected a string, got {excitation!r}")
+    pole = _number(sc.get("pole", 0.8), "scenario.pole")
+    snr_db = _number(sc.get("snr_db", 30.0), "scenario.snr_db")
     try:
         scenario = EchoScenario(
             schedule=tuple(schedule),
-            excitation=sc.get("excitation", "ar1"),
-            pole=sc.get("pole", 0.8),
-            snr_db=sc.get("snr_db", 30.0),
+            excitation=excitation,
+            pole=pole,
+            snr_db=snr_db,
             seed=seed,
             total_samples=total,
         )

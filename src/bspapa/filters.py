@@ -145,18 +145,35 @@ class FilterConfig:
 
 @dataclass(eq=False)
 class FilterState:
-    """Mutable per-stream state: weights plus the memory-variant regressor."""
+    """Mutable per-stream state: weights plus the memory-variant regressor.
+
+    The memory members keep their regressor as a ring of M gain-weighted
+    input rows mirrored at two offsets, shape ``(2M, L)``: rows
+    ``memory_head .. memory_head + M - 1`` are the columns of the current
+    L-by-M matrix, newest first.  A step writes one row (twice) instead of
+    shifting the whole matrix, at the cost of M*L extra floats.
+    """
 
     weights: np.ndarray
-    memory_regressor: np.ndarray | None = None
+    memory_ring: np.ndarray | None = None
+    memory_head: int = 0
     step_counter: int = 0
 
     @classmethod
     def initial(cls, config: FilterConfig) -> "FilterState":
-        mem = None
+        ring = None
         if config.is_memory:
-            mem = np.zeros((config.filter_length, config.projection_order))
-        return cls(weights=np.zeros(config.filter_length), memory_regressor=mem)
+            ring = np.zeros((2 * config.projection_order, config.filter_length))
+        return cls(weights=np.zeros(config.filter_length), memory_ring=ring)
+
+    @property
+    def memory_regressor(self) -> np.ndarray | None:
+        """The current L-by-M memory regressor, a column-major view of the ring."""
+        ring = self.memory_ring
+        if ring is None:
+            return None
+        head = self.memory_head
+        return ring[head : head + ring.shape[0] // 2].T
 
 
 class RegressorHistory:
@@ -166,6 +183,13 @@ class RegressorHistory:
     in a ring buffer mirrored at two offsets, so the newest-first window is
     always one contiguous slice.  Samples earlier than the stream start read
     as zero.
+
+    The ring is stored M times, as the rows of one ``(M, 2*span)`` array,
+    and row j is read starting j columns later.  Row j of ``X(n).T`` then
+    sits ``2*span + 1`` floats after row j - 1, so :meth:`regressor_matrix`
+    is a view with unit stride along the taps, which BLAS accepts for the
+    error and Gram products.  The price is M copies of the ring (about
+    1 MiB at L=4096, M=16) and 2M writes per push.
 
     Every array handed out is a view of the ring buffer, valid until the
     next push.  :meth:`regressor_matrix` and :meth:`block_windows` index
@@ -180,15 +204,20 @@ class RegressorHistory:
             raise ValueError(f"projection_order must be >= 1, got {projection_order}")
         self.filter_length = filter_length
         self.projection_order = projection_order
-        self._span = filter_length + projection_order - 1
-        self._buf = np.zeros(2 * self._span)
+        span = filter_length + projection_order - 1
+        self._span = span
+        rows = np.zeros((projection_order, 2 * span))
+        self._buf = rows[0]
         self._head = 0
-        step = self._buf.strides[0]
+        step = rows.strides[1]
+        # Entry h is the 2M slots a push at head position h writes: slot
+        # 2j + k is column h + k*span of row j.
+        self._slots = as_strided(rows, (span, 2 * projection_order), (step, span * step))
         # Entry h is X(n).T for head position h: row j is x(n - j).
         self._xt = as_strided(
-            self._buf,
-            (self._span, projection_order, filter_length),
-            (step, step, step),
+            rows,
+            (span, projection_order, filter_length),
+            (step, (2 * span + 1) * step, step),
             writeable=False,
         )
         self._block_views: dict[int, np.ndarray] = {}
@@ -196,8 +225,7 @@ class RegressorHistory:
     def push(self, sample: float) -> None:
         """Append ``sample`` as the newest input x(n)."""
         self._head = (self._head - 1) % self._span
-        self._buf[self._head] = sample
-        self._buf[self._head + self._span] = sample
+        self._slots[self._head] = sample
 
     def extend(self, samples) -> None:
         """Push a batch of samples, oldest first."""
@@ -283,7 +311,9 @@ def build_weighted_regressor_efficient(gains: GainVector, history: RegressorHist
     Within a block all regressor entries are the block gain times one of
     P+M-1 consecutive input samples, so each product is computed once and
     placed through a strided view in which entry (k, i, j) reads product
-    (k, i + j).  The result is bit-exact equal to the direct construction.
+    (k, i + j).  The result is bit-exact equal to the direct construction
+    and always a C-contiguous copy, so the Gram matrix and the update run
+    in BLAS; with one block the placed view alone would overlap itself.
     """
     if gains.partition.filter_length != history.filter_length:
         raise ValueError(
@@ -297,26 +327,32 @@ def build_weighted_regressor_efficient(gains: GainVector, history: RegressorHist
     placed = np.ndarray(
         (products.shape[0], group, order), buffer=products, strides=(row, step, step)
     )
-    matrix = placed.reshape(history.filter_length, order)
+    matrix = np.ascontiguousarray(placed).reshape(history.filter_length, order)
     return WeightedRegressor(matrix, products.size)
 
 
 def update_memory_regressor(state: FilterState, gains: GainVector, newest_input) -> np.ndarray:
-    """Shift the memory regressor and weight the newest input column.
+    """Rotate the memory regressor and weight the newest input column.
 
     The first column becomes the per-tap gains (from the current weights)
     times x(n); older columns keep the gains they were built with.  Exactly
-    L products are spent.
+    L products are spent.  The matrix is a view of ``state.memory_ring``
+    (see :class:`FilterState`): the head moves back one row and the new
+    column is written to both mirrored copies of that row, so no column
+    is copied.  The returned view is valid until the next call.
     """
-    mem = state.memory_regressor
-    if mem is None:
+    ring = state.memory_ring
+    if ring is None:
         raise ValueError("memory regressor is only maintained for mpapa/bs-mpapa filters")
     x = np.asarray(newest_input, dtype=float)
-    if x.shape != (mem.shape[0],):
-        raise ValueError(f"expected an input vector of length {mem.shape[0]}, got shape {x.shape}")
-    mem[:, 1:] = mem[:, :-1]
-    mem[:, 0] = gains.expand() * x
-    return mem
+    if x.shape != (ring.shape[1],):
+        raise ValueError(f"expected an input vector of length {ring.shape[1]}, got shape {x.shape}")
+    order = ring.shape[0] // 2
+    head = (state.memory_head - 1) % order
+    state.memory_head = head
+    ring[head] = gains.expand() * x
+    ring[head + order] = ring[head]
+    return state.memory_regressor
 
 
 def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
@@ -395,9 +431,9 @@ def filter_step(
 
     if config.is_scalar:
         x = history.input_vector()
-        prior = desired[0] - float(x @ weights)
+        prior = desired[0] - float(np.dot(x, weights))
         weighted = gains.expand() * x
-        denom = float(x @ weighted) + delta
+        denom = float(np.dot(x, weighted)) + delta
         if denom == 0.0:
             raise SingularSystemError(
                 "scalar normalization is zero (silent input with delta=0)", pivot=0.0

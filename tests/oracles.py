@@ -36,7 +36,8 @@ def reference_efficient_build(block_gains, group_size: int, history) -> np.ndarr
     order = history.projection_order
     windows = sliding_window_view(history.window(), group_size + order - 1)[::group_size]
     products = block_gains[:, None] * windows
-    return sliding_window_view(products, order, axis=1).reshape(history.filter_length, order)
+    placed = sliding_window_view(products, order, axis=1).reshape(history.filter_length, order)
+    return np.ascontiguousarray(placed)
 
 
 def reference_solve(matrix, delta: float, rhs) -> np.ndarray:
@@ -63,14 +64,24 @@ def reference_block_gains(config, weights) -> np.ndarray:
     return gamma / gamma.mean()
 
 
+class ReferenceState:
+    """Weights plus a plainly shifted L-by-M memory matrix."""
+
+    def __init__(self, config):
+        self.weights = np.zeros(config.filter_length)
+        self.memory = np.zeros((config.filter_length, config.projection_order))
+
+
 def reference_filter_step(config, state, history, desired, build="efficient") -> None:
     """One step of ``filter_step`` built from the reference pieces above.
 
-    With ``build="direct"`` the projection members without memory also
-    scale every regressor entry and require that matrix to equal the
-    placed products exactly.  The step goes on with the placed products
-    either way: they can be an overlapping strided view (one block, M > 1),
-    and matmul's summation order depends on the operand layout.
+    ``state`` is a :class:`ReferenceState`.  The operands of the matrix
+    products are laid out as BLAS takes them, as in production: the
+    regressor as a C-contiguous ``(M, L)`` copy, the memory matrix as a
+    column-major copy of the shifted one and the efficient build as a
+    C-contiguous copy.  With ``build="direct"`` the projection members
+    without memory also scale every regressor entry and require that
+    matrix to equal the placed products exactly.
     """
     weights = state.weights
     block = reference_block_gains(config, weights)
@@ -82,13 +93,13 @@ def reference_filter_step(config, state, history, desired, build="efficient") ->
         weighted = per_tap * x
         weights += (mu * err / (float(x @ weighted) + delta)) * weighted
         return
-    regressor_t = reference_regressor_matrix(history).T
+    regressor_t = np.ascontiguousarray(reference_regressor_matrix(history).T)
     err = desired - regressor_t @ weights
     if config.variant in _MEMORY:
-        mem = state.memory_regressor
+        mem = state.memory
         mem[:, 1:] = mem[:, :-1]
         mem[:, 0] = per_tap * x
-        weighted = mem
+        weighted = np.asfortranarray(mem)
     else:
         weighted = reference_efficient_build(block, config.group_size, history)
         if build == "direct":

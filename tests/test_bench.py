@@ -325,6 +325,28 @@ class TestConfigParsing:
             experiment_from_dict(raw)
         assert str(excinfo.value).startswith(f"panel[0].{field}: expected an integer")
 
+    @pytest.mark.parametrize(
+        "field,value,expected",
+        [
+            ("snr_db", "30", "a number"),
+            ("snr_db", True, "a number"),
+            ("pole", "0.8", "a number"),
+            ("pole", False, "a number"),
+            ("excitation", 1, "a string"),
+        ],
+    )
+    def test_malformed_scenario_value_names_field(self, field, value, expected):
+        raw = self.raw()
+        raw["scenario"][field] = value
+        with pytest.raises(ConfigError) as excinfo:
+            experiment_from_dict(raw)
+        assert str(excinfo.value).startswith(f"scenario.{field}: expected {expected}")
+
+    def test_null_snr_db_disables_noise(self):
+        raw = self.raw()
+        raw["scenario"]["snr_db"] = None
+        assert experiment_from_dict(raw).scenario.snr_db is None
+
     def test_regressor_mode_key_is_ignored(self):
         raw = self.raw()
         raw["panel"][0]["regressor_mode"] = "direct"

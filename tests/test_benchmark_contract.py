@@ -4,7 +4,7 @@
 public pieces (``RegressorHistory``, ``variant_gains``, the regressor
 builders, ``update_memory_regressor``, ``solve_regularized``) and reads
 ``FilterConfig.regressor_mode``, ``is_scalar``, ``is_memory`` and
-``block_count``.  Replaying one seed of two workloads checks that every
+``block_count``.  Replaying one seed of each workload checks that every
 name it reads still exists and that its arithmetic still matches
 ``filter_step`` bit for bit.  The benchmark files are only imported, and
 no bytecode is written next to them.
@@ -18,7 +18,7 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("workload", ["stream-order1", "paper-panels"])
+@pytest.mark.parametrize("workload", ["stream-order1", "paper-panels", "long-echo"])
 def test_replay_matches_filter_step(workload, monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))

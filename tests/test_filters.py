@@ -33,6 +33,20 @@ def random_gains(rng, filter_length, group_size):
     return GainVector(rng.uniform(0.01, 3.0, part.block_count), part)
 
 
+def blas_ready(matrix):
+    """Whether numpy's matmul can hand ``matrix`` (or its transpose) to BLAS.
+
+    One stride must be one element and the other must step over at least
+    the extent of the unit-stride axis.  A matrix failing this falls back
+    to numpy's own element loop.
+    """
+    item = matrix.itemsize
+    rows, cols = matrix.strides
+    return (cols == item and rows >= matrix.shape[1] * item) or (
+        rows == item and cols >= matrix.shape[0] * item
+    )
+
+
 class TestFilterConfig:
     def test_apa_forces_full_block(self):
         cfg = FilterConfig("apa", 64, 4)
@@ -291,6 +305,49 @@ class TestMemoryRegressor:
             np.testing.assert_array_equal(
                 filt.state.memory_regressor[:, 0], exact.matrix[:, 0]
             )
+
+    def test_ring_wraps_like_a_shifted_matrix(self):
+        rng = np.random.default_rng(14)
+        L, M = 8, 3
+        state = FilterState.initial(self.cfg(L, M))
+        shifted = np.zeros((L, M))
+        for _ in range(2 * M + 2):  # wraps the ring more than twice
+            gains = random_gains(rng, L, 2)
+            x = rng.standard_normal(L)
+            shifted[:, 1:] = shifted[:, :-1]
+            shifted[:, 0] = gains.expand() * x
+            mem = update_memory_regressor(state, gains, x)
+            assert mem.shape == (L, M)
+            assert np.array_equal(mem, shifted)
+            assert np.array_equal(state.memory_regressor, shifted)
+
+
+class TestBlasLayout:
+    """The step's matrix operands keep a layout BLAS accepts."""
+
+    @pytest.mark.parametrize("L,M", [(16, 1), (16, 3), (64, 8)])
+    def test_regressor_view(self, L, M):
+        rng = np.random.default_rng(L + M)
+        history = RegressorHistory(L, M)
+        for _ in range(2 * (L + M)):
+            history.push(rng.standard_normal())
+            assert blas_ready(history.regressor_matrix().T)
+
+    @pytest.mark.parametrize("M", [1, 3])
+    def test_memory_view(self, M):
+        rng = np.random.default_rng(M)
+        state = FilterState.initial(FilterConfig("bs-mpapa", 16, M, group_size=4))
+        for _ in range(2 * M + 1):
+            mem = update_memory_regressor(state, random_gains(rng, 16, 4), rng.standard_normal(16))
+            assert blas_ready(mem) and blas_ready(state.memory_regressor)
+
+    @pytest.mark.parametrize("group", [1, 4, 16])
+    @pytest.mark.parametrize("order", [1, 2, 8])
+    def test_every_efficient_build(self, group, order):
+        rng = np.random.default_rng(group * 10 + order)
+        history = make_history(rng.standard_normal(40), 16, order)
+        built = build_weighted_regressor_efficient(random_gains(rng, 16, group), history)
+        assert blas_ready(built.matrix)
 
 
 class TestSolveRegularized:

@@ -25,6 +25,7 @@ from bspapa import (
 from oracles import (
     DenseReference,
     reference_efficient_build,
+    ReferenceState,
     reference_filter_step,
     reference_regressor_matrix,
     reference_solve,
@@ -53,7 +54,9 @@ def test_views_match_sliding_window_constructions(L, M, P):
         view = history.regressor_matrix()
         expected = reference_regressor_matrix(history)
         assert np.array_equal(view, expected)
-        assert view.strides == expected.strides and not view.flags.writeable
+        # BLAS layout: unit stride along the taps, leading stride >= L
+        assert view.strides[0] == view.itemsize and view.strides[1] >= L * view.itemsize
+        assert not view.flags.writeable
         gains = GainVector(rng.uniform(0.01, 3.0, part.block_count), part)
         built = build_weighted_regressor_efficient(gains, history).matrix
         reference = reference_efficient_build(gains.block_gains, P, history)
@@ -81,7 +84,7 @@ def test_filter_step_bit_identical_to_reference(variant, L, M, P, build):
     x = rng.standard_normal(300)
     d = np.convolve(x, target)[:300] + 1e-3 * rng.standard_normal(300)
     history = RegressorHistory(L, cfg.projection_order)
-    state, ref_state = FilterState.initial(cfg), FilterState.initial(cfg)
+    state, ref_state = FilterState.initial(cfg), ReferenceState(cfg)
     desired = np.zeros(cfg.projection_order)
     for n in range(300):
         history.push(x[n])
