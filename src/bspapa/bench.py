@@ -23,9 +23,10 @@ from .gains import StallGuards
 from .signals import (
     EchoScenario,
     ImpulseResponse,
+    _misalignment_db,
+    _power,
     gen_excitation,
     make_block_sparse_ir,
-    misalignment_db,
     scale_noise_for_snr,
 )
 
@@ -151,15 +152,17 @@ def synthesize_scenario(scenario: EchoScenario) -> tuple[np.ndarray, np.ndarray]
 def _stream_misalignment(config: FilterConfig, x, d, segments):
     """Run one filter over the stream; per-sample misalignment or a failure."""
     filt = AdaptiveFilter(config)
+    weights = filt.weights  # updated in place by every step
     mis = np.empty(x.size)
     for start, end, response in segments:
         truth = response.taps
+        power = _power(truth)
         for n in range(start, end):
             try:
                 filt.process(x[n], d[n])
             except SingularSystemError as exc:
                 return None, f"aborted at sample {n}: {exc}"
-            value = misalignment_db(truth, filt.weights)
+            value = _misalignment_db(truth, power, weights)
             if not math.isfinite(value):  # the weights left the finite range
                 return None, f"diverged at sample {n}: misalignment is {value} dB"
             mis[n] = value
@@ -316,8 +319,8 @@ def _integer(value, path: str) -> int:
 
 
 def _number(value, path: str):
-    """``value`` if it is a JSON number or null; booleans and strings are not coerced."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+    """``value`` if it is a JSON number; null, booleans and strings are not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     return value
 
@@ -351,8 +354,9 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
     excitation = sc.get("excitation", "ar1")
     if not isinstance(excitation, str):
         raise ConfigError(f"scenario.excitation: expected a string, got {excitation!r}")
-    pole = _number(sc.get("pole", 0.8), "scenario.pole")
-    snr_db = _number(sc.get("snr_db", 30.0), "scenario.snr_db")
+    pole, snr_db = sc.get("pole", 0.8), sc.get("snr_db", 30.0)
+    pole = None if pole is None else _number(pole, "scenario.pole")
+    snr_db = None if snr_db is None else _number(snr_db, "scenario.snr_db")
     try:
         scenario = EchoScenario(
             schedule=tuple(schedule),
@@ -377,28 +381,33 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
         order = _integer(entry.get("projection_order", 1), f"{path}.projection_order")
         group = entry.get("group_size")
         group = None if group is None else _integer(group, f"{path}.group_size")
+        step_size, regularization, rho, q = (
+            float(_number(entry.get(key, 0.01), f"{path}.{key}"))
+            for key in ("step_size", "regularization", "rho", "q")
+        )
         try:
             cfg = FilterConfig(
                 variant=str(_require(entry, "variant", path)),
                 filter_length=filter_length,
                 projection_order=order,
                 group_size=group,
-                step_size=float(entry.get("step_size", 0.01)),
-                regularization=float(entry.get("regularization", 0.01)),
-                guards=StallGuards(
-                    rho=float(entry.get("rho", 0.01)), q=float(entry.get("q", 0.01))
-                ),
+                step_size=step_size,
+                regularization=regularization,
+                guards=StallGuards(rho=rho, q=q),
             )
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         panel.append((label, cfg))
     decimation = _integer(raw.get("trace_decimation", 10), "trace_decimation")
+    output_path = raw.get("output_path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError(f"output_path: expected a string or null, got {output_path!r}")
     try:
         return ExperimentConfig(
             scenario=scenario,
             panel=panel,
             trace_decimation=decimation,
-            output_path=raw.get("output_path"),
+            output_path=output_path,
         )
     except ConfigError:
         raise

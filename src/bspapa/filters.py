@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .gains import BlockPartition, GainVector, StallGuards, block_l2_norms, proportionate_gains
+from .gains import BlockPartition, GainVector, StallGuards, _block_norms, _floored_gains
 
 __all__ = [
     "VARIANTS",
@@ -56,6 +56,9 @@ _ALIASES = {
 }
 VARIANTS = tuple(_ALIASES)
 _EPS = float(np.finfo(float).eps)
+# The gain of a single block spanning the filter: its floored norm over itself.
+_UNIT_GAIN = np.ones(1)
+_UNIT_GAIN.flags.writeable = False
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -320,15 +323,20 @@ def build_weighted_regressor_efficient(gains: GainVector, history: RegressorHist
             f"gains cover {gains.partition.filter_length} taps but history holds "
             f"{history.filter_length}"
         )
-    group = gains.partition.group_size
-    order = history.projection_order
-    products = gains.block_gains[:, None] * history.block_windows(group)  # (N, P+M-1)
+    windows = history.block_windows(gains.partition.group_size)
+    matrix = _place_products(gains.block_gains, windows, history.projection_order)
+    return WeightedRegressor(matrix, windows.size)
+
+
+def _place_products(block_gains: np.ndarray, windows: np.ndarray, order: int) -> np.ndarray:
+    """The efficient build from block gains and ``block_windows`` output; no checks."""
+    products = block_gains[:, None] * windows  # (N, P+M-1)
+    blocks, width = products.shape
     row, step = products.strides
     placed = np.ndarray(
-        (products.shape[0], group, order), buffer=products, strides=(row, step, step)
+        (blocks, width - order + 1, order), buffer=products, strides=(row, step, step)
     )
-    matrix = np.ascontiguousarray(placed).reshape(history.filter_length, order)
-    return WeightedRegressor(matrix, products.size)
+    return np.ascontiguousarray(placed).reshape(-1, order)
 
 
 def update_memory_regressor(state: FilterState, gains: GainVector, newest_input) -> np.ndarray:
@@ -347,10 +355,16 @@ def update_memory_regressor(state: FilterState, gains: GainVector, newest_input)
     x = np.asarray(newest_input, dtype=float)
     if x.shape != (ring.shape[1],):
         raise ValueError(f"expected an input vector of length {ring.shape[1]}, got shape {x.shape}")
+    return _push_memory_row(state, gains.expand(), x)
+
+
+def _push_memory_row(state: FilterState, tap_gains: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Write ``tap_gains * x`` as the newest memory row; return the L-by-M view.  No checks."""
+    ring = state.memory_ring
     order = ring.shape[0] // 2
     head = (state.memory_head - 1) % order
     state.memory_head = head
-    ring[head] = gains.expand() * x
+    np.multiply(tap_gains, x, out=ring[head])
     ring[head + order] = ring[head]
     return state.memory_regressor
 
@@ -373,18 +387,29 @@ def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
         raise ValueError(f"rhs length {b.shape} does not match matrix order {a.shape[0]}")
     if delta < 0:
         raise ValueError(f"regularization must be nonnegative, got {delta}")
-    system = a + delta * np.eye(a.shape[0])
+    return _solve_in_place(np.array(a, order="C"), delta, b)
+
+
+def _solve_in_place(system: np.ndarray, delta: float, rhs: np.ndarray) -> np.ndarray:
+    """``solve_regularized`` on a C-contiguous float ``system`` it may overwrite; no checks.
+
+    Adding ``delta`` to the diagonal gives the bits of ``system + delta*I``:
+    off the diagonal, ``x + 0.0`` is ``x`` (up to the sign of a zero).
+    """
+    order = system.shape[0]
+    diagonal = system.reshape(-1)[:: order + 1]
+    diagonal += delta
     lu, piv, info = dgetrf(system, overwrite_a=True)
     if info < 0:
         raise ValueError(f"dgetrf rejected argument {-info}")
     pivots = np.abs(lu.diagonal())
     smallest = float(pivots.min())
-    if smallest <= a.shape[0] * _EPS * float(pivots.max()):
+    if smallest <= order * _EPS * float(pivots.max()):
         raise SingularSystemError(
             f"projection system singular to working precision (pivot {smallest:.3e})",
             pivot=smallest,
         )
-    solution, info = dgetrs(lu, piv, b)
+    solution, info = dgetrs(lu, piv, rhs)
     if info < 0:
         raise ValueError(f"dgetrs rejected argument {-info}")
     return solution
@@ -397,12 +422,26 @@ def variant_gains(config: FilterConfig, weights) -> GainVector:
     floored norm over itself is one, and ``sqrt(w*w) == |w|`` short of
     overflow (underflowed taps sit below the ``rho*q`` floor anyway).
     """
-    part = config.partition
-    if part.block_count == 1:
-        return GainVector(np.ones(1), part)
-    if part.group_size == 1:
-        return proportionate_gains(np.abs(np.asarray(weights, dtype=float)), config.guards, part)
-    return proportionate_gains(block_l2_norms(weights, part), config.guards, part)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (config.filter_length,):
+        raise ValueError(
+            f"expected a weight vector of length {config.filter_length}, got shape {w.shape}"
+        )
+    return GainVector(_block_gains(config, w), config.partition)
+
+
+def _block_gains(config: FilterConfig, weights: np.ndarray) -> np.ndarray:
+    """The block gains of :func:`variant_gains` as a bare array; no checks."""
+    if config.block_count == 1:
+        return _UNIT_GAIN
+    if config.group_size == 1:
+        return _floored_gains(np.abs(weights), config.guards)
+    return _floored_gains(_block_norms(weights, config.group_size), config.guards)
+
+
+def _per_tap(block_gains: np.ndarray, group_size: int) -> np.ndarray:
+    """The values of ``GainVector.expand()``; one-tap gains are returned as they are."""
+    return block_gains if group_size == 1 else np.repeat(block_gains, group_size)
 
 
 def filter_step(
@@ -413,6 +452,8 @@ def filter_step(
     ``history`` must already contain x(n); ``desired`` holds the newest M
     desired samples, newest first.  Gains are recomputed from the current
     weights every call; the returned ``d(n) - x(n).T @ w`` uses the old weights.
+    The arguments are checked against ``config`` on every call; the step
+    itself is the unchecked kernel :func:`_advance`.
     """
     if (
         history.filter_length != config.filter_length
@@ -425,14 +466,39 @@ def filter_step(
             f"expected {config.projection_order} desired samples, got shape {desired.shape}"
         )
     weights = state.weights
-    gains = variant_gains(config, weights)
+    if weights.dtype != float or weights.shape != (config.filter_length,):
+        raise ValueError(
+            f"expected float weights of length {config.filter_length}, got "
+            f"{weights.dtype} of shape {weights.shape}"
+        )
+    if config.is_memory and (
+        state.memory_ring is None
+        or state.memory_ring.shape != (2 * config.projection_order, config.filter_length)
+    ):
+        raise ValueError("state holds no memory regressor of the config's shape")
+    return _advance(config, state, history, desired)
+
+
+def _advance(
+    config: FilterConfig, state: FilterState, history: RegressorHistory, desired: np.ndarray
+) -> float:
+    """The step of :func:`filter_step` on arguments that already match ``config``; no checks.
+
+    Every piece works on bare arrays through the private helpers the public
+    functions wrap (``_block_gains``, ``_place_products``,
+    ``_push_memory_row``, ``_solve_in_place``), so each piece of arithmetic
+    has one body and the public pieces replay this step bit for bit.
+    """
+    weights = state.weights
+    gains = _block_gains(config, weights)
+    group = config.group_size
     mu = config.step_size
     delta = config.regularization
 
     if config.is_scalar:
         x = history.input_vector()
         prior = desired[0] - float(np.dot(x, weights))
-        weighted = gains.expand() * x
+        weighted = _per_tap(gains, group) * x
         denom = float(np.dot(x, weighted)) + delta
         if denom == 0.0:
             raise SingularSystemError(
@@ -440,15 +506,17 @@ def filter_step(
             )
         weights += (mu * prior / denom) * weighted
     else:
-        regressor_t = history.regressor_matrix().T
+        regressor_t = history._xt[history._head]  # regressor_matrix().T
         err = desired - regressor_t @ weights
         prior = float(err[0])
         if config.is_memory:
-            weighted = update_memory_regressor(state, gains, history.input_vector())
+            weighted = _push_memory_row(state, _per_tap(gains, group), history.input_vector())
         else:
-            weighted = build_weighted_regressor_efficient(gains, history).matrix
+            weighted = _place_products(
+                gains, history.block_windows(group), config.projection_order
+            )
         gram = regressor_t @ weighted
-        correction = solve_regularized(gram, delta, err)
+        correction = _solve_in_place(gram, delta, err)
         weights += mu * (weighted @ correction)
 
     state.step_counter += 1
@@ -459,7 +527,9 @@ class AdaptiveFilter:
     """Streaming wrapper owning state, input history and the desired window.
 
     One instance adapts over one logical signal stream; distinct instances
-    are fully independent.
+    are fully independent.  The config is validated once, at construction,
+    and the state, history and window are built from it, so :meth:`process`
+    runs the step kernel without per-sample argument checks.
     """
 
     def __init__(self, config: FilterConfig):
@@ -481,4 +551,4 @@ class AdaptiveFilter:
         d = self._desired
         d[1:] = d[:-1]
         d[0] = desired
-        return filter_step(self.config, self.state, self.history, d)
+        return _advance(self.config, self.state, self.history, d)

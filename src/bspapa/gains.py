@@ -117,8 +117,7 @@ def block_l2_norms(weights, partition: BlockPartition) -> np.ndarray:
         raise ValueError(
             f"expected a weight vector of length {partition.filter_length}, got shape {w.shape}"
         )
-    blocks = w.reshape(partition.block_count, partition.group_size)
-    return np.sqrt((blocks * blocks).sum(axis=1))
+    return _block_norms(w, partition.group_size)
 
 
 def proportionate_gains(
@@ -157,10 +156,21 @@ def proportionate_gains(
         raise ValueError(
             f"partition has {partition.block_count} blocks but got {norms.size} norms"
         )
+    return GainVector(_floored_gains(norms, guards), partition)
+
+
+def _block_norms(weights: np.ndarray, group_size: int) -> np.ndarray:
+    """Block norms of a float weight vector whose length ``group_size`` divides; no checks."""
+    blocks = weights.reshape(-1, group_size)
+    return np.sqrt((blocks * blocks).sum(axis=1))
+
+
+def _floored_gains(norms: np.ndarray, guards: StallGuards) -> np.ndarray:
+    """Floored norms normalized by their mean, for a nonempty nonnegative float vector; no checks."""
     floor = guards.rho * max(guards.q, float(norms.max()))
     gamma = np.maximum(floor, norms)
     # The same add-reduce and divide as gamma.mean(), without its dispatch.
-    return GainVector(gamma / (gamma.sum() / gamma.size), partition)
+    return gamma / (gamma.sum() / gamma.size)
 
 
 def block_gains(weights, partition: BlockPartition, guards: StallGuards) -> GainVector:

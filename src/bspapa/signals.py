@@ -159,12 +159,22 @@ def misalignment_db(true_h, est_h) -> float:
     w = np.asarray(est_h, dtype=float)
     if h.shape != w.shape:
         raise ValueError(f"shape mismatch: {h.shape} vs {w.shape}")
+    return _misalignment_db(h, _power(h), w)
+
+
+def _power(true_h: np.ndarray) -> float:
+    """``||h||^2`` of a float vector, the misalignment's reference; zero is refused."""
     # np.dot: the same BLAS dot as ``@`` on vectors, minus the ufunc dispatch
-    denom = float(np.dot(h, h))
-    if denom == 0.0:
+    power = float(np.dot(true_h, true_h))
+    if power == 0.0:
         raise ValueError("true system has zero norm; misalignment is undefined")
-    diff = w - h
-    ratio = float(np.dot(diff, diff)) / denom
+    return power
+
+
+def _misalignment_db(true_h: np.ndarray, power: float, est_h: np.ndarray) -> float:
+    """``misalignment_db`` for float vectors of one shape, given ``power = _power(true_h)``; no checks."""
+    diff = est_h - true_h
+    ratio = float(np.dot(diff, diff)) / power
     if ratio <= 1e-30:  # 10*log10(1e-30) is the floor itself
         return MISALIGNMENT_FLOOR_DB
     return 10.0 * math.log10(ratio)

@@ -316,6 +316,13 @@ class TestConfigParsing:
             ("projection_order", 2.7),
             ("projection_order", 4.0),
             ("projection_order", True),
+            ("step_size", None),
+            ("step_size", True),
+            ("step_size", "0.5"),
+            ("regularization", None),
+            ("rho", None),
+            ("rho", "0.01"),
+            ("q", False),
         ],
     )
     def test_malformed_integer_names_field(self, field, value):
@@ -323,7 +330,8 @@ class TestConfigParsing:
         raw["panel"][0][field] = value
         with pytest.raises(ConfigError) as excinfo:
             experiment_from_dict(raw)
-        assert str(excinfo.value).startswith(f"panel[0].{field}: expected an integer")
+        expected = "an integer" if field in ("group_size", "projection_order") else "a number"
+        assert str(excinfo.value).startswith(f"panel[0].{field}: expected {expected}, got {value!r}")
 
     @pytest.mark.parametrize(
         "field,value,expected",
@@ -341,6 +349,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as excinfo:
             experiment_from_dict(raw)
         assert str(excinfo.value).startswith(f"scenario.{field}: expected {expected}")
+
+    def test_integer_panel_numbers_read_as_floats(self):
+        raw = self.raw()
+        raw["panel"][0].update(step_size=1, regularization=0)
+        cfg = experiment_from_dict(raw).panel[0][1]
+        assert type(cfg.step_size) is float and cfg.step_size == 1.0
+        assert type(cfg.regularization) is float and cfg.regularization == 0.0
+
+    @pytest.mark.parametrize("value", [5, ["out.csv"], True])
+    def test_non_string_output_path_rejected(self, value):
+        raw = self.raw()
+        raw["output_path"] = value
+        with pytest.raises(ConfigError) as excinfo:
+            experiment_from_dict(raw)
+        assert str(excinfo.value) == f"output_path: expected a string or null, got {value!r}"
+
+    def test_null_output_path_accepted(self):
+        raw = self.raw()
+        raw["output_path"] = None
+        assert experiment_from_dict(raw).output_path is None
 
     def test_null_snr_db_disables_noise(self):
         raw = self.raw()
@@ -436,6 +464,14 @@ class TestCli:
         assert "-Infinity" in path.read_text()
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
         assert "snr_db" in capsys.readouterr().err
+
+    def test_run_rejects_non_string_output_path(self, tmp_path, capsys):
+        raw = TestConfigParsing().raw()
+        raw["output_path"] = 5
+        path = tmp_path / "int_out.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert "output_path: expected a string or null, got 5" in capsys.readouterr().err
 
     def test_count_mults(self, capsys):
         assert cli_main(["count-mults", "--L", "1024", "--M", "8", "--P", "32"]) == 0

@@ -376,6 +376,13 @@ class TestSolveRegularized:
         z = solve_regularized(a, 0.3, e)
         np.testing.assert_allclose((a + 0.3 * np.eye(5)) @ z, e, atol=1e-10)
 
+    def test_matrix_argument_left_unchanged(self):
+        rng = np.random.default_rng(21)
+        for matrix in (rng.standard_normal((6, 6)), np.asfortranarray(rng.standard_normal((6, 6)))):
+            before = matrix.copy()
+            solve_regularized(matrix, 0.5, rng.standard_normal(6))
+            np.testing.assert_array_equal(matrix, before)
+
     def test_singular_raises_with_pivot(self):
         singular = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularSystemError) as excinfo:
@@ -457,6 +464,55 @@ class TestFilterStep:
         history = RegressorHistory(4, 3)
         with pytest.raises(ValueError):
             filter_step(cfg, state, history, np.zeros(3))
+
+    @pytest.mark.parametrize("desired", [np.zeros(3), np.zeros(1), np.zeros((2, 1))])
+    def test_wrong_length_desired_rejected(self, desired):
+        cfg = FilterConfig("apa", 4, 2)
+        with pytest.raises(ValueError, match="desired samples"):
+            filter_step(cfg, FilterState.initial(cfg), RegressorHistory(4, 2), desired)
+
+    def test_state_not_matching_config_rejected(self):
+        cfg = FilterConfig("mpapa", 4, 2)
+        history = RegressorHistory(4, 2)
+        with pytest.raises(ValueError, match="weights"):
+            filter_step(cfg, FilterState(np.zeros(5)), history, np.zeros(2))
+        with pytest.raises(ValueError, match="memory"):
+            filter_step(cfg, FilterState(np.zeros(4)), history, np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "variant,group",
+        [
+            ("apa", None),
+            ("papa", None),
+            ("bs-papa", 4),
+            ("mpapa", None),
+            ("bs-mpapa", 4),
+            ("bs-pnlms", 4),
+            ("pnlms", None),
+        ],
+    )
+    def test_process_equals_validating_filter_step_loop(self, variant, group):
+        order = 1 if variant.endswith("pnlms") else 3
+        cfg = FilterConfig(variant, 16, order, group_size=group, step_size=0.3)
+        rng = np.random.default_rng(22)
+        x, d = rng.standard_normal((2, 5 * (16 + order)))  # past 2*span: both rings wrap
+        filt = AdaptiveFilter(cfg)
+        state, history = FilterState.initial(cfg), RegressorHistory(16, order)
+        window = np.zeros(order)
+        for n in range(x.size):
+            history.push(x[n])
+            window = np.concatenate(([d[n]], window[:-1]))
+            expected = filter_step(cfg, state, history, window)
+            assert filt.process(x[n], d[n]) == expected
+            assert np.array_equal(filt.weights, state.weights)
+        assert np.any(state.weights != 0.0)
+
+    def test_process_on_silent_input_raises_singular_with_pivot(self):
+        cfg = FilterConfig("bs-papa", 8, 2, group_size=4, regularization=0.0)
+        filt = AdaptiveFilter(cfg)
+        with pytest.raises(SingularSystemError) as excinfo:
+            filt.process(0.0, 1.0)
+        assert excinfo.value.pivot == 0.0
 
     def test_process_returns_a_priori_error(self):
         cfg = FilterConfig("papa", 4, 2, step_size=0.5)
