@@ -24,7 +24,6 @@ from .filters import (
     WeightedRegressor,
     build_weighted_regressor_direct,
     build_weighted_regressor_efficient,
-    error_vector,
     filter_step,
     solve_regularized,
     update_memory_regressor,
@@ -34,7 +33,6 @@ from .signals import (
     EchoScenario,
     ImpulseResponse,
     ar1_filter,
-    echo_output,
     gen_excitation,
     make_block_sparse_ir,
     misalignment_db,
@@ -49,7 +47,6 @@ from .bench import (
     experiment_from_dict,
     load_experiment_config,
     preset_config,
-    reduction_deviations,
     run_experiment,
     synthesize_scenario,
     write_traces_csv,

@@ -22,7 +22,6 @@ from .filters import AdaptiveFilter, FilterConfig, SingularSystemError
 from .gains import StallGuards
 from .signals import (
     EchoScenario,
-    ImpulseResponse,
     _misalignment_db,
     _power,
     gen_excitation,
@@ -44,7 +43,6 @@ __all__ = [
     "preset_config",
     "experiment_from_dict",
     "load_experiment_config",
-    "reduction_deviations",
 ]
 
 THRESHOLD_DB = -15.0
@@ -112,7 +110,6 @@ class RunSummary:
 
     rows: list
     failures: dict = field(default_factory=dict)
-    threshold_db: float = THRESHOLD_DB
 
     def row(self, label: str, segment: int) -> SegmentSummary:
         for r in self.rows:
@@ -437,54 +434,3 @@ def with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
         trace_decimation=config.trace_decimation,
         output_path=config.output_path,
     )
-
-
-def reduction_deviations(
-    num_steps: int = 1000,
-    filter_length: int = 64,
-    projection_order: int = 4,
-    group_size: int = 8,
-    seed: int = 1337,
-) -> dict[str, float]:
-    """Max final-weight gap between each special case and its standalone path.
-
-    Runs every pair on one seeded white-noise identification stream and
-    reports ``max |w_a - w_b|`` after ``num_steps`` updates.  The gaps stay
-    at floating-point rounding level when the reductions are implemented
-    consistently.
-    """
-    L, M = filter_length, projection_order
-    quarter = L // 4
-    target = make_block_sparse_ir(
-        L, [(quarter + 1, quarter + 2), (3 * quarter + 1, 3 * quarter + 2)], seed=_substream_seed(seed, 0)
-    )
-    x = gen_excitation(num_steps, _substream_seed(seed, 1), "white")
-    d = lfilter(target.taps, [1.0], x)
-
-    def cfg(variant, order, group=None):
-        return FilterConfig(
-            variant=variant,
-            filter_length=L,
-            projection_order=order,
-            group_size=group,
-            step_size=0.5,
-            regularization=0.01,
-        )
-
-    pairs = {
-        "bs-papa(P=1) vs papa": (cfg("bs-papa", M, 1), cfg("papa", M)),
-        f"bs-papa(P={L}) vs apa": (cfg("bs-papa", M, L), cfg("apa", M)),
-        "bs-papa(M=1) vs bs-pnlms": (cfg("bs-papa", 1, group_size), cfg("bs-pnlms", 1, group_size)),
-        "bs-mpapa(P=1) vs mpapa": (cfg("bs-mpapa", M, 1), cfg("mpapa", M)),
-    }
-
-    def final_weights(fconfig):
-        filt = AdaptiveFilter(fconfig)
-        for n in range(num_steps):
-            filt.process(x[n], d[n])
-        return filt.weights
-
-    return {
-        name: float(np.max(np.abs(final_weights(a) - final_weights(b))))
-        for name, (a, b) in pairs.items()
-    }

@@ -40,16 +40,6 @@ def _finish(traces, summary, out) -> int:
     return 1 if summary.failures or not traces else 0
 
 
-def _cmd_equiv_suite(args) -> int:
-    deviations = bench.reduction_deviations()
-    worst = 0.0
-    for name, dev in deviations.items():
-        status = "ok" if dev <= 1e-10 else "FAIL"
-        print(f"{name:<28s} max |dw| = {dev:.3e}  {status}")
-        worst = max(worst, dev)
-    return 0 if worst <= 1e-10 else 1
-
-
 def _cmd_count_mults(args) -> int:
     # Instantiating the config validates the (L, M, P) combination.
     cfg = FilterConfig("bs-papa", args.L, args.M, args.P)
@@ -82,11 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     preset.add_argument("--snr-db", type=float, default=30.0)
     preset.add_argument("--decimation", type=int, default=10)
     preset.set_defaults(func=_cmd_preset)
-
-    equiv = sub.add_parser(
-        "equiv-suite", help="check the special-case reductions and print max deviations"
-    )
-    equiv.set_defaults(func=_cmd_equiv_suite)
 
     count = sub.add_parser(
         "count-mults", help="print direct vs efficient regressor multiplication counts"

@@ -34,7 +34,6 @@ __all__ = [
     "RegressorHistory",
     "WeightedRegressor",
     "AdaptiveFilter",
-    "error_vector",
     "build_weighted_regressor_direct",
     "build_weighted_regressor_efficient",
     "update_memory_regressor",
@@ -160,7 +159,6 @@ class FilterState:
     weights: np.ndarray
     memory_ring: np.ndarray | None = None
     memory_head: int = 0
-    step_counter: int = 0
 
     @classmethod
     def initial(cls, config: FilterConfig) -> "FilterState":
@@ -277,24 +275,6 @@ class WeightedRegressor:
 
     matrix: np.ndarray
     multiplication_count: int
-
-
-def error_vector(history: RegressorHistory, desired, weights) -> np.ndarray:
-    """A-priori error vector ``d - X.T @ weights``, newest component first.
-
-    ``desired`` must hold the latest M desired samples, newest first.
-    """
-    d = np.asarray(desired, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if d.shape != (history.projection_order,):
-        raise ValueError(
-            f"expected {history.projection_order} desired samples, got shape {d.shape}"
-        )
-    if w.shape != (history.filter_length,):
-        raise ValueError(
-            f"expected a weight vector of length {history.filter_length}, got shape {w.shape}"
-        )
-    return d - history.regressor_matrix().T @ w
 
 
 def build_weighted_regressor_direct(gains: GainVector, history: RegressorHistory) -> WeightedRegressor:
@@ -519,7 +499,6 @@ def _advance(
         correction = _solve_in_place(gram, delta, err)
         weights += mu * (weighted @ correction)
 
-    state.step_counter += 1
     return prior
 
 

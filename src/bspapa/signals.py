@@ -14,15 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .filters import RegressorHistory
-
 __all__ = [
     "ImpulseResponse",
     "EchoScenario",
     "make_block_sparse_ir",
     "gen_excitation",
     "ar1_filter",
-    "echo_output",
     "scale_noise_for_snr",
     "misalignment_db",
 ]
@@ -119,16 +116,6 @@ def gen_excitation(n_samples: int, seed: int, kind: str = "white", pole: float |
             raise ValueError("ar1 excitation requires a pole")
         return ar1_filter(white, pole)
     raise ValueError(f"unknown excitation kind {kind!r}; expected 'white' or 'ar1'")
-
-
-def echo_output(response: ImpulseResponse, history: RegressorHistory) -> float:
-    """Clean (noiseless) system output x(n).T @ h for the current history."""
-    if history.filter_length != response.filter_length:
-        raise ValueError(
-            f"history holds {history.filter_length} taps but the response has "
-            f"{response.filter_length}"
-        )
-    return float(history.input_vector() @ response.taps)
 
 
 def scale_noise_for_snr(clean_echo, snr_db: float, seed: int) -> np.ndarray:

@@ -11,7 +11,11 @@ Two kinds live here, both independent of the production hot path:
   equations (Paleologu, Ciochina & Benesty, "An efficient proportionate
   affine projection algorithm for echo cancellation", IEEE SPL 2010), with
   an explicit diagonal gain matrix ``G``, an explicit regressor ``X`` and a
-  dense solve.  It agrees with production to rounding.
+  dense solve.  It agrees with production to rounding.  Built for a
+  classical member (``apa`` with ``G = I``, the per-tap ``|w|`` gains of
+  ``papa``/``pnlms``/``mpapa``, the block norms of ``bs-pnlms``) it is also
+  the classical update that acceptance criterion 1 holds production
+  ``bs-papa``/``bs-mpapa`` to, through :func:`reduction_gaps`.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lu_factor, lu_solve
+from scipy.signal import lfilter
+
+from bspapa import AdaptiveFilter, FilterConfig, gen_excitation, make_block_sparse_ir
+from bspapa.bench import _substream_seed
 
 _PER_TAP = ("papa", "mpapa", "pnlms")
 _MEMORY = ("mpapa", "bs-mpapa")
@@ -175,3 +183,64 @@ class DenseReference:
         else:
             P = G @ X
         self.weights = h + mu * P @ np.linalg.solve(X.T @ P + delta * np.eye(M), e)
+
+
+def dense_gap(production, classical, x, d) -> tuple[float, np.ndarray]:
+    """Largest weight gap over a trajectory, and the dense reference's final weights.
+
+    ``production`` drives :class:`AdaptiveFilter` and ``classical`` drives
+    :class:`DenseReference`, both over the samples ``(x[n], d[n])``.
+    """
+    filt, dense = AdaptiveFilter(production), DenseReference(classical)
+    gap = 0.0
+    for n in range(len(x)):
+        filt.process(x[n], d[n])
+        dense.process(x[n], d[n])
+        gap = max(gap, float(np.max(np.abs(filt.weights - dense.weights))))
+    return gap, dense.weights
+
+
+def reduction_gaps(
+    num_steps: int = 1000,
+    filter_length: int = 64,
+    projection_order: int = 4,
+    group_size: int = 8,
+    seed: int = 1337,
+) -> dict[str, float]:
+    """Largest weight gap between each special case and its classical update.
+
+    Production ``bs-papa``/``bs-mpapa`` with (M, P) pinned runs against
+    :class:`DenseReference` built for the classical member it reduces to,
+    on one seeded white-noise identification stream.  Returns
+    ``max_n max |w_prod(n) - w_classical(n)|`` keyed by the classical
+    member's name.
+    """
+    L, M, P = filter_length, projection_order, group_size
+    quarter = L // 4
+    target = make_block_sparse_ir(
+        L, [(quarter + 1, quarter + 2), (3 * quarter + 1, 3 * quarter + 2)], seed=_substream_seed(seed, 0)
+    )
+    x = gen_excitation(num_steps, _substream_seed(seed, 1), "white")
+    d = lfilter(target.taps, [1.0], x)
+
+    def cfg(variant, order, group=None):
+        return FilterConfig(
+            variant,
+            filter_length=L,
+            projection_order=order,
+            group_size=group,
+            step_size=0.5,
+            regularization=0.01,
+        )
+
+    pairs = {
+        "papa": (cfg("bs-papa", M, 1), cfg("papa", M)),
+        "apa": (cfg("bs-papa", M, L), cfg("apa", M)),
+        "bs-pnlms": (cfg("bs-papa", 1, P), cfg("bs-pnlms", 1, P)),
+        "pnlms": (cfg("bs-papa", 1, 1), cfg("pnlms", 1)),
+        "mpapa": (cfg("bs-mpapa", M, 1), cfg("mpapa", M)),
+    }
+    return {
+        name: dense_gap(production, classical, x, d)[0]
+        for name, (production, classical) in pairs.items()
+    }

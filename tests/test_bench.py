@@ -481,11 +481,6 @@ class TestCli:
     def test_count_mults_rejects_indivisible(self, capsys):
         assert cli_main(["count-mults", "--L", "10", "--M", "8", "--P", "3"]) == 1
 
-    def test_equiv_suite(self, capsys):
-        assert cli_main(["equiv-suite"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("ok") == 4
-
     def test_preset_small_run(self, tmp_path):
         out = tmp_path / "mini.csv"
         assert (

@@ -14,7 +14,6 @@ from bspapa import (
     StallGuards,
     build_weighted_regressor_direct,
     build_weighted_regressor_efficient,
-    error_vector,
     filter_step,
     solve_regularized,
     update_memory_regressor,
@@ -132,46 +131,6 @@ class TestRegressorHistory:
             RegressorHistory(0, 1)
         with pytest.raises(ValueError):
             RegressorHistory(4, 0)
-
-
-class TestErrorVector:
-    def test_zero_weights_pass_desired_through(self):
-        history = make_history(np.arange(6.0), 4, 2)
-        desired = np.array([1.5, -2.0])
-        np.testing.assert_array_equal(error_vector(history, desired, np.zeros(4)), desired)
-
-    def test_perfect_model_zero_error(self):
-        rng = np.random.default_rng(41)
-        truth = rng.standard_normal(4)
-        x = rng.standard_normal(30)
-        history = make_history(x, 4, 2)
-        desired = [
-            float(history.input_vector(0) @ truth),
-            float(history.input_vector(1) @ truth),
-        ]
-        np.testing.assert_allclose(error_vector(history, desired, truth), 0.0, atol=1e-14)
-
-    def test_against_triple_loop_oracle(self):
-        rng = np.random.default_rng(8)
-        L, M = 8, 3
-        x = rng.standard_normal(40)
-        w = rng.standard_normal(L)
-        d = rng.standard_normal(M)
-        history = make_history(x, L, M)
-        expected = np.empty(M)
-        for k in range(M):  # independent oracle: explicit lag indexing into x
-            acc = 0.0
-            for l in range(L):
-                acc += x[len(x) - 1 - k - l] * w[l]
-            expected[k] = d[k] - acc
-        np.testing.assert_allclose(error_vector(history, d, w), expected, rtol=1e-14, atol=1e-14)
-
-    def test_dimension_mismatch(self):
-        history = RegressorHistory(4, 2)
-        with pytest.raises(ValueError):
-            error_vector(history, np.zeros(3), np.zeros(4))
-        with pytest.raises(ValueError):
-            error_vector(history, np.zeros(2), np.zeros(5))
 
 
 class TestRegressorBuilders:
@@ -450,13 +409,6 @@ class TestFilterStep:
         filt = AdaptiveFilter(cfg)
         filt.process(2.0, 2.0)
         np.testing.assert_allclose(filt.weights, [1.0], rtol=1e-15)
-
-    def test_step_counter_advances(self):
-        cfg = FilterConfig("apa", 4, 2, step_size=0.1)
-        filt = AdaptiveFilter(cfg)
-        for n in range(5):
-            filt.process(1.0, 0.5)
-        assert filt.state.step_counter == 5
 
     def test_dimension_mismatch_rejected(self):
         cfg = FilterConfig("apa", 4, 2)

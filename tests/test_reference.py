@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from bspapa import (
     VARIANTS,
-    AdaptiveFilter,
     BlockPartition,
     FilterConfig,
     FilterState,
@@ -22,12 +21,15 @@ from bspapa import (
     filter_step,
     solve_regularized,
 )
+from bspapa import filters
+from bspapa.gains import _floored_gains
 from oracles import (
-    DenseReference,
+    dense_gap,
     reference_efficient_build,
     ReferenceState,
     reference_filter_step,
     reference_regressor_matrix,
+    reduction_gaps,
     reference_solve,
 )
 
@@ -104,13 +106,7 @@ def run_against_dense(cfg, steps, seed):
     target[L // 4 : L // 4 + 4] = rng.standard_normal(4)
     x = rng.standard_normal(steps)
     d = np.convolve(x, target)[:steps] + 1e-3 * rng.standard_normal(steps)
-    filt, dense = AdaptiveFilter(cfg), DenseReference(cfg)
-    gap = 0.0
-    for n in range(steps):
-        filt.process(x[n], d[n])
-        dense.process(x[n], d[n])
-        gap = max(gap, float(np.max(np.abs(filt.weights - dense.weights))))
-    return gap, dense.weights
+    return dense_gap(cfg, cfg, x, d)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -134,3 +130,18 @@ def test_dense_paper_equations_over_random_parameters(variant, M, P, mu, delta, 
     cfg = variant_config(variant, 64, M, P, step_size=mu, regularization=delta)
     gap, weights = run_against_dense(cfg, 200, seed)
     assert gap <= 1e-9 * max(1.0, float(np.max(np.abs(weights))))
+
+
+def test_reduction_check_catches_a_squared_one_tap_gain(monkeypatch):
+    """Criterion 1 fails when one-tap groupings weigh taps by w*w, not |w|."""
+    original = filters._block_gains
+
+    def squared(config, weights):
+        if config.group_size == 1 and config.block_count > 1:
+            return _floored_gains(weights * weights, config.guards)
+        return original(config, weights)
+
+    monkeypatch.setattr(filters, "_block_gains", squared)
+    gaps = reduction_gaps()
+    assert all(gaps[name] > 1e-10 for name in ("papa", "pnlms", "mpapa")), gaps
+    assert all(gaps[name] <= 1e-10 for name in ("apa", "bs-pnlms")), gaps

@@ -6,9 +6,7 @@ import pytest
 from bspapa import (
     EchoScenario,
     ImpulseResponse,
-    RegressorHistory,
     ar1_filter,
-    echo_output,
     gen_excitation,
     make_block_sparse_ir,
     misalignment_db,
@@ -96,37 +94,6 @@ class TestExcitation:
             gen_excitation(10, seed=1, kind="pink")
         with pytest.raises(ValueError):
             gen_excitation(10, seed=1, kind="ar1", pole=None)
-
-
-class TestEchoOutput:
-    def test_identity_system(self):
-        ir = ImpulseResponse(np.r_[1.0, np.zeros(7)], ((1, 1),))
-        history = RegressorHistory(8, 1)
-        history.extend([0.5, -2.0, 3.25])
-        assert echo_output(ir, history) == 3.25
-
-    def test_zero_system(self):
-        ir = make_block_sparse_ir(8, [(3, 4)], seed=1)
-        zero = ImpulseResponse(ir.taps * 0.0, ir.cluster_spec)
-        history = RegressorHistory(8, 1)
-        history.extend(np.arange(8.0))
-        assert echo_output(zero, history) == 0.0
-
-    def test_against_dot_product_oracle(self):
-        rng = np.random.default_rng(20)
-        ir = make_block_sparse_ir(8, [(1, 8)], seed=21)
-        x = rng.standard_normal(20)
-        history = RegressorHistory(8, 1)
-        history.extend(x)
-        expected = 0.0
-        for k in range(8):  # oracle: direct convolution sum
-            expected += ir.taps[k] * x[len(x) - 1 - k]
-        assert abs(echo_output(ir, history) - expected) <= 1e-14 * max(1.0, abs(expected))
-
-    def test_length_mismatch(self):
-        ir = make_block_sparse_ir(8, [(3, 4)], seed=1)
-        with pytest.raises(ValueError):
-            echo_output(ir, RegressorHistory(16, 1))
 
 
 class TestNoiseScaling:
