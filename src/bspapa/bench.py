@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import lfilter
 
-from .filters import AdaptiveFilter, FilterConfig, SingularSystemError
+from .filters import FilterConfig, RegressorHistory, _Batch
 from .gains import StallGuards
 from .signals import (
     EchoScenario,
-    _misalignment_db,
+    _misalignment_rows,
     _power,
     gen_excitation,
     make_block_sparse_ir,
@@ -146,24 +146,35 @@ def synthesize_scenario(scenario: EchoScenario) -> tuple[np.ndarray, np.ndarray]
     return x, d
 
 
-def _stream_misalignment(config: FilterConfig, x, d, segments):
-    """Run one filter over the stream; per-sample misalignment or a failure."""
-    filt = AdaptiveFilter(config)
-    weights = filt.weights  # updated in place by every step
-    mis = np.empty(x.size)
+def _stream_batch(configs, x, d, segments):
+    """Run filters sharing (L, M) and branch, memory members last, as one batch:
+    the misalignment per config and sample, and ``{index: failure}``."""
+    length, order = configs[0].filter_length, configs[0].projection_order
+    rings = np.zeros((sum(c.is_memory for c in configs), 2 * order, length))
+    batch = _Batch(configs, np.zeros((len(configs), length)), rings)
+    history, desired = RegressorHistory(length, order), np.zeros(order)
+    mis, failures = np.empty((len(configs), x.size)), {}
+    rows = np.arange(len(configs))  # config index of each batch row
+    target = slice(None)  # indexes ``rows`` faster while no filter has left
     for start, end, response in segments:
-        truth = response.taps
-        power = _power(truth)
+        truth, power = response.taps, _power(response.taps)
         for n in range(start, end):
-            try:
-                filt.process(x[n], d[n])
-            except SingularSystemError as exc:
-                return None, f"aborted at sample {n}: {exc}"
-            value = _misalignment_db(truth, power, weights)
-            if not math.isfinite(value):  # the weights left the finite range
-                return None, f"diverged at sample {n}: misalignment is {value} dB"
-            mis[n] = value
-    return mis, None
+            history.push(x[n])
+            desired[1:] = desired[:-1]
+            desired[0] = d[n]
+            _, singular = batch.step(history, desired)
+            mis[target, n] = values = _misalignment_rows(truth, power, batch.weights)
+            if singular or not all(map(math.isfinite, values)):
+                # NaN or inf: the weights left the finite range
+                failed = {b: f"diverged at sample {n}: misalignment is {v} dB"
+                          for b, v in enumerate(values) if not math.isfinite(v)}
+                failed.update({b: f"aborted at sample {n}: {exc}" for b, exc in singular.items()})
+                failures.update({int(rows[b]): message for b, message in failed.items()})
+                rows = target = np.delete(rows, list(failed))
+                if not rows.size:
+                    return mis, failures
+                batch = batch.without(failed)
+    return mis, failures
 
 
 def _time_to_threshold(segment_values: np.ndarray, threshold: float) -> int | None:
@@ -172,23 +183,33 @@ def _time_to_threshold(segment_values: np.ndarray, threshold: float) -> int | No
 
 
 def run_experiment(config: ExperimentConfig):
-    """Run every panel entry over the scenario.
+    """Run every panel entry over the scenario; return ``(traces, summary)``.
 
-    Returns ``(traces, summary)``.  A solver failure or a non-finite
-    misalignment (diverged or NaN-fed weights) aborts only the offending
-    panel entry; it is recorded in ``summary.failures`` with its sample
-    index and the remaining entries still run.
+    Entries sharing the projection order and branch (projection or scalar)
+    run as one batch of the step kernel over one input history: one stacked
+    error, Gram matrix, pivot test, update and misalignment pass per sample.
+    Each trace equals the entry's one-entry run bit for bit.  A solver
+    failure or a non-finite misalignment (diverged or NaN-fed weights)
+    aborts only the offending entry: it leaves the batch and is recorded in
+    ``summary.failures`` with its sample index, and the others still run.
     """
     x, d = synthesize_scenario(config.scenario)
     segments = config.scenario.segments()
     traces: list[MisalignmentTrace] = []
     rows: list[SegmentSummary] = []
-    failures: dict[str, str] = {}
-    for label, fcfg in config.panel:
-        mis, failure = _stream_misalignment(fcfg, x, d, segments)
-        if failure is not None:
-            failures[label] = failure
+    batches, results, failed = {}, {}, {}
+    # one batch per (order, branch); the batch kernel wants its memory members last
+    for k, (_, fcfg) in sorted(enumerate(config.panel), key=lambda e: e[1][1].is_memory):
+        batches.setdefault((fcfg.projection_order, fcfg.is_scalar), []).append(k)
+    for members in batches.values():
+        mis, lost = _stream_batch([config.panel[k][1] for k in members], x, d, segments)
+        results.update(zip(members, mis))
+        failed.update({members[b]: message for b, message in lost.items()})
+    failures = {config.panel[k][0]: failed[k] for k in sorted(failed)}
+    for k, (label, fcfg) in enumerate(config.panel):
+        if k in failed:
             continue
+        mis = results[k]
         idx = np.arange(0, config.scenario.total_samples, config.trace_decimation)
         traces.append(MisalignmentTrace(label, idx, mis[idx]))
         for j, (start, end, _) in enumerate(segments):
@@ -339,6 +360,13 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: expected an object")
         clusters = _require(entry, "clusters", path)
+        if not isinstance(clusters, list):
+            raise ConfigError(f"{path}.clusters: expected a list of [start, end] pairs, got {clusters!r}")
+        for k, pair in enumerate(clusters):  # JSON integers only: 1.5 or true is no tap
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ConfigError(f"{path}.clusters[{k}]: expected a [start, end] pair, got {pair!r}")
+            for value in pair:
+                _integer(value, f"{path}.clusters[{k}]")
         ir_seed = _integer(entry.get("seed", _PRESET_IR_SEEDS[0] + j), f"{path}.seed")
         switch = _integer(_require(entry, "switch_sample", path), f"{path}.switch_sample")
         try:

@@ -11,6 +11,12 @@ All projection members share one update: with ``W`` the gain-weighted
 regressor, ``h += mu * W @ solve(X.T @ W + delta*I, e)``.  The
 single-projection members apply the scalar-normalized form of the same step
 and skip the linear solve.
+
+One kernel, ``_Batch``, takes the step for B filters that share the filter
+length, the projection order and the branch, over one input history: the
+error, Gram and update products are stacked over the filters, with one
+pivot test per step.  ``filter_step`` and ``AdaptiveFilter`` run it for a
+single filter, ``run_experiment`` for each group of a panel.
 """
 
 from __future__ import annotations
@@ -303,20 +309,25 @@ def build_weighted_regressor_efficient(gains: GainVector, history: RegressorHist
             f"gains cover {gains.partition.filter_length} taps but history holds "
             f"{history.filter_length}"
         )
-    windows = history.block_windows(gains.partition.group_size)
-    matrix = _place_products(gains.block_gains, windows, history.projection_order)
+    group = gains.partition.group_size
+    windows = history.block_windows(group)
+    matrix = np.empty((history.filter_length, history.projection_order))
+    _place_products(gains.block_gains, windows, _rows_of(matrix, group))
     return WeightedRegressor(matrix, windows.size)
 
 
-def _place_products(block_gains: np.ndarray, windows: np.ndarray, order: int) -> np.ndarray:
-    """The efficient build from block gains and ``block_windows`` output; no checks."""
+def _rows_of(matrix: np.ndarray, group_size: int) -> np.ndarray:
+    """A C-contiguous L-by-M ``matrix`` as ``(N, P)`` items of M floats, one per row."""
+    return matrix.view(np.dtype((np.void, matrix.strides[0]))).reshape(-1, group_size)
+
+
+def _place_products(block_gains: np.ndarray, windows: np.ndarray, rows: np.ndarray) -> None:
+    """The efficient build from block gains and ``block_windows`` output, into
+    the :func:`_rows_of` view of its L-by-M matrix; no checks.  Row i of block
+    k is the M products from (k, i) on, so the copy moves whole rows."""
     products = block_gains[:, None] * windows  # (N, P+M-1)
-    blocks, width = products.shape
-    row, step = products.strides
-    placed = np.ndarray(
-        (blocks, width - order + 1, order), buffer=products, strides=(row, step, step)
-    )
-    return np.ascontiguousarray(placed).reshape(-1, order)
+    placed = np.ndarray(rows.shape, rows.dtype, products, 0, (products.strides[0], products.itemsize))
+    np.copyto(rows, placed)
 
 
 def update_memory_regressor(state: FilterState, gains: GainVector, newest_input) -> np.ndarray:
@@ -335,18 +346,21 @@ def update_memory_regressor(state: FilterState, gains: GainVector, newest_input)
     x = np.asarray(newest_input, dtype=float)
     if x.shape != (ring.shape[1],):
         raise ValueError(f"expected an input vector of length {ring.shape[1]}, got shape {x.shape}")
-    return _push_memory_row(state, gains.expand(), x)
-
-
-def _push_memory_row(state: FilterState, tap_gains: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Write ``tap_gains * x`` as the newest memory row; return the L-by-M view.  No checks."""
-    ring = state.memory_ring
     order = ring.shape[0] // 2
-    head = (state.memory_head - 1) % order
-    state.memory_head = head
-    np.multiply(tap_gains, x, out=ring[head])
-    ring[head + order] = ring[head]
+    state.memory_head = head = (state.memory_head - 1) % order
+    _push_memory(ring[head : head + 1], ring[head + order : head + order + 1], [gains.expand()], x)
     return state.memory_regressor
+
+
+def _push_memory(newest: np.ndarray, mirror: np.ndarray, tap_gains, x: np.ndarray) -> None:
+    """Write ``tap_gains[k] * x`` into row k of ``newest`` and copy it to ``mirror``; no checks.
+
+    ``newest`` and ``mirror`` are the two copies of the head row of K rings
+    of :class:`FilterState` layout, as ``(K, L)`` views.
+    """
+    for row, gains in zip(newest, tap_gains):
+        np.multiply(gains, x, out=row)
+    np.copyto(mirror, newest)
 
 
 def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
@@ -357,7 +371,8 @@ def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
     are called directly, without scipy's ``lu_factor``/``lu_solve`` wrappers.
     A pivot collapsing to working precision raises
     :class:`SingularSystemError` carrying the offending magnitude, and no
-    warning is emitted on that path.
+    warning is emitted on that path.  A NaN pivot is not a collapse: a NaN
+    system solves to NaN.
     """
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -367,32 +382,38 @@ def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
         raise ValueError(f"rhs length {b.shape} does not match matrix order {a.shape[0]}")
     if delta < 0:
         raise ValueError(f"regularization must be nonnegative, got {delta}")
-    return _solve_in_place(np.array(a, order="C"), delta, b)
-
-
-def _solve_in_place(system: np.ndarray, delta: float, rhs: np.ndarray) -> np.ndarray:
-    """``solve_regularized`` on a C-contiguous float ``system`` it may overwrite; no checks.
-
-    Adding ``delta`` to the diagonal gives the bits of ``system + delta*I``:
-    off the diagonal, ``x + 0.0`` is ``x`` (up to the sign of a zero).
-    """
-    order = system.shape[0]
-    diagonal = system.reshape(-1)[:: order + 1]
-    diagonal += delta
-    lu, piv, info = dgetrf(system, overwrite_a=True)
-    if info < 0:
-        raise ValueError(f"dgetrf rejected argument {-info}")
-    pivots = np.abs(lu.diagonal())
-    smallest = float(pivots.min())
-    if smallest <= order * _EPS * float(pivots.max()):
-        raise SingularSystemError(
-            f"projection system singular to working precision (pivot {smallest:.3e})",
-            pivot=smallest,
-        )
-    solution, info = dgetrs(lu, piv, rhs)
-    if info < 0:
-        raise ValueError(f"dgetrs rejected argument {-info}")
+    lu, solution = np.array(a, order="F"), b.copy()
+    diagonal = lu.T.reshape(1, -1)[:, :: a.shape[0] + 1]
+    for error in _solve_stack([(lu, solution)], diagonal, np.array([[delta]])).values():
+        raise error
     return solution
+
+
+def _solve_stack(systems, diagonal: np.ndarray, delta: np.ndarray) -> dict:
+    """Solve ``(lu + delta[b]*I) z = rhs`` in place for the b-th ``(lu, rhs)``; no checks.
+
+    Each ``lu`` is F-contiguous, so LAPACK factors it in place; ``diagonal``
+    is their ``(B, M)`` diagonal view and ``delta`` a ``(B, 1)`` column (off
+    the diagonal ``x + 0.0`` is ``x``).  One pivot test covers the stack, in
+    the per-system form ``smallest <= bound``, so a NaN pivot is no collapse.
+    Returns ``{b: SingularSystemError}``; those ``rhs`` stay unsolved.
+    """
+    diagonal += delta
+    factors = [dgetrf(lu, overwrite_a=True) for lu, _ in systems]
+    magnitudes, scale = np.abs(diagonal), diagonal.shape[1] * _EPS
+    smallest = np.minimum.reduce(magnitudes, 1).tolist()  # NaN-propagating, as np.min
+    largest = np.maximum.reduce(magnitudes, 1).tolist()
+    failed = {}
+    for b, ((lu, rhs), (_, piv, info), pivot, top) in enumerate(zip(systems, factors, smallest, largest)):
+        if info < 0:
+            raise ValueError(f"dgetrf rejected argument {-info}")
+        if pivot <= scale * top:
+            failed[b] = SingularSystemError(
+                f"projection system singular to working precision (pivot {pivot:.3e})", pivot=pivot
+            )
+        elif dgetrs(lu, piv, rhs, overwrite_b=True)[1] < 0:
+            raise ValueError("dgetrs rejected an argument")
+    return failed
 
 
 def variant_gains(config: FilterConfig, weights) -> GainVector:
@@ -433,7 +454,7 @@ def filter_step(
     desired samples, newest first.  Gains are recomputed from the current
     weights every call; the returned ``d(n) - x(n).T @ w`` uses the old weights.
     The arguments are checked against ``config`` on every call; the step
-    itself is the unchecked kernel :func:`_advance`.
+    itself is the batch kernel :class:`_Batch` over this one filter.
     """
     if (
         history.filter_length != config.filter_length
@@ -456,50 +477,111 @@ def filter_step(
         or state.memory_ring.shape != (2 * config.projection_order, config.filter_length)
     ):
         raise ValueError("state holds no memory regressor of the config's shape")
-    return _advance(config, state, history, desired)
+    return _Batch.of(config, state).step_one(state, history, desired)
 
 
-def _advance(
-    config: FilterConfig, state: FilterState, history: RegressorHistory, desired: np.ndarray
-) -> float:
-    """The step of :func:`filter_step` on arguments that already match ``config``; no checks.
+class _Batch:
+    """The step kernel: B filters sharing (L, M) and the branch, stepped as one.
 
-    Every piece works on bare arrays through the private helpers the public
-    functions wrap (``_block_gains``, ``_place_products``,
-    ``_push_memory_row``, ``_solve_in_place``), so each piece of arithmetic
-    has one body and the public pieces replay this step bit for bit.
+    The weights are the rows of one ``(B, L)`` block; memory members come
+    last, their rings stacked as ``(Bm, 2M, L)`` under one head.  Each
+    stacked product (error, Gram over a C-contiguous ``(B, L, M)`` build
+    stack or the ring view, update) equals the per-filter product bit for
+    bit, and the pieces are the bodies the public functions wrap.  No checks.
     """
-    weights = state.weights
-    gains = _block_gains(config, weights)
-    group = config.group_size
-    mu = config.step_size
-    delta = config.regularization
 
-    if config.is_scalar:
-        x = history.input_vector()
-        prior = desired[0] - float(np.dot(x, weights))
-        weighted = _per_tap(gains, group) * x
-        denom = float(np.dot(x, weighted)) + delta
-        if denom == 0.0:
-            raise SingularSystemError(
-                "scalar normalization is zero (silent input with delta=0)", pivot=0.0
-            )
-        weights += (mu * prior / denom) * weighted
-    else:
-        regressor_t = history._xt[history._head]  # regressor_matrix().T
-        err = desired - regressor_t @ weights
-        prior = float(err[0])
-        if config.is_memory:
-            weighted = _push_memory_row(state, _per_tap(gains, group), history.input_vector())
+    def __init__(self, configs, weights: np.ndarray, rings: np.ndarray, head: int = 0):
+        self.configs, self.weights, self.rings, self.head = configs, weights, rings, head
+        (count, length), order = weights.shape, configs[0].projection_order
+        self.scalar, self.plain = configs[0].is_scalar, count - len(rings)
+        p = self.plain
+        self.mu = np.array([[c.step_size] for c in configs])
+        self.delta = np.array([[c.regularization] for c in configs])
+        error, update = np.empty((count, order, 1)), np.empty((count, length, 1))
+        gram, lu = np.empty((count, order, order)), np.empty((count, order, order))
+        self._columns, self._error, self._update = weights[:, :, None], error, update[:, :, 0]
+        self._gram, self._lu = gram, lu.transpose(0, 2, 1)
+        self._diagonal = lu.reshape(count, -1)[:, :: order + 1]
+        self._rhs = error[:, :, 0]
+        self._systems = list(zip(self._lu, self._rhs))  # F-contiguous LU, rhs row
+        weighted = self._update if self.scalar else np.empty((p, length, order))
+        # scalar rows take their weighted input, projection rows their build in _rows_of form
+        out = weighted if self.scalar else [_rows_of(m, c.group_size) for c, m in zip(configs, weighted)]
+        self._plain = list(zip(configs, weights, out))  # zip stops at the memory rows
+        self._memory = list(zip(configs[p:], weights[p:]))
+        # (weighted, gram, error, update): the plain rows' part, the ring rows' stacks
+        self._parts = [(weighted, gram[:p], error[:p], update[:p])] if p else []
+        self._ring_stacks = (gram[p:], error[p:], update[p:])
+        # Indexed by head: the ring rows, and the (Bm, L, M) regressors as in FilterState.
+        self._ring_rows = rings.transpose(1, 0, 2)
+        ring, row, tap = rings.strides
+        shape = (order, len(rings), length, order)
+        self._ring_views = np.ndarray(shape, rings.dtype, rings, 0, (row, ring, tap, row))
+
+    @classmethod
+    def of(cls, config: FilterConfig, state: FilterState) -> "_Batch":
+        """The batch of one filter, over views of ``state``'s arrays."""
+        ring = state.memory_ring
+        empty = np.empty((0, 2 * config.projection_order, config.filter_length))
+        rings = empty if ring is None else ring[None]
+        return cls([config], state.weights[None], rings, state.memory_head)
+
+    def without(self, rows) -> "_Batch":
+        """A new batch of copies of every filter but ``rows``."""
+        keep = [b for b in range(len(self.configs)) if b not in rows]
+        ring_rows = [b - self.plain for b in keep if b >= self.plain]
+        configs = [self.configs[b] for b in keep]
+        return _Batch(configs, self.weights[keep], self.rings[ring_rows], self.head)
+
+    def step_one(self, state: FilterState, history: RegressorHistory, desired: np.ndarray) -> float:
+        """:meth:`step` for one filter: sync ``state``'s head, raise its failure, return its error."""
+        self.head = state.memory_head
+        prior, failed = self.step(history, desired)
+        state.memory_head = self.head
+        for error in failed.values():
+            raise error
+        return prior[0]
+
+    def step(self, history: RegressorHistory, desired: np.ndarray):
+        """Advance every filter a sample; return the a-priori errors and ``{row: failure}``
+        (a failed row keeps its weights)."""
+        weights, update, failed = self.weights, self._update, {}
+        if self.scalar:  # per row: two dot products, cheapest as Python floats
+            x, prior = history.input_vector(), []
+            for b, (config, w, weighted) in enumerate(self._plain):
+                prior.append(desired[0] - float(np.dot(x, w)))
+                np.multiply(_per_tap(_block_gains(config, w), config.group_size), x, out=weighted)
+                denominator = float(np.dot(x, weighted)) + config.regularization
+                if denominator == 0.0:
+                    failed[b] = SingularSystemError(
+                        "scalar normalization is zero (silent input with delta=0)", pivot=0.0
+                    )
+                else:
+                    weighted *= config.step_size * prior[b] / denominator
         else:
-            weighted = _place_products(
-                gains, history.block_windows(group), config.projection_order
-            )
-        gram = regressor_t @ weighted
-        correction = _solve_in_place(gram, delta, err)
-        weights += mu * (weighted @ correction)
-
-    return prior
+            regressor_t, rhs = history._xt[history._head], self._rhs  # X.T, error rows
+            np.matmul(regressor_t, self._columns, out=self._error)
+            np.subtract(desired, rhs, out=rhs)
+            prior = rhs[:, 0].tolist()
+            for config, w, out in self._plain:
+                _place_products(_block_gains(config, w), history.block_windows(config.group_size), out)
+            parts, rows, order = self._parts, self._ring_rows, history.projection_order
+            if self._memory:
+                self.head = head = (self.head - 1) % order
+                gains = [_per_tap(_block_gains(c, w), c.group_size) for c, w in self._memory]
+                _push_memory(rows[head], rows[head + order], gains, history.input_vector())
+                parts = [*parts, (self._ring_views[head], *self._ring_stacks)]
+            for weighted, gram, _, _ in parts:
+                np.matmul(regressor_t, weighted, out=gram)
+            np.copyto(self._lu, self._gram)
+            failed = _solve_stack(self._systems, self._diagonal, self.delta)
+            for weighted, _, error, out in parts:
+                np.matmul(weighted, error, out=out)
+            update *= self.mu
+        for b in failed:
+            update[b] = 0.0
+        weights += update
+        return prior, failed
 
 
 class AdaptiveFilter:
@@ -508,7 +590,8 @@ class AdaptiveFilter:
     One instance adapts over one logical signal stream; distinct instances
     are fully independent.  The config is validated once, at construction,
     and the state, history and window are built from it, so :meth:`process`
-    runs the step kernel without per-sample argument checks.
+    runs the step kernel, as a batch of one over views of ``state``, without
+    per-sample argument checks.
     """
 
     def __init__(self, config: FilterConfig):
@@ -519,6 +602,7 @@ class AdaptiveFilter:
         self.state = FilterState.initial(self.config)
         self.history = RegressorHistory(self.config.filter_length, self.config.projection_order)
         self._desired = np.zeros(self.config.projection_order)
+        self._batch = _Batch.of(self.config, self.state)
 
     @property
     def weights(self) -> np.ndarray:
@@ -530,4 +614,4 @@ class AdaptiveFilter:
         d = self._desired
         d[1:] = d[:-1]
         d[0] = desired
-        return _advance(self.config, self.state, self.history, d)
+        return self._batch.step_one(self.state, self.history, d)

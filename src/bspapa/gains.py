@@ -162,15 +162,15 @@ def proportionate_gains(
 def _block_norms(weights: np.ndarray, group_size: int) -> np.ndarray:
     """Block norms of a float weight vector whose length ``group_size`` divides; no checks."""
     blocks = weights.reshape(-1, group_size)
-    return np.sqrt((blocks * blocks).sum(axis=1))
+    return np.sqrt(np.add.reduce(blocks * blocks, axis=1))  # ``.sum`` minus its wrapper
 
 
 def _floored_gains(norms: np.ndarray, guards: StallGuards) -> np.ndarray:
     """Floored norms normalized by their mean, for a nonempty nonnegative float vector; no checks."""
-    floor = guards.rho * max(guards.q, float(norms.max()))
+    floor = guards.rho * max(guards.q, float(np.maximum.reduce(norms)))
     gamma = np.maximum(floor, norms)
     # The same add-reduce and divide as gamma.mean(), without its dispatch.
-    return gamma / (gamma.sum() / gamma.size)
+    return gamma / (np.add.reduce(gamma) / gamma.size)
 
 
 def block_gains(weights, partition: BlockPartition, guards: StallGuards) -> GainVector:

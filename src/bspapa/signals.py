@@ -146,7 +146,7 @@ def misalignment_db(true_h, est_h) -> float:
     w = np.asarray(est_h, dtype=float)
     if h.shape != w.shape:
         raise ValueError(f"shape mismatch: {h.shape} vs {w.shape}")
-    return _misalignment_db(h, _power(h), w)
+    return _misalignment_rows(h, _power(h), w[None])[0]
 
 
 def _power(true_h: np.ndarray) -> float:
@@ -158,13 +158,12 @@ def _power(true_h: np.ndarray) -> float:
     return power
 
 
-def _misalignment_db(true_h: np.ndarray, power: float, est_h: np.ndarray) -> float:
-    """``misalignment_db`` for float vectors of one shape, given ``power = _power(true_h)``; no checks."""
-    diff = est_h - true_h
-    ratio = float(np.dot(diff, diff)) / power
-    if ratio <= 1e-30:  # 10*log10(1e-30) is the floor itself
-        return MISALIGNMENT_FLOOR_DB
-    return 10.0 * math.log10(ratio)
+def _misalignment_rows(true_h: np.ndarray, power: float, est_rows: np.ndarray) -> list:
+    """``misalignment_db`` of each row of ``est_rows``, given ``power = _power(true_h)``; no checks."""
+    diff = est_rows - true_h
+    ratios = (np.vecdot(diff, diff) / power).tolist()  # vecdot: the per-row BLAS dot's bits
+    # 10*log10(1e-30) is the floor itself
+    return [MISALIGNMENT_FLOOR_DB if r <= 1e-30 else 10.0 * math.log10(r) for r in ratios]
 
 
 @dataclass(frozen=True, eq=False)

@@ -132,6 +132,78 @@ class TestRunExperiment:
         assert summary.row("healthy", 0).mults_per_step == 35
         assert summary.rows[0].label == "healthy"
 
+    def test_batched_entries_equal_their_solo_runs(self):
+        # every variant, two (L, M) batches plus the scalar batch, memory rows
+        # among plain ones, distinct mu/delta; 300 samples wrap every ring
+        sc = small_scenario(total=300, switch=150)
+        base = dict(filter_length=32, projection_order=3)
+        panel = [
+            ("apa", FilterConfig("apa", step_size=0.3, regularization=0.02, **base)),
+            ("mpapa", FilterConfig("mpapa", step_size=0.2, regularization=0.01, **base)),
+            ("papa", FilterConfig("papa", step_size=0.25, regularization=0.03, **base)),
+            ("bs-mpapa", FilterConfig("bs-mpapa", group_size=4, step_size=0.4, **base)),
+            ("bs-papa", FilterConfig("bs-papa", group_size=8, step_size=0.5, **base)),
+            ("pnlms", FilterConfig("pnlms", 32, step_size=0.3, regularization=0.05)),
+            ("bs-papa M=2", FilterConfig("bs-papa", 32, 2, group_size=4, step_size=0.6)),
+            ("bs-pnlms", FilterConfig("bs-pnlms", 32, group_size=8, step_size=0.2)),
+            ("bs-mpapa M=2", FilterConfig("bs-mpapa", 32, 2, group_size=16, step_size=0.3)),
+        ]
+        traces, summary = run_experiment(ExperimentConfig(scenario=sc, panel=panel, trace_decimation=1))
+        assert [t.label for t in traces] == [label for label, _ in panel] and not summary.failures
+
+        from bspapa import AdaptiveFilter
+
+        x, d = synthesize_scenario(sc)
+        for trace, (label, cfg) in zip(traces, panel):
+            solo, _ = run_experiment(ExperimentConfig(scenario=sc, panel=[(label, cfg)], trace_decimation=1))
+            assert np.array_equal(trace.values, solo[0].values), label
+            filt = AdaptiveFilter(cfg)
+            streamed = np.empty(300)
+            for start, end, response in sc.segments():
+                for n in range(start, end):
+                    filt.process(x[n], d[n])
+                    streamed[n] = misalignment_db(response.taps, filt.weights)
+            assert np.array_equal(trace.values, streamed), label
+
+    def test_failure_in_mid_batch_leaves_the_others_unchanged(self, monkeypatch):
+        # The input goes silent at sample 120.  At M=1 a delta=0 system stays
+        # regular while the window holds a nonzero sample and turns exactly
+        # singular once it holds none; at M>1 it would be singular at sample 0.
+        sc = small_scenario(total=300, switch=None)
+        x, d = synthesize_scenario(sc)
+        x = x.copy()
+        x[120:] = 0.0
+        monkeypatch.setattr("bspapa.bench.synthesize_scenario", lambda scenario: (x, d))
+        base = dict(filter_length=32, projection_order=1, step_size=0.2)
+        panel = [
+            ("BS-PAPA(P=4)", FilterConfig("bs-papa", group_size=4, **base)),
+            ("doomed", FilterConfig("bs-papa", group_size=8, regularization=0.0, **base)),
+            ("MPAPA", FilterConfig("mpapa", **base)),
+            ("doomed memory", FilterConfig("mpapa", regularization=0.0, **base)),
+            ("PNLMS", FilterConfig("pnlms", **base)),
+            ("doomed scalar", FilterConfig("pnlms", regularization=0.0, **base)),
+            ("PAPA", FilterConfig("papa", **base)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the singular path must not warn
+            traces, summary = run_experiment(ExperimentConfig(scenario=sc, panel=panel, trace_decimation=1))
+
+        from bspapa import AdaptiveFilter, SingularSystemError
+
+        assert list(summary.failures) == ["doomed", "doomed memory", "doomed scalar"]
+        for label, message in summary.failures.items():
+            filt = AdaptiveFilter(dict(panel)[label])
+            with pytest.raises(SingularSystemError) as excinfo:
+                for n in range(300):
+                    filt.process(x[n], d[n])
+            assert n > 120
+            assert message == f"aborted at sample {n}: {excinfo.value}"
+        assert [t.label for t in traces] == ["BS-PAPA(P=4)", "MPAPA", "PNLMS", "PAPA"]
+        for trace in traces:
+            cfg = dict(panel)[trace.label]
+            solo, _ = run_experiment(ExperimentConfig(scenario=sc, panel=[(trace.label, cfg)], trace_decimation=1))
+            assert np.array_equal(trace.values, solo[0].values), trace.label
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_desired_sample_aborts_entry(self, monkeypatch, bad):
         sc = small_scenario(total=300, switch=None)
@@ -350,6 +422,27 @@ class TestConfigParsing:
             experiment_from_dict(raw)
         assert str(excinfo.value).startswith(f"scenario.{field}: expected {expected}")
 
+    @pytest.mark.parametrize(
+        "clusters,where,expected",
+        [
+            (None, "clusters", "a list of [start, end] pairs"),
+            (5, "clusters", "a list of [start, end] pairs"),
+            ([[9, 12], 5], "clusters[1]", "a [start, end] pair"),
+            ([[1, 8, 9]], "clusters[0]", "a [start, end] pair"),
+            ([[9]], "clusters[0]", "a [start, end] pair"),
+            ([[1.5, 8]], "clusters[0]", "an integer"),
+            ([[9, 12.0]], "clusters[0]", "an integer"),
+            ([[True, 8]], "clusters[0]", "an integer"),
+            ([["1", 8]], "clusters[0]", "an integer"),
+        ],
+    )
+    def test_malformed_clusters_name_the_pair(self, clusters, where, expected):
+        raw = self.raw()
+        raw["scenario"]["schedule"][1]["clusters"] = clusters
+        with pytest.raises(ConfigError) as excinfo:
+            experiment_from_dict(raw)
+        assert str(excinfo.value).startswith(f"scenario.schedule[1].{where}: expected {expected}")
+
     def test_integer_panel_numbers_read_as_floats(self):
         raw = self.raw()
         raw["panel"][0].update(step_size=1, regularization=0)
@@ -464,6 +557,15 @@ class TestCli:
         assert "-Infinity" in path.read_text()
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
         assert "snr_db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("clusters", [None, 5])
+    def test_run_rejects_non_list_clusters(self, tmp_path, capsys, clusters):
+        raw = TestConfigParsing().raw()
+        raw["scenario"]["schedule"][0]["clusters"] = clusters
+        path = tmp_path / "clusters.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        assert "scenario.schedule[0].clusters: expected a list" in capsys.readouterr().err
 
     def test_run_rejects_non_string_output_path(self, tmp_path, capsys):
         raw = TestConfigParsing().raw()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bspapa import filters
 from bspapa import (
     AdaptiveFilter,
     BlockPartition,
@@ -300,6 +301,27 @@ class TestBlasLayout:
             mem = update_memory_regressor(state, random_gains(rng, 16, 4), rng.standard_normal(16))
             assert blas_ready(mem) and blas_ready(state.memory_regressor)
 
+    @pytest.mark.parametrize("plain,memory", [(1, 0), (0, 1), (3, 2), (3, 3)])
+    def test_batch_buffers(self, plain, memory):
+        count = plain + memory  # B = 1, 1, 5, 6; the memory rows come last
+        configs = [FilterConfig("bs-papa", 16, 3, group_size=4)] * plain
+        configs += [FilterConfig("bs-mpapa", 16, 3, group_size=4)] * memory
+        batch = filters._Batch(configs, np.zeros((count, 16)), np.zeros((memory, 6, 16)))
+        history = RegressorHistory(16, 3)
+        rng = np.random.default_rng(count)
+        for _ in range(7):  # past 2M pushes: the memory ring wraps
+            history.push(rng.standard_normal())
+            batch.step(history, rng.standard_normal(3))
+            assert batch.weights.flags.c_contiguous  # unit-stride rows: the error's vectors
+            for weighted, *stacks in batch._parts:  # the plain rows' build stack and out buffers
+                assert weighted.flags.c_contiguous and weighted.shape == (plain, 16, 3)
+                assert all(blas_ready(m) for m in weighted)
+                assert all(a.flags.c_contiguous for a in stacks)
+            assert all(a.flags.c_contiguous for a in batch._ring_stacks)
+            ring_views = batch._ring_views[batch.head]  # the ring regressors
+            assert ring_views.shape == (memory, 16, 3) and all(blas_ready(m) for m in ring_views)
+            assert all(lu.flags.f_contiguous for lu in batch._lu)
+
     @pytest.mark.parametrize("group", [1, 4, 16])
     @pytest.mark.parametrize("order", [1, 2, 8])
     def test_every_efficient_build(self, group, order):
@@ -347,6 +369,51 @@ class TestSolveRegularized:
         with pytest.raises(SingularSystemError) as excinfo:
             solve_regularized(singular, 0.0, np.array([1.0, 1.0]))
         assert excinfo.value.pivot >= 0.0
+
+    def test_nan_system_solves_to_nan_without_raising(self):
+        # A NaN pivot is not a collapse: smallest <= bound is false for NaN,
+        # so the NaN runs on into the weights and the harness's diverged abort.
+        z = solve_regularized(np.full((3, 3), np.nan), 0.1, np.ones(3))
+        assert np.isnan(z).all()
+        # NaN beside an exactly zero pivot: np.min propagates the NaN
+        z = solve_regularized(np.array([[np.nan, 0.0], [0.0, 0.0]]), 0.0, np.ones(2))
+        assert not np.isfinite(z).any()
+
+    def test_stacked_solve_isolates_nan_and_singular_systems(self):
+        rng = np.random.default_rng(23)
+        systems = rng.standard_normal((4, 5, 5)) + 4.0 * np.eye(5)
+        systems[1] = np.nan
+        systems[2] = 0.0
+        rhs = rng.standard_normal((4, 5))
+        base = np.empty((4, 5, 5))
+        lu, diagonal = base.transpose(0, 2, 1), base.reshape(4, -1)[:, ::6]  # F-contiguous slices
+        np.copyto(lu, systems)
+        solution = rhs.copy()
+        delta = np.array([[0.1], [0.1], [0.0], [0.2]])
+        failed = filters._solve_stack(list(zip(lu, solution)), diagonal, delta)
+        assert list(failed) == [2] and failed[2].pivot == 0.0
+        assert np.isnan(solution[1]).all()
+        for b, delta in ((0, 0.1), (3, 0.2)):
+            assert np.array_equal(solution[b], solve_regularized(systems[b], delta, rhs[b]))
+
+    def test_nan_row_leaves_the_other_batch_rows_unchanged(self):
+        rng = np.random.default_rng(24)
+        configs = [FilterConfig("bs-papa", 16, 3, group_size=4, step_size=0.3)] * 2
+        configs += [FilterConfig("bs-mpapa", 16, 3, group_size=2, step_size=0.4)]
+        weights = 0.1 * rng.standard_normal((3, 16))
+        weights[1] = np.nan
+        solo = [FilterState(weights[b].copy(), np.zeros((6, 16)) if b == 2 else None) for b in (0, 2)]
+        batch = filters._Batch(configs, weights.copy(), np.zeros((1, 6, 16)))
+        history = RegressorHistory(16, 3)
+        for n in range(40):
+            history.push(rng.standard_normal())
+            desired = rng.standard_normal(3)
+            _, failed = batch.step(history, desired)
+            assert not failed
+            for state, b in zip(solo, (0, 2)):
+                filter_step(configs[b], state, history, desired)
+                assert np.array_equal(batch.weights[b], state.weights)
+        assert np.isnan(batch.weights[1]).all()
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
