@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import lfilter
 
-from .filters import FilterConfig, RegressorHistory, _Batch
+from .filters import FilterConfig, RegressorHistory, _panel_batches
 from .gains import StallGuards
 from .signals import (
     EchoScenario,
@@ -146,15 +146,14 @@ def synthesize_scenario(scenario: EchoScenario) -> tuple[np.ndarray, np.ndarray]
     return x, d
 
 
-def _stream_batch(configs, x, d, segments):
-    """Run filters sharing (L, M) and branch, memory members last, as one batch:
-    the misalignment per config and sample, and ``{index: failure}``."""
-    length, order = configs[0].filter_length, configs[0].projection_order
-    rings = np.zeros((sum(c.is_memory for c in configs), 2 * order, length))
-    batch = _Batch(configs, np.zeros((len(configs), length)), rings)
+def _stream_batch(batch, entries, x, d, segments, failures):
+    """Stream a zeroed batch of ``filters._panel_batches``, whose row b is panel
+    entry ``entries[b]``, over the scenario; return the misalignment per row and
+    sample.  An entry that fails leaves the batch with ``failures[entry]`` set."""
+    length, order = batch.weights.shape[1], batch.configs[0].projection_order
     history, desired = RegressorHistory(length, order), np.zeros(order)
-    mis, failures = np.empty((len(configs), x.size)), {}
-    rows = np.arange(len(configs))  # config index of each batch row
+    mis = np.empty((len(entries), x.size))
+    rows = np.arange(len(entries))  # starting row of each filter still in the batch
     target = slice(None)  # indexes ``rows`` faster while no filter has left
     for start, end, response in segments:
         truth, power = response.taps, _power(response.taps)
@@ -169,12 +168,12 @@ def _stream_batch(configs, x, d, segments):
                 failed = {b: f"diverged at sample {n}: misalignment is {v} dB"
                           for b, v in enumerate(values) if not math.isfinite(v)}
                 failed.update({b: f"aborted at sample {n}: {exc}" for b, exc in singular.items()})
-                failures.update({int(rows[b]): message for b, message in failed.items()})
+                failures.update({entries[rows[b]]: message for b, message in failed.items()})
                 rows = target = np.delete(rows, list(failed))
                 if not rows.size:
-                    return mis, failures
+                    return mis
                 batch = batch.without(failed)
-    return mis, failures
+    return mis
 
 
 def _time_to_threshold(segment_values: np.ndarray, threshold: float) -> int | None:
@@ -186,8 +185,8 @@ def run_experiment(config: ExperimentConfig):
     """Run every panel entry over the scenario; return ``(traces, summary)``.
 
     Entries sharing the projection order and branch (projection or scalar)
-    run as one batch of the step kernel over one input history: one stacked
-    error, Gram matrix, pivot test, update and misalignment pass per sample.
+    run as one batch built by ``filters._panel_batches`` over one input history:
+    one stacked error, Gram matrix, pivot test, update and misalignment pass per sample.
     Each trace equals the entry's one-entry run bit for bit.  A solver
     failure or a non-finite misalignment (diverged or NaN-fed weights)
     aborts only the offending entry: it leaves the batch and is recorded in
@@ -197,23 +196,17 @@ def run_experiment(config: ExperimentConfig):
     segments = config.scenario.segments()
     traces: list[MisalignmentTrace] = []
     rows: list[SegmentSummary] = []
-    batches, results, failed = {}, {}, {}
-    # one batch per (order, branch); the batch kernel wants its memory members last
-    for k, (_, fcfg) in sorted(enumerate(config.panel), key=lambda e: e[1][1].is_memory):
-        batches.setdefault((fcfg.projection_order, fcfg.is_scalar), []).append(k)
-    for members in batches.values():
-        mis, lost = _stream_batch([config.panel[k][1] for k in members], x, d, segments)
-        results.update(zip(members, mis))
-        failed.update({members[b]: message for b, message in lost.items()})
+    mis, failed = np.empty((len(config.panel), x.size)), {}
+    for indices, batch in _panel_batches([cfg for _, cfg in config.panel]):
+        mis[indices] = _stream_batch(batch, indices, x, d, segments, failed)
     failures = {config.panel[k][0]: failed[k] for k in sorted(failed)}
     for k, (label, fcfg) in enumerate(config.panel):
         if k in failed:
             continue
-        mis = results[k]
         idx = np.arange(0, config.scenario.total_samples, config.trace_decimation)
-        traces.append(MisalignmentTrace(label, idx, mis[idx]))
+        traces.append(MisalignmentTrace(label, idx, mis[k, idx]))
         for j, (start, end, _) in enumerate(segments):
-            seg = mis[start:end]
+            seg = mis[k, start:end]
             tail = max(1, seg.size // 10)
             rows.append(
                 SegmentSummary(
@@ -323,65 +316,87 @@ def preset_config(
     return ExperimentConfig(scenario=scenario, panel=panel, trace_decimation=trace_decimation)
 
 
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key}: missing required field")
-    return mapping[key]
+_REQUIRED = object()
+# A field's kind: the types its JSON value may take (a boolean is never a
+# number) and the words an error names them by.  A kind of None accepts any value.
+_INTEGER = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+_STRING = ((str,), "a string")
+_PAIRS = ((list,), "a list of [start, end] pairs")
+_INTEGER_OR_NULL = ((int, type(None)), "an integer")
+_NUMBER_OR_NULL = ((int, float, type(None)), "a number")
+_STRING_OR_NULL = ((str, type(None)), "a string or null")
 
 
-def _integer(value, path: str) -> int:
-    """``value`` if it is a JSON integer; floats and booleans are not coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+def _checked(value, kind, path: str):
+    if kind is not None:
+        types, words = kind
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{path}: expected {words}, got {value!r}")
     return value
 
 
-def _number(value, path: str):
-    """``value`` if it is a JSON number; null, booleans and strings are not coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return value
+class _Fields:
+    """The JSON object at ``path`` (``""`` at the top level), read field by field with
+    kind and default; :meth:`close` rejects by name the first key no read asked for."""
+
+    def __init__(self, raw, path: str):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: expected an object")
+        self.raw, self.path, self.read = raw, path, set()
+        self.prefix = f"{path}." if path else ""
+
+    def __call__(self, key: str, kind=None, default=_REQUIRED):
+        """The value at ``key`` checked against ``kind``, or ``default`` when absent."""
+        self.read.add(key)
+        if key in self.raw:
+            return _checked(self.raw[key], kind, self.prefix + key)
+        if default is _REQUIRED:
+            raise ConfigError(f"{self.path or 'config'}.{key}: missing required field")
+        return default
+
+    def entries(self, key: str):
+        """The objects of the required nonempty list at ``key``, each read as a :class:`_Fields`."""
+        items, path = self(key), self.prefix + key
+        if not isinstance(items, list) or not items:
+            raise ConfigError(f"{path}: expected a nonempty list")
+        return (_Fields(item, f"{path}[{j}]") for j, item in enumerate(items))
+
+    def close(self) -> None:
+        for key in self.raw:
+            if key not in self.read:
+                raise ConfigError(f"{self.path or 'config'}: unknown field {key!r}")
 
 
 def experiment_from_dict(raw: dict) -> ExperimentConfig:
-    """Build an :class:`ExperimentConfig` from parsed JSON, with field-path errors."""
+    """Build an :class:`ExperimentConfig` from parsed JSON; a missing required field,
+    a value of the wrong kind and an unknown key are each rejected by path."""
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object at the top level")
-    sc = _require(raw, "scenario", "config")
-    if not isinstance(sc, dict):
-        raise ConfigError("scenario: expected an object")
-    filter_length = _integer(_require(sc, "filter_length", "scenario"), "scenario.filter_length")
-    schedule_raw = _require(sc, "schedule", "scenario")
-    if not isinstance(schedule_raw, list) or not schedule_raw:
-        raise ConfigError("scenario.schedule: expected a nonempty list")
+    top = _Fields(raw, "")
+    sc = _Fields(top("scenario"), "scenario")
+    filter_length = sc("filter_length", _INTEGER)
     schedule = []
-    for j, entry in enumerate(schedule_raw):
-        path = f"scenario.schedule[{j}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: expected an object")
-        clusters = _require(entry, "clusters", path)
-        if not isinstance(clusters, list):
-            raise ConfigError(f"{path}.clusters: expected a list of [start, end] pairs, got {clusters!r}")
+    for j, entry in enumerate(sc.entries("schedule")):
+        clusters, path = entry("clusters", _PAIRS), entry.prefix + "clusters"
         for k, pair in enumerate(clusters):  # JSON integers only: 1.5 or true is no tap
             if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError(f"{path}.clusters[{k}]: expected a [start, end] pair, got {pair!r}")
+                raise ConfigError(f"{path}[{k}]: expected a [start, end] pair, got {pair!r}")
             for value in pair:
-                _integer(value, f"{path}.clusters[{k}]")
-        ir_seed = _integer(entry.get("seed", _PRESET_IR_SEEDS[0] + j), f"{path}.seed")
-        switch = _integer(_require(entry, "switch_sample", path), f"{path}.switch_sample")
+                _checked(value, _INTEGER, f"{path}[{k}]")
+        ir_seed = entry("seed", _INTEGER, _PRESET_IR_SEEDS[0] + j)
+        switch = entry("switch_sample", _INTEGER)
+        entry.close()
         try:
             response = make_block_sparse_ir(filter_length, clusters, seed=ir_seed)
         except ValueError as exc:
-            raise ConfigError(f"{path}.clusters: {exc}") from exc
+            raise ConfigError(f"{path}: {exc}") from exc
         schedule.append((switch, response))
-    seed = _integer(sc.get("seed", 0), "scenario.seed")
-    total = _integer(_require(sc, "total_samples", "scenario"), "scenario.total_samples")
-    excitation = sc.get("excitation", "ar1")
-    if not isinstance(excitation, str):
-        raise ConfigError(f"scenario.excitation: expected a string, got {excitation!r}")
-    pole, snr_db = sc.get("pole", 0.8), sc.get("snr_db", 30.0)
-    pole = None if pole is None else _number(pole, "scenario.pole")
-    snr_db = None if snr_db is None else _number(snr_db, "scenario.snr_db")
+    seed = sc("seed", _INTEGER, 0)
+    total = sc("total_samples", _INTEGER)
+    excitation = sc("excitation", _STRING, "ar1")
+    pole, snr_db = sc("pole", _NUMBER_OR_NULL, 0.8), sc("snr_db", _NUMBER_OR_NULL, 30.0)
+    sc.close()
     try:
         scenario = EchoScenario(
             schedule=tuple(schedule),
@@ -394,25 +409,20 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
 
-    panel_raw = _require(raw, "panel", "config")
-    if not isinstance(panel_raw, list) or not panel_raw:
-        raise ConfigError("panel: expected a nonempty list")
     panel = []
-    for j, entry in enumerate(panel_raw):
-        path = f"panel[{j}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: expected an object")
-        label = str(_require(entry, "label", path))
-        order = _integer(entry.get("projection_order", 1), f"{path}.projection_order")
-        group = entry.get("group_size")
-        group = None if group is None else _integer(group, f"{path}.group_size")
+    for entry in top.entries("panel"):
+        label = entry("label", _STRING)
+        order = entry("projection_order", _INTEGER, 1)
+        group = entry("group_size", _INTEGER_OR_NULL, None)
         step_size, regularization, rho, q = (
-            float(_number(entry.get(key, 0.01), f"{path}.{key}"))
-            for key in ("step_size", "regularization", "rho", "q")
+            float(entry(key, _NUMBER, 0.01)) for key in ("step_size", "regularization", "rho", "q")
         )
+        variant = entry("variant", _STRING)
+        entry("regressor_mode", None, None)  # read by earlier versions; accepted and ignored
+        entry.close()
         try:
             cfg = FilterConfig(
-                variant=str(_require(entry, "variant", path)),
+                variant=variant,
                 filter_length=filter_length,
                 projection_order=order,
                 group_size=group,
@@ -421,23 +431,17 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
                 guards=StallGuards(rho=rho, q=q),
             )
         except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+            raise ConfigError(f"{entry.path}: {exc}") from exc
         panel.append((label, cfg))
-    decimation = _integer(raw.get("trace_decimation", 10), "trace_decimation")
-    output_path = raw.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError(f"output_path: expected a string or null, got {output_path!r}")
-    try:
-        return ExperimentConfig(
-            scenario=scenario,
-            panel=panel,
-            trace_decimation=decimation,
-            output_path=output_path,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    decimation = top("trace_decimation", _INTEGER, 10)
+    output_path = top("output_path", _STRING_OR_NULL, None)
+    top.close()
+    return ExperimentConfig(
+        scenario=scenario,
+        panel=panel,
+        trace_decimation=decimation,
+        output_path=output_path,
+    )
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -456,9 +460,4 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 def with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
     """Copy of ``config`` whose scenario uses ``seed``."""
-    return ExperimentConfig(
-        scenario=replace(config.scenario, seed=seed),
-        panel=list(config.panel),
-        trace_decimation=config.trace_decimation,
-        output_path=config.output_path,
-    )
+    return replace(config, scenario=replace(config.scenario, seed=seed))

@@ -13,9 +13,7 @@ def _cmd_run(args) -> int:
     config = bench.load_experiment_config(args.config)
     if args.seed is not None:
         config = bench.with_seed(config, args.seed)
-    out = args.out or config.output_path or "traces.csv"
-    traces, summary = bench.run_experiment(config)
-    return _finish(traces, summary, out)
+    return _run_and_report(config, args.out or config.output_path or "traces.csv")
 
 
 def _cmd_preset(args) -> int:
@@ -26,12 +24,11 @@ def _cmd_preset(args) -> int:
         snr_db=args.snr_db,
         trace_decimation=args.decimation,
     )
-    out = args.out or f"{args.name}.csv"
+    return _run_and_report(config, args.out or f"{args.name}.csv")
+
+
+def _run_and_report(config, out) -> int:
     traces, summary = bench.run_experiment(config)
-    return _finish(traces, summary, out)
-
-
-def _finish(traces, summary, out) -> int:
     if traces:
         trace_path, summary_path = bench.write_traces_csv(traces, summary, out)
         print(f"wrote {trace_path} and {summary_path}")
@@ -87,10 +84,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (bench.ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

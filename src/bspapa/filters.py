@@ -16,7 +16,8 @@ One kernel, ``_Batch``, takes the step for B filters that share the filter
 length, the projection order and the branch, over one input history: the
 error, Gram and update products are stacked over the filters, with one
 pivot test per step.  ``filter_step`` and ``AdaptiveFilter`` run it for a
-single filter, ``run_experiment`` for each group of a panel.
+single filter over views of a ``FilterState``; ``_panel_batches`` builds the
+zeroed batches of a panel, which ``run_experiment`` streams.
 """
 
 from __future__ import annotations
@@ -99,8 +100,6 @@ class FilterConfig:
     def __post_init__(self) -> None:
         if self.variant not in _ALIASES:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.filter_length < 1:
-            raise ValueError(f"filter_length must be positive, got {self.filter_length}")
         if self.projection_order < 1:
             raise ValueError(f"projection_order must be >= 1, got {self.projection_order}")
         # step_size 0 is allowed: it freezes the filter, which is useful as a
@@ -124,7 +123,7 @@ class FilterConfig:
                 f"variant {self.variant!r} is the projection_order={order} member, "
                 f"got projection_order={self.projection_order}"
             )
-        BlockPartition(self.filter_length, self.group_size)  # validates divisibility
+        BlockPartition(self.filter_length, self.group_size)  # validates the length and grouping
 
     # cached: these are read every sample in the update loop
     @cached_property
@@ -283,13 +282,17 @@ class WeightedRegressor:
     multiplication_count: int
 
 
+def _check_gains(gains: GainVector, filter_length: int, holder: str) -> None:
+    """Reject ``gains`` unless they cover the ``filter_length`` taps ``holder`` holds."""
+    if gains.partition.filter_length != filter_length:
+        raise ValueError(
+            f"gains cover {gains.partition.filter_length} taps but {holder} holds {filter_length}"
+        )
+
+
 def build_weighted_regressor_direct(gains: GainVector, history: RegressorHistory) -> WeightedRegressor:
     """Weighted regressor by plain row scaling: M*L products; the reference for the efficient build."""
-    if gains.partition.filter_length != history.filter_length:
-        raise ValueError(
-            f"gains cover {gains.partition.filter_length} taps but history holds "
-            f"{history.filter_length}"
-        )
+    _check_gains(gains, history.filter_length, "history")
     matrix = gains.expand()[:, None] * history.regressor_matrix()
     return WeightedRegressor(matrix, history.projection_order * history.filter_length)
 
@@ -304,11 +307,7 @@ def build_weighted_regressor_efficient(gains: GainVector, history: RegressorHist
     and always a C-contiguous copy, so the Gram matrix and the update run
     in BLAS; with one block the placed view alone would overlap itself.
     """
-    if gains.partition.filter_length != history.filter_length:
-        raise ValueError(
-            f"gains cover {gains.partition.filter_length} taps but history holds "
-            f"{history.filter_length}"
-        )
+    _check_gains(gains, history.filter_length, "history")
     group = gains.partition.group_size
     windows = history.block_windows(group)
     matrix = np.empty((history.filter_length, history.projection_order))
@@ -346,6 +345,7 @@ def update_memory_regressor(state: FilterState, gains: GainVector, newest_input)
     x = np.asarray(newest_input, dtype=float)
     if x.shape != (ring.shape[1],):
         raise ValueError(f"expected an input vector of length {ring.shape[1]}, got shape {x.shape}")
+    _check_gains(gains, ring.shape[1], "the memory ring")
     order = ring.shape[0] // 2
     state.memory_head = head = (state.memory_head - 1) % order
     _push_memory(ring[head : head + 1], ring[head + order : head + order + 1], [gains.expand()], x)
@@ -380,8 +380,8 @@ def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if b.shape != (a.shape[0],):
         raise ValueError(f"rhs length {b.shape} does not match matrix order {a.shape[0]}")
-    if delta < 0:
-        raise ValueError(f"regularization must be nonnegative, got {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"regularization must be finite and nonnegative, got {delta}")
     lu, solution = np.array(a, order="F"), b.copy()
     diagonal = lu.T.reshape(1, -1)[:, :: a.shape[0] + 1]
     for error in _solve_stack([(lu, solution)], diagonal, np.array([[delta]])).values():
@@ -582,6 +582,20 @@ class _Batch:
             update[b] = 0.0
         weights += update
         return prior, failed
+
+
+def _panel_batches(configs):
+    """One zeroed :class:`_Batch` per (projection order, branch) of ``configs``,
+    which share the filter length, as ``(indices, batch)``: row b of the batch
+    is ``configs[indices[b]]``, memory members last."""
+    groups = {}
+    for k, config in sorted(enumerate(configs), key=lambda e: e[1].is_memory):
+        groups.setdefault((config.projection_order, config.is_scalar), []).append(k)
+    for indices in groups.values():
+        members = [configs[k] for k in indices]
+        length, order = members[0].filter_length, members[0].projection_order
+        rings = np.zeros((sum(c.is_memory for c in members), 2 * order, length))
+        yield indices, _Batch(members, np.zeros((len(members), length)), rings)
 
 
 class AdaptiveFilter:

@@ -152,10 +152,6 @@ def proportionate_gains(
         raise ValueError("block norms must be nonnegative")
     if partition is None:
         partition = BlockPartition(norms.size, 1)
-    elif partition.block_count != norms.size:
-        raise ValueError(
-            f"partition has {partition.block_count} blocks but got {norms.size} norms"
-        )
     return GainVector(_floored_gains(norms, guards), partition)
 
 

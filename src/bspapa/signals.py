@@ -59,14 +59,10 @@ class ImpulseResponse:
         taps = np.asarray(self.taps, dtype=float)
         if taps.ndim != 1 or taps.size == 0:
             raise ValueError("taps must be a nonempty 1-D vector")
-        spec = _validated_clusters(self.cluster_spec, taps.size)
-        mask = np.zeros(taps.size, dtype=bool)
-        for start, end in spec:
-            mask[start - 1 : end] = True
-        if np.any(taps[~mask] != 0.0):
-            raise ValueError("taps outside the declared clusters must be exactly zero")
         object.__setattr__(self, "taps", taps)
-        object.__setattr__(self, "cluster_spec", spec)
+        object.__setattr__(self, "cluster_spec", _validated_clusters(self.cluster_spec, taps.size))
+        if np.any(taps[~self.support_mask()] != 0.0):
+            raise ValueError("taps outside the declared clusters must be exactly zero")
 
     @property
     def filter_length(self) -> int:

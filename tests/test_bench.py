@@ -3,6 +3,7 @@
 import csv
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +298,44 @@ class TestExperimentConfigValidation:
             ExperimentConfig(scenario=small_scenario(), panel=[])
 
 
+def readme_config():
+    """The full example of the README's "Experiment config format" section."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("### Experiment config format", 1)[1]
+    return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+
+def object_keys(node, steps=()):
+    """``(steps, key)`` for every key of every object in ``node``, where
+    ``steps`` are the keys and indices leading to the key's object."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield steps, key
+            yield from object_keys(value, (*steps, key))
+    elif isinstance(node, list):
+        for j, item in enumerate(node):
+            yield from object_keys(item, (*steps, j))
+
+
+def parent_of(raw, steps):
+    for step in steps:
+        raw = raw[step]
+    return raw
+
+
+def field_path(steps):
+    """``steps`` written as a config path, ``scenario.schedule[0]``; ``""`` for none."""
+    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps).lstrip(".")
+
+
+def json_type(value):
+    return {bool: "boolean", int: "number", float: "number", str: "string",
+            list: "array", dict: "object", type(None): "null"}[type(value)]
+
+
+README_KEYS = list(object_keys(readme_config()))
+
+
 class TestConfigParsing:
     def raw(self):
         return {
@@ -467,6 +506,42 @@ class TestConfigParsing:
         raw = self.raw()
         raw["scenario"]["snr_db"] = None
         assert experiment_from_dict(raw).scenario.snr_db is None
+
+    @pytest.mark.parametrize("field", ["label", "variant"])
+    @pytest.mark.parametrize("value", [None, ["x"], True, 5])
+    def test_non_string_label_or_variant_rejected(self, field, value):
+        raw = self.raw()
+        raw["panel"][0][field] = value
+        with pytest.raises(ConfigError) as excinfo:
+            experiment_from_dict(raw)
+        assert str(excinfo.value) == f"panel[0].{field}: expected a string, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "steps,key", README_KEYS, ids=[field_path((*steps, key)) for steps, key in README_KEYS]
+    )
+    def test_every_readme_key_is_checked(self, steps, key):
+        # A value of another JSON type, and the key with one letter dropped,
+        # must each be rejected with the field's path.
+        experiment_from_dict(readme_config())  # the example itself is valid
+        path, where = field_path((*steps, key)), field_path(steps) or "config"
+        for value in ("x", 5, True, [], {}):
+            raw = readme_config()
+            if json_type(value) == json_type(parent_of(raw, steps)[key]):
+                continue
+            parent_of(raw, steps)[key] = value
+            with pytest.raises(ConfigError) as excinfo:
+                experiment_from_dict(raw)
+            assert str(excinfo.value).startswith(f"{path}:"), (value, str(excinfo.value))
+        for i in range(len(key)):
+            misspelt, raw = key[:i] + key[i + 1 :], readme_config()
+            parent = parent_of(raw, steps)
+            parent[misspelt] = parent.pop(key)
+            with pytest.raises(ConfigError) as excinfo:
+                experiment_from_dict(raw)
+            assert str(excinfo.value) in (
+                f"{where}.{key}: missing required field",
+                f"{where}: unknown field {misspelt!r}",
+            ), (misspelt, str(excinfo.value))
 
     def test_regressor_mode_key_is_ignored(self):
         raw = self.raw()

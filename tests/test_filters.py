@@ -251,6 +251,13 @@ class TestMemoryRegressor:
         with pytest.raises(ValueError):
             update_memory_regressor(state, gains, np.zeros(8))
 
+    @pytest.mark.parametrize("taps", [1, 4])
+    def test_gains_must_cover_the_ring(self, taps):
+        state = FilterState.initial(self.cfg())
+        gains = GainVector(np.ones(taps), BlockPartition(taps, 1))
+        with pytest.raises(ValueError, match=f"gains cover {taps} taps but .* holds 8"):
+            update_memory_regressor(state, gains, np.zeros(8))
+
     def test_newest_column_always_matches_exact_regressor(self):
         # first column of the memory regressor == first column of G(n-1) X(n)
         rng = np.random.default_rng(13)
@@ -415,9 +422,10 @@ class TestSolveRegularized:
                 assert np.array_equal(batch.weights[b], state.weights)
         assert np.isnan(batch.weights[1]).all()
 
-    def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
-            solve_regularized(np.eye(2), -1.0, np.zeros(2))
+    @pytest.mark.parametrize("delta", [-1.0, float("nan"), float("inf")])
+    def test_negative_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            solve_regularized(np.eye(2), delta, np.zeros(2))
 
     def test_shape_checks(self):
         with pytest.raises(ValueError):
