@@ -46,12 +46,6 @@ __all__ = [
 ]
 
 THRESHOLD_DB = -15.0
-PRESET_NAMES = ("fig2", "fig3")
-
-# Fixed seeds for the preset impulse responses, so replication runs with a
-# different scenario seed still identify the same true systems.
-_PRESET_IR_SEEDS = (1001, 1002)
-_PRESET_SCENARIO_SEED = 42
 
 
 class ConfigError(ValueError):
@@ -258,62 +252,52 @@ def write_traces_csv(traces, summary: RunSummary, path) -> tuple[Path, Path]:
     return trace_path, summary_path
 
 
-def _paper_filter(variant: str, group_size: int | None = None) -> FilterConfig:
-    """Filter under the benchmark's standard parameter bundle."""
-    return FilterConfig(
-        variant=variant,
-        filter_length=1024,
-        projection_order=8,
-        group_size=group_size,
-        step_size=0.01,
-        regularization=0.01,
-        guards=StallGuards(rho=0.01, q=0.01),
-    )
+# The panels of the paper's two studies, as experiment-format entries at order 8.
+_PRESET_PANELS = {
+    "fig2": [
+        {"label": f"P={p}", "variant": "bs-papa", "group_size": p} for p in (1, 4, 16, 32, 64, 1024)
+    ],
+    "fig3": [
+        {"label": "APA", "variant": "apa"},
+        {"label": "PAPA", "variant": "papa"},
+        {"label": "MPAPA", "variant": "mpapa"},
+        {"label": "BS-PAPA(P=32)", "variant": "bs-papa", "group_size": 32},
+        {"label": "BS-MPAPA(P=32)", "variant": "bs-mpapa", "group_size": 32},
+    ],
+}
+PRESET_NAMES = tuple(_PRESET_PANELS)
 
 
 def preset_config(
     name: str,
     *,
-    seed: int = _PRESET_SCENARIO_SEED,
+    seed: int = 42,
     total_samples: int = 60000,
     switch_sample: int = 30000,
-    snr_db: float | None = 30.0,
-    trace_decimation: int = 10,
+    snr_db: float | None = EchoScenario.snr_db,
+    trace_decimation: int = ExperimentConfig.trace_decimation,
 ) -> ExperimentConfig:
-    """Built-in benchmark presets.
+    """Built-in benchmark presets: experiment descriptions read by :func:`experiment_from_dict`.
 
-    Both presets identify a 1024-tap system driven by AR(1) colored noise
-    (pole 0.8) at 30 dB SNR, switching from a one-cluster response to a
-    two-cluster response at sample 30000.  ``fig2`` sweeps the BS-PAPA
-    group size over {1, 4, 16, 32, 64, 1024}; ``fig3`` compares APA, PAPA,
-    MPAPA, BS-PAPA(P=32) and BS-MPAPA(P=32).
+    Both identify a 1024-tap system whose response switches from one cluster to two
+    at ``switch_sample``, with panels at projection order 8: ``fig2`` sweeps the
+    BS-PAPA group size over {1, 4, 16, 32, 64, 1024}, ``fig3`` compares APA, PAPA,
+    MPAPA, BS-PAPA(P=32) and BS-MPAPA(P=32).  Every field left out takes the format's
+    default, the benchmark value.  A bad argument raises :class:`ConfigError` naming it.
     """
     if name not in PRESET_NAMES:
         raise ConfigError(f"preset: unknown name {name!r}; expected one of {PRESET_NAMES}")
-    one_cluster = make_block_sparse_ir(1024, [(257, 288)], seed=_PRESET_IR_SEEDS[0])
-    two_cluster = make_block_sparse_ir(1024, [(257, 288), (769, 800)], seed=_PRESET_IR_SEEDS[1])
-    schedule = [(0, one_cluster)]
+    schedule = [{"switch_sample": 0, "clusters": [[257, 288]]}]
     if switch_sample < total_samples:
-        schedule.append((switch_sample, two_cluster))
-    scenario = EchoScenario(
-        schedule=tuple(schedule),
-        excitation="ar1",
-        pole=0.8,
-        snr_db=snr_db,
-        seed=seed,
-        total_samples=total_samples,
+        schedule.append({"switch_sample": switch_sample, "clusters": [[257, 288], [769, 800]]})
+    scenario = {"filter_length": 1024, "total_samples": total_samples, "seed": seed, "snr_db": snr_db}
+    return experiment_from_dict(
+        {
+            "scenario": {**scenario, "schedule": schedule},
+            "panel": [{**entry, "projection_order": 8} for entry in _PRESET_PANELS[name]],
+            "trace_decimation": trace_decimation,
+        }
     )
-    if name == "fig2":
-        panel = [(f"P={p}", _paper_filter("bs-papa", p)) for p in (1, 4, 16, 32, 64, 1024)]
-    else:
-        panel = [
-            ("APA", _paper_filter("apa")),
-            ("PAPA", _paper_filter("papa")),
-            ("MPAPA", _paper_filter("mpapa")),
-            ("BS-PAPA(P=32)", _paper_filter("bs-papa", 32)),
-            ("BS-MPAPA(P=32)", _paper_filter("bs-mpapa", 32)),
-        ]
-    return ExperimentConfig(scenario=scenario, panel=panel, trace_decimation=trace_decimation)
 
 
 _REQUIRED = object()
@@ -384,7 +368,10 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
                 raise ConfigError(f"{path}[{k}]: expected a [start, end] pair, got {pair!r}")
             for value in pair:
                 _checked(value, _INTEGER, f"{path}[{k}]")
-        ir_seed = entry("seed", _INTEGER, _PRESET_IR_SEEDS[0] + j)
+        # fixed by default, so a run with another scenario seed identifies the same systems
+        ir_seed = entry("seed", _INTEGER, 1001 + j)
+        if ir_seed < 0:
+            raise ConfigError(f"{entry.prefix}seed: expected a non-negative integer, got {ir_seed}")
         switch = entry("switch_sample", _INTEGER)
         entry.close()
         try:
@@ -392,10 +379,11 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         schedule.append((switch, response))
-    seed = sc("seed", _INTEGER, 0)
+    seed = sc("seed", _INTEGER, EchoScenario.seed)
     total = sc("total_samples", _INTEGER)
-    excitation = sc("excitation", _STRING, "ar1")
-    pole, snr_db = sc("pole", _NUMBER_OR_NULL, 0.8), sc("snr_db", _NUMBER_OR_NULL, 30.0)
+    excitation = sc("excitation", _STRING, EchoScenario.excitation)
+    pole = sc("pole", _NUMBER_OR_NULL, EchoScenario.pole)
+    snr_db = sc("snr_db", _NUMBER_OR_NULL, EchoScenario.snr_db)
     sc.close()
     try:
         scenario = EchoScenario(
@@ -412,11 +400,11 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
     panel = []
     for entry in top.entries("panel"):
         label = entry("label", _STRING)
-        order = entry("projection_order", _INTEGER, 1)
-        group = entry("group_size", _INTEGER_OR_NULL, None)
-        step_size, regularization, rho, q = (
-            float(entry(key, _NUMBER, 0.01)) for key in ("step_size", "regularization", "rho", "q")
-        )
+        order = entry("projection_order", _INTEGER, FilterConfig.projection_order)
+        group = entry("group_size", _INTEGER_OR_NULL, FilterConfig.group_size)
+        step_size = float(entry("step_size", _NUMBER, FilterConfig.step_size))
+        regularization = float(entry("regularization", _NUMBER, FilterConfig.regularization))
+        rho, q = (float(entry(key, _NUMBER, getattr(StallGuards, key))) for key in ("rho", "q"))
         variant = entry("variant", _STRING)
         entry("regressor_mode", None, None)  # read by earlier versions; accepted and ignored
         entry.close()
@@ -433,8 +421,8 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{entry.path}: {exc}") from exc
         panel.append((label, cfg))
-    decimation = top("trace_decimation", _INTEGER, 10)
-    output_path = top("output_path", _STRING_OR_NULL, None)
+    decimation = top("trace_decimation", _INTEGER, ExperimentConfig.trace_decimation)
+    output_path = top("output_path", _STRING_OR_NULL, ExperimentConfig.output_path)
     top.close()
     return ExperimentConfig(
         scenario=scenario,

@@ -17,14 +17,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    config = bench.preset_config(
-        args.name,
-        seed=args.seed,
-        total_samples=args.total_samples,
-        snr_db=args.snr_db,
-        trace_decimation=args.decimation,
-    )
-    return _run_and_report(config, args.out or f"{args.name}.csv")
+    flags = ("seed", "total_samples", "snr_db", "trace_decimation")
+    given = {key: getattr(args, key) for key in flags if key in args}
+    return _run_and_report(bench.preset_config(args.name, **given), args.out or f"{args.name}.csv")
 
 
 def _run_and_report(config, out) -> int:
@@ -61,13 +56,16 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="trace CSV output path")
     run.set_defaults(func=_cmd_run)
 
-    preset = sub.add_parser("preset", help="run a built-in benchmark preset")
+    # A flag left out stays out of the namespace, so preset_config's default applies.
+    preset = sub.add_parser(
+        "preset", help="run a built-in benchmark preset", argument_default=argparse.SUPPRESS
+    )
     preset.add_argument("name", choices=bench.PRESET_NAMES)
     preset.add_argument("--out", default=None, help="trace CSV output path")
-    preset.add_argument("--seed", type=int, default=42, help="scenario seed")
-    preset.add_argument("--total-samples", type=int, default=60000)
-    preset.add_argument("--snr-db", type=float, default=30.0)
-    preset.add_argument("--decimation", type=int, default=10)
+    preset.add_argument("--seed", type=int, help="scenario seed")
+    preset.add_argument("--total-samples", type=int)
+    preset.add_argument("--snr-db", type=float)
+    preset.add_argument("--decimation", type=int, dest="trace_decimation", metavar="N")
     preset.set_defaults(func=_cmd_preset)
 
     count = sub.add_parser(

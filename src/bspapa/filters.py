@@ -150,6 +150,11 @@ class FilterConfig:
         return (self.group_size + self.projection_order - 1) * self.block_count
 
 
+def _ring_shape(config: FilterConfig) -> tuple[int, int]:
+    """The ``(2M, L)`` shape of a memory member's regressor ring (see :class:`FilterState`)."""
+    return (2 * config.projection_order, config.filter_length)
+
+
 @dataclass(eq=False)
 class FilterState:
     """Mutable per-stream state: weights plus the memory-variant regressor.
@@ -167,9 +172,7 @@ class FilterState:
 
     @classmethod
     def initial(cls, config: FilterConfig) -> "FilterState":
-        ring = None
-        if config.is_memory:
-            ring = np.zeros((2 * config.projection_order, config.filter_length))
+        ring = np.zeros(_ring_shape(config)) if config.is_memory else None
         return cls(weights=np.zeros(config.filter_length), memory_ring=ring)
 
     @property
@@ -472,10 +475,7 @@ def filter_step(
             f"expected float weights of length {config.filter_length}, got "
             f"{weights.dtype} of shape {weights.shape}"
         )
-    if config.is_memory and (
-        state.memory_ring is None
-        or state.memory_ring.shape != (2 * config.projection_order, config.filter_length)
-    ):
+    if config.is_memory and (state.memory_ring is None or state.memory_ring.shape != _ring_shape(config)):
         raise ValueError("state holds no memory regressor of the config's shape")
     return _Batch.of(config, state).step_one(state, history, desired)
 
@@ -522,8 +522,7 @@ class _Batch:
     def of(cls, config: FilterConfig, state: FilterState) -> "_Batch":
         """The batch of one filter, over views of ``state``'s arrays."""
         ring = state.memory_ring
-        empty = np.empty((0, 2 * config.projection_order, config.filter_length))
-        rings = empty if ring is None else ring[None]
+        rings = np.empty((0, *_ring_shape(config))) if ring is None else ring[None]
         return cls([config], state.weights[None], rings, state.memory_head)
 
     def without(self, rows) -> "_Batch":
@@ -593,9 +592,8 @@ def _panel_batches(configs):
         groups.setdefault((config.projection_order, config.is_scalar), []).append(k)
     for indices in groups.values():
         members = [configs[k] for k in indices]
-        length, order = members[0].filter_length, members[0].projection_order
-        rings = np.zeros((sum(c.is_memory for c in members), 2 * order, length))
-        yield indices, _Batch(members, np.zeros((len(members), length)), rings)
+        rings = np.zeros((sum(c.is_memory for c in members), *_ring_shape(members[0])))
+        yield indices, _Batch(members, np.zeros((len(members), members[0].filter_length)), rings)
 
 
 class AdaptiveFilter:

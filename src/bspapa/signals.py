@@ -28,10 +28,12 @@ MISALIGNMENT_FLOOR_DB = -300.0
 
 
 def _validated_clusters(clusters, filter_length: int) -> tuple[tuple[int, int], ...]:
-    """Normalize 1-based inclusive (start, end) ranges; reject bad layouts."""
+    """Normalize 1-based inclusive (start, end) integer ranges; reject bad layouts."""
     spec = []
-    for entry in clusters:
-        start, end = int(entry[0]), int(entry[1])
+    for start, end in clusters:
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (start, end)):
+            raise ValueError(f"cluster ({start!r}, {end!r}): endpoints must be integers")
+        start, end = int(start), int(end)
         if not 1 <= start <= end <= filter_length:
             raise ValueError(
                 f"cluster ({start}, {end}) outside the valid tap range [1, {filter_length}]"
@@ -81,12 +83,13 @@ def make_block_sparse_ir(filter_length: int, clusters, seed: int) -> ImpulseResp
     Cluster taps are drawn in the order the clusters are listed, so the
     response is fully determined by ``(filter_length, clusters, seed)``.
     """
-    spec = _validated_clusters(clusters, filter_length)
+    if filter_length < 1:
+        raise ValueError(f"filter_length must be positive, got {filter_length}")
+    response = ImpulseResponse(np.zeros(filter_length), clusters)  # validates the clusters
     rng = np.random.default_rng(seed)
-    taps = np.zeros(filter_length)
-    for start, end in spec:
-        taps[start - 1 : end] = rng.standard_normal(end - start + 1)
-    return ImpulseResponse(taps, spec)
+    for start, end in response.cluster_spec:
+        response.taps[start - 1 : end] = rng.standard_normal(end - start + 1)
+    return response
 
 
 def ar1_filter(driving, pole: float) -> np.ndarray:
@@ -129,7 +132,12 @@ def scale_noise_for_snr(clean_echo, snr_db: float, seed: int) -> np.ndarray:
         raise ValueError("clean_echo has zero power; SNR scaling is undefined")
     raw = np.random.default_rng(seed).standard_normal(clean.size)
     raw_power = float(np.mean(raw * raw))
-    target_power = clean_power / 10.0 ** (snr_db / 10.0)
+    try:  # at an extreme snr_db the power ratio overflows or the noise power underflows
+        target_power = clean_power / 10.0 ** (float(snr_db) / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        target_power = 0.0
+    if not 0.0 < target_power < math.inf:
+        raise ValueError(f"snr_db={snr_db} puts the noise power outside the positive floats")
     return raw * np.sqrt(target_power / raw_power)
 
 
@@ -191,6 +199,8 @@ class EchoScenario:
         length = entries[0][1].filter_length
         if any(r.filter_length != length for _, r in entries):
             raise ValueError("all scheduled responses must share one filter length")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.total_samples < 1:
             raise ValueError(f"total_samples must be >= 1, got {self.total_samples}")
         if switches[-1] >= self.total_samples:

@@ -555,6 +555,53 @@ class TestConfigParsing:
         assert reseeded.scenario.total_samples == exp.scenario.total_samples
         assert reseeded.panel == exp.panel
 
+    def test_negative_response_seed_names_schedule_seed(self):
+        raw = self.raw()
+        raw["scenario"]["schedule"][1]["seed"] = -1
+        with pytest.raises(ConfigError) as excinfo:
+            experiment_from_dict(raw)
+        assert str(excinfo.value) == "scenario.schedule[1].seed: expected a non-negative integer, got -1"
+
+    def test_negative_scenario_seed_names_seed(self):
+        raw = self.raw()
+        raw["scenario"]["seed"] = -1
+        with pytest.raises(ConfigError) as excinfo:
+            experiment_from_dict(raw)
+        assert str(excinfo.value) == "scenario: seed must be non-negative, got -1"
+
+    def test_minimal_description_takes_the_constructor_defaults(self):
+        raw = {
+            "scenario": {
+                "filter_length": 32,
+                "total_samples": 400,
+                "schedule": [
+                    {"switch_sample": 0, "clusters": [[9, 12]]},
+                    {"switch_sample": 200, "clusters": [[25, 28]]},
+                ],
+            },
+            "panel": [{"label": "a", "variant": "bs-papa", "group_size": 4}],
+        }
+        exp = experiment_from_dict(raw)
+        # response j defaults to seed 1001 + j
+        responses = (
+            (0, make_block_sparse_ir(32, [(9, 12)], seed=1001)),
+            (200, make_block_sparse_ir(32, [(25, 28)], seed=1002)),
+        )
+        built = ExperimentConfig(
+            scenario=EchoScenario(schedule=responses, total_samples=400),
+            panel=[("a", FilterConfig("bs-papa", 32, group_size=4))],
+        )
+        assert exp.panel == built.panel
+        assert (exp.trace_decimation, exp.output_path) == (built.trace_decimation, built.output_path)
+        for name in ("excitation", "pole", "snr_db", "seed", "total_samples"):
+            assert getattr(exp.scenario, name) == getattr(built.scenario, name), name
+        for (switch, response), (built_switch, built_response) in zip(
+            exp.scenario.schedule, built.scenario.schedule, strict=True
+        ):
+            assert switch == built_switch
+            assert response.cluster_spec == built_response.cluster_spec
+            np.testing.assert_array_equal(response.taps, built_response.taps)
+
 
 class TestPresets:
     def test_fig2_panel(self):
@@ -590,6 +637,11 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_config("fig9")
+
+    def test_bad_argument_names_scenario(self):
+        with pytest.raises(ConfigError) as excinfo:
+            preset_config("fig2", total_samples=0)
+        assert str(excinfo.value).startswith("scenario:")
 
 
 class TestCli:
@@ -678,3 +730,30 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "sample,label,misalignment_db"
         assert len(lines) == 1 + 5 * 8  # 5 labels, 400/50 rows each
+
+    def test_preset_forwards_only_given_flags(self, tmp_path):
+        out = tmp_path / "cli.csv"
+        assert cli_main(["preset", "fig3", "--out", str(out), "--total-samples", "400"]) == 0
+        traces, summary = run_experiment(preset_config("fig3", total_samples=400))
+        trace_path, summary_path = write_traces_csv(traces, summary, tmp_path / "api.csv")
+        assert out.read_bytes() == trace_path.read_bytes()
+        assert (tmp_path / "cli.csv.summary.csv").read_bytes() == summary_path.read_bytes()
+
+    @pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+    def test_extreme_snr_db_is_a_named_error(self, tmp_path, capsys, snr_db):
+        args = ["--total-samples", "400", "--snr-db", snr_db, "--out", str(tmp_path / "o.csv")]
+        assert cli_main(["preset", "fig3", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "snr_db" in err and "Traceback" not in err
+        raw = TestConfigParsing().raw()
+        raw["scenario"]["snr_db"] = float(snr_db)
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "snr_db" in err and "Traceback" not in err
+
+    def test_negative_preset_seed_is_a_named_error(self, tmp_path, capsys):
+        args = ["--total-samples", "400", "--seed", "-1", "--out", str(tmp_path / "o.csv")]
+        assert cli_main(["preset", "fig3", *args]) == 1
+        assert capsys.readouterr().err == "error: scenario: seed must be non-negative, got -1\n"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bspapa import signals
 from bspapa import (
     EchoScenario,
     ImpulseResponse,
@@ -51,6 +52,31 @@ class TestImpulseResponse:
         taps[0] = 1.0
         with pytest.raises(ValueError):
             ImpulseResponse(taps, ((3, 4),))
+
+    @pytest.mark.parametrize("cluster", [(1.5, 8), (True, 8), ("3", 8), (1, 8.0), (np.bool_(True), 8)])
+    def test_non_integer_endpoints_rejected(self, cluster):
+        with pytest.raises(ValueError, match="endpoints must be integers"):
+            make_block_sparse_ir(64, [cluster], seed=1)
+
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_non_positive_length_names_filter_length(self, length):
+        with pytest.raises(ValueError, match=f"filter_length must be positive, got {length}"):
+            make_block_sparse_ir(length, [(1, 1)], seed=1)
+
+    def test_numpy_integer_endpoints_accepted(self):
+        ir = make_block_sparse_ir(64, [(np.int64(1), np.int32(8))], seed=1)
+        assert ir.cluster_spec == ((1, 8),)
+        assert all(type(v) is int for v in ir.cluster_spec[0])
+        np.testing.assert_array_equal(ir.taps, make_block_sparse_ir(64, [(1, 8)], seed=1).taps)
+
+    def test_clusters_validated_once_per_response(self, monkeypatch):
+        calls = []
+        original = signals._validated_clusters
+        monkeypatch.setattr(
+            signals, "_validated_clusters", lambda *args: calls.append(args) or original(*args)
+        )
+        make_block_sparse_ir(64, [(5, 12), (33, 40)], seed=1)
+        assert len(calls) == 1
 
 
 class TestExcitation:
@@ -122,6 +148,13 @@ class TestNoiseScaling:
         with pytest.raises(ValueError):
             scale_noise_for_snr([], 30.0, seed=1)
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, np.float64(4000.0), 1e308])
+    def test_extreme_snr_names_snr_db(self, snr_db):
+        # 10**400 overflows and 10**-400 underflows to zero; neither may escape as
+        # OverflowError or ZeroDivisionError.
+        with pytest.raises(ValueError, match="snr_db"):
+            scale_noise_for_snr(np.ones(16), snr_db, seed=1)
+
 
 class TestMisalignment:
     def test_zero_estimate_is_zero_db(self):
@@ -181,6 +214,10 @@ class TestEchoScenario:
         short = make_block_sparse_ir(8, [(3, 4)], seed=4)
         with pytest.raises(ValueError):
             EchoScenario(schedule=((0, self.ir()), (10, short)), total_samples=20)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            EchoScenario(schedule=((0, self.ir()),), seed=-1, total_samples=10)
 
     def test_ar1_needs_valid_pole(self):
         with pytest.raises(ValueError):
