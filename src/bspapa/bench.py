@@ -360,6 +360,8 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
     top = _Fields(raw, "")
     sc = _Fields(top("scenario"), "scenario")
     filter_length = sc("filter_length", _INTEGER)
+    if filter_length < 1:  # before the responses, which would report it under their clusters
+        raise ConfigError(f"{sc.prefix}filter_length: expected a positive integer, got {filter_length}")
     schedule = []
     for j, entry in enumerate(sc.entries("schedule")):
         clusters, path = entry("clusters", _PAIRS), entry.prefix + "clusters"

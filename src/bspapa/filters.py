@@ -18,11 +18,19 @@ error, Gram and update products are stacked over the filters, with one
 pivot test per step.  ``filter_step`` and ``AdaptiveFilter`` run it for a
 single filter over views of a ``FilterState``; ``_panel_batches`` builds the
 zeroed batches of a panel, which ``run_experiment`` streams.
+
+The kernel builds W only where building saves products.  A single block
+has gain exactly one, so its W is X(n) itself, which the history serves as
+a C-contiguous view (``RegressorHistory.regressor_rows``); one-tap blocks
+weight that view in one multiply, since the efficient build spends the
+same M*L products there.  Wider groups place (P+M-1)*N products as the
+paper does.  All three give the same bits as the public builders.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -83,8 +91,10 @@ class FilterConfig:
     ``apa`` forces a single full-length block, ``papa``/``mpapa``/``pnlms``
     force one-tap blocks, and the ``*-pnlms`` members require a projection
     order of one.  The block-sparse members need an explicit ``group_size``
-    dividing ``filter_length``.  The weighted regressor is always built
-    with per-block product reuse (see :func:`build_weighted_regressor_efficient`).
+    dividing ``filter_length``.  The weighted regressor always has the bits
+    of the per-block product reuse build (see
+    :func:`build_weighted_regressor_efficient`); the step kernel reaches
+    them without a build where one would save nothing (see the module notes).
     """
 
     variant: str
@@ -144,7 +154,14 @@ class FilterConfig:
 
     @property
     def multiplications_per_step(self) -> int:
-        """Products spent building the weighted regressor each sample."""
+        """The paper's count of products building the weighted regressor each sample.
+
+        This is the cost model of :func:`build_weighted_regressor_efficient`
+        (L for the memory members), reported in the summaries'
+        ``mults_per_step`` column.  The step kernel spends none of them on a
+        single block of gain one (``apa``, ``bs-papa`` with P=L), whose
+        weighted regressor is the input regressor itself.
+        """
         if self.is_memory:
             return self.filter_length
         return (self.group_size + self.projection_order - 1) * self.block_count
@@ -204,6 +221,15 @@ class RegressorHistory:
     next push.  :meth:`regressor_matrix` and :meth:`block_windows` index
     read-only strided views built once per history (the block views once
     per group size), so they cost one integer index per call.
+
+    :meth:`regressor_rows` serves X(n) itself C-contiguous, from a second
+    ring of ``2*span`` rows of M floats, mirrored like the first: row i of
+    X(n) is ring row ``head + i``, the M samples x(n - i) .. x(n - i - M + 1).
+    The ring exists only once :meth:`regressor_rows` has been called (the
+    step kernel calls it only for a batch with a unit-gain or one-tap
+    projection row), and from then on each push writes one row twice; it
+    costs ``2*span*M`` floats (0.13 MiB at L=1024, M=8; 1.05 MiB at
+    L=4096, M=16).
     """
 
     def __init__(self, filter_length: int, projection_order: int):
@@ -230,11 +256,14 @@ class RegressorHistory:
             writeable=False,
         )
         self._block_views: dict[int, np.ndarray] = {}
+        self._rows = self._row_slots = None  # the row ring, made by regressor_rows()
 
     def push(self, sample: float) -> None:
         """Append ``sample`` as the newest input x(n)."""
-        self._head = (self._head - 1) % self._span
-        self._slots[self._head] = sample
+        self._head = head = (self._head - 1) % self._span
+        self._slots[head] = sample
+        if self._rows is not None:
+            self._row_slots[head] = self._buf[head : head + self.projection_order]
 
     def extend(self, samples) -> None:
         """Push a batch of samples, oldest first."""
@@ -254,6 +283,25 @@ class RegressorHistory:
     def regressor_matrix(self) -> np.ndarray:
         """The L-by-M matrix whose column j is the input vector delayed j samples."""
         return self._xt[self._head].T
+
+    def regressor_rows(self) -> np.ndarray:
+        """:meth:`regressor_matrix` as a C-contiguous view of the row ring.
+
+        The first call allocates the ring and fills it from the stored
+        samples; every later push keeps it current.
+        """
+        if self._rows is None:
+            span, order = self._span, self.projection_order
+            step = self._buf.strides[0]
+            rows = np.empty((2 * span, order))
+            # ring row r holds the M samples from window slot r mod span on
+            rows[:span] = rows[span:] = as_strided(self._buf, (span, order), (step, step))
+            row = rows.strides[0]
+            # entry h is ring rows h and h + span, the two copies a push at head h writes
+            self._row_slots = as_strided(rows, (span, 2, order), (row, span * row, step))
+            self._rows = rows.view()
+            self._rows.flags.writeable = False
+        return self._rows[self._head : self._head + self.filter_length]
 
     def block_windows(self, group_size: int) -> np.ndarray:
         """The N-by-(P+M-1) samples each block of ``group_size`` taps reads.
@@ -448,6 +496,12 @@ def _per_tap(block_gains: np.ndarray, group_size: int) -> np.ndarray:
     return block_gains if group_size == 1 else np.repeat(block_gains, group_size)
 
 
+# state -> (config, weights, memory ring, batch): the batch of one that
+# filter_step last built for the state, reused while the state still holds
+# the arrays the batch views and the config is the same object
+_STEP_BATCHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def filter_step(
     config: FilterConfig, state: FilterState, history: RegressorHistory, desired
 ) -> float:
@@ -457,7 +511,9 @@ def filter_step(
     desired samples, newest first.  Gains are recomputed from the current
     weights every call; the returned ``d(n) - x(n).T @ w`` uses the old weights.
     The arguments are checked against ``config`` on every call; the step
-    itself is the batch kernel :class:`_Batch` over this one filter.
+    itself is the batch kernel :class:`_Batch` over this one filter, built
+    on the first call for ``state`` and reused while ``config`` is the same
+    object and ``state`` holds the same weight and memory arrays.
     """
     if (
         history.filter_length != config.filter_length
@@ -475,19 +531,31 @@ def filter_step(
             f"expected float weights of length {config.filter_length}, got "
             f"{weights.dtype} of shape {weights.shape}"
         )
-    if config.is_memory and (state.memory_ring is None or state.memory_ring.shape != _ring_shape(config)):
+    ring = state.memory_ring
+    if config.is_memory and (ring is None or ring.shape != _ring_shape(config)):
         raise ValueError("state holds no memory regressor of the config's shape")
-    return _Batch.of(config, state).step_one(state, history, desired)
+    cached = _STEP_BATCHES.get(state)
+    if cached is None or cached[0] is not config or cached[1] is not weights or cached[2] is not ring:
+        cached = _STEP_BATCHES[state] = (config, weights, ring, _Batch.of(config, state))
+    return cached[3].step_one(state, history, desired)
 
 
 class _Batch:
     """The step kernel: B filters sharing (L, M) and the branch, stepped as one.
 
-    The weights are the rows of one ``(B, L)`` block; memory members come
-    last, their rings stacked as ``(Bm, 2M, L)`` under one head.  Each
-    stacked product (error, Gram over a C-contiguous ``(B, L, M)`` build
-    stack or the ring view, update) equals the per-filter product bit for
-    bit, and the pieces are the bodies the public functions wrap.  No checks.
+    The weights are the rows of one ``(B, L)`` block, in three runs:
+    built rows, unit-gain rows, memory rows.  Built rows weight their
+    regressor into a C-contiguous ``(Bb, L, M)`` stack.  A unit-gain row
+    (one block, whose gain is exactly one) uses X(n) itself, the history's
+    :meth:`~RegressorHistory.regressor_rows` view, and builds nothing.  A
+    one-tap built row multiplies that view by its tap gains in one pass;
+    wider groups place the products of the efficient build.  Memory members
+    keep their rings stacked as ``(Bm, 2M, L)`` under one head.  Each
+    stacked product (error, Gram over the stack, the row view or the ring
+    view, update) equals the per-filter product bit for bit, and the pieces
+    are the bodies the public functions wrap.  Only a batch with a
+    unit-gain or one-tap projection row reads the row view, so only its
+    history makes the row ring.  No checks.
     """
 
     def __init__(self, configs, weights: np.ndarray, rings: np.ndarray, head: int = 0):
@@ -495,6 +563,8 @@ class _Batch:
         (count, length), order = weights.shape, configs[0].projection_order
         self.scalar, self.plain = configs[0].is_scalar, count - len(rings)
         p = self.plain
+        units = 0 if self.scalar else sum(c.block_count == 1 for c in configs[:p])
+        built = 0 if self.scalar else p - units
         self.mu = np.array([[c.step_size] for c in configs])
         self.delta = np.array([[c.regularization] for c in configs])
         error, update = np.empty((count, order, 1)), np.empty((count, length, 1))
@@ -504,13 +574,17 @@ class _Batch:
         self._diagonal = lu.reshape(count, -1)[:, :: order + 1]
         self._rhs = error[:, :, 0]
         self._systems = list(zip(self._lu, self._rhs))  # F-contiguous LU, rhs row
-        weighted = self._update if self.scalar else np.empty((p, length, order))
-        # scalar rows take their weighted input, projection rows their build in _rows_of form
-        out = weighted if self.scalar else [_rows_of(m, c.group_size) for c, m in zip(configs, weighted)]
-        self._plain = list(zip(configs, weights, out))  # zip stops at the memory rows
+        # scalar rows weight their input in place of their update
+        self._scalar_rows = list(zip(configs, weights, self._update)) if self.scalar else []
+        weighted = np.empty((built, length, order))
+        rows = list(zip(configs, weights, weighted))  # the built rows: zip stops at the unit rows
+        self._one_tap = [(c, w, m) for c, w, m in rows if c.group_size == 1]
+        self._placed = [(c, w, _rows_of(m, c.group_size)) for c, w, m in rows if c.group_size > 1]
         self._memory = list(zip(configs[p:], weights[p:]))
-        # (weighted, gram, error, update): the plain rows' part, the ring rows' stacks
-        self._parts = [(weighted, gram[:p], error[:p], update[:p])] if p else []
+        # (weighted, gram, error, update): the built rows' part, the unit and ring rows' stacks
+        self._parts = [(weighted, gram[:built], error[:built], update[:built])] if built else []
+        self._unit_stacks = (gram[built:p], error[built:p], update[built:p]) if units else None
+        self._reads_rows = bool(units or self._one_tap)
         self._ring_stacks = (gram[p:], error[p:], update[p:])
         # Indexed by head: the ring rows, and the (Bm, L, M) regressors as in FilterState.
         self._ring_rows = rings.transpose(1, 0, 2)
@@ -547,7 +621,7 @@ class _Batch:
         weights, update, failed = self.weights, self._update, {}
         if self.scalar:  # per row: two dot products, cheapest as Python floats
             x, prior = history.input_vector(), []
-            for b, (config, w, weighted) in enumerate(self._plain):
+            for b, (config, w, weighted) in enumerate(self._scalar_rows):
                 prior.append(desired[0] - float(np.dot(x, w)))
                 np.multiply(_per_tap(_block_gains(config, w), config.group_size), x, out=weighted)
                 denominator = float(np.dot(x, weighted)) + config.regularization
@@ -562,9 +636,16 @@ class _Batch:
             np.matmul(regressor_t, self._columns, out=self._error)
             np.subtract(desired, rhs, out=rhs)
             prior = rhs[:, 0].tolist()
-            for config, w, out in self._plain:
-                _place_products(_block_gains(config, w), history.block_windows(config.group_size), out)
             parts, rows, order = self._parts, self._ring_rows, history.projection_order
+            if self._reads_rows:
+                regressor = history.regressor_rows()
+                for config, w, out in self._one_tap:  # the tap gains repeated along each row
+                    gains = np.repeat(_block_gains(config, w), order).reshape(-1, order)
+                    np.multiply(gains, regressor, out=out)
+                if self._unit_stacks:
+                    parts = [*parts, (regressor, *self._unit_stacks)]
+            for config, w, out in self._placed:
+                _place_products(_block_gains(config, w), history.block_windows(config.group_size), out)
             if self._memory:
                 self.head = head = (self.head - 1) % order
                 gains = [_per_tap(_block_gains(c, w), c.group_size) for c, w in self._memory]
@@ -583,12 +664,18 @@ class _Batch:
         return prior, failed
 
 
+def _row_run(config: FilterConfig) -> int:
+    """The run of :class:`_Batch` rows ``config`` belongs to: 0 built, 1 unit-gain, 2 memory."""
+    return 2 if config.is_memory else int(config.block_count == 1)
+
+
 def _panel_batches(configs):
     """One zeroed :class:`_Batch` per (projection order, branch) of ``configs``,
     which share the filter length, as ``(indices, batch)``: row b of the batch
-    is ``configs[indices[b]]``, memory members last."""
+    is ``configs[indices[b]]``, in the batch's row order (built rows, unit-gain
+    rows, memory rows)."""
     groups = {}
-    for k, config in sorted(enumerate(configs), key=lambda e: e[1].is_memory):
+    for k, config in sorted(enumerate(configs), key=lambda e: _row_run(e[1])):
         groups.setdefault((config.projection_order, config.is_scalar), []).append(k)
     for indices in groups.values():
         members = [configs[k] for k in indices]

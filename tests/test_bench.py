@@ -1,6 +1,7 @@
 """Harness behavior: runs, traces, CSV files, config parsing, and the CLI."""
 
 import csv
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -23,6 +24,7 @@ from bspapa import (
 )
 from bspapa.bench import RunSummary, SegmentSummary, with_seed
 from bspapa.cli import main as cli_main
+from bspapa.filters import _panel_batches
 
 
 def small_scenario(seed=5, total=1200, switch=600, snr_db=30.0, kind="ar1"):
@@ -151,6 +153,39 @@ class TestRunExperiment:
         ]
         traces, summary = run_experiment(ExperimentConfig(scenario=sc, panel=panel, trace_decimation=1))
         assert [t.label for t in traces] == [label for label, _ in panel] and not summary.failures
+
+        from bspapa import AdaptiveFilter
+
+        x, d = synthesize_scenario(sc)
+        for trace, (label, cfg) in zip(traces, panel):
+            solo, _ = run_experiment(ExperimentConfig(scenario=sc, panel=[(label, cfg)], trace_decimation=1))
+            assert np.array_equal(trace.values, solo[0].values), label
+            filt = AdaptiveFilter(cfg)
+            streamed = np.empty(300)
+            for start, end, response in sc.segments():
+                for n in range(start, end):
+                    filt.process(x[n], d[n])
+                    streamed[n] = misalignment_db(response.taps, filt.weights)
+            assert np.array_equal(trace.values, streamed), label
+
+    @pytest.mark.parametrize("order", [3, 8])
+    def test_row_view_entries_equal_their_solo_runs(self, order):
+        # unit-gain rows (apa, bs-papa P=L), one-tap rows (papa), placed
+        # products (bs-papa P=4) and memory rows in one batch
+        sc = small_scenario(total=300, switch=150)
+        base = dict(filter_length=32, projection_order=order)
+        panel = [
+            ("apa", FilterConfig("apa", step_size=0.3, **base)),
+            ("bs-papa P=L", FilterConfig("bs-papa", group_size=32, step_size=0.2, **base)),
+            ("papa", FilterConfig("papa", step_size=0.25, regularization=0.03, **base)),
+            ("bs-papa P=4", FilterConfig("bs-papa", group_size=4, step_size=0.5, **base)),
+            ("mpapa", FilterConfig("mpapa", step_size=0.2, **base)),
+            ("bs-mpapa", FilterConfig("bs-mpapa", group_size=4, step_size=0.4, **base)),
+        ]
+        [(indices, batch)] = _panel_batches([cfg for _, cfg in panel])
+        assert indices == [2, 3, 0, 1, 4, 5]  # built rows, unit-gain rows, memory rows
+        traces, summary = run_experiment(ExperimentConfig(scenario=sc, panel=panel, trace_decimation=1))
+        assert not summary.failures
 
         from bspapa import AdaptiveFilter
 
@@ -562,6 +597,14 @@ class TestConfigParsing:
             experiment_from_dict(raw)
         assert str(excinfo.value) == "scenario.schedule[1].seed: expected a non-negative integer, got -1"
 
+    @pytest.mark.parametrize("length", [0, -4])
+    def test_non_positive_filter_length_names_filter_length(self, length):
+        raw = self.raw()
+        raw["scenario"]["filter_length"] = length
+        with pytest.raises(ConfigError) as excinfo:
+            experiment_from_dict(raw)
+        assert str(excinfo.value) == f"scenario.filter_length: expected a positive integer, got {length}"
+
     def test_negative_scenario_seed_names_seed(self):
         raw = self.raw()
         raw["scenario"]["seed"] = -1
@@ -642,6 +685,19 @@ class TestPresets:
         with pytest.raises(ConfigError) as excinfo:
             preset_config("fig2", total_samples=0)
         assert str(excinfo.value).startswith("scenario:")
+
+
+# sha256 of the files `bspapa-bench preset <name> --total-samples 2000` writes
+PRESET_DIGESTS = {
+    "fig2": {
+        "fig2.csv": "2d0dc917369d7a4a1be515f829affa9a3938dfc0bbca5678c435195d285668fc",
+        "fig2.csv.summary.csv": "f30ba39131410a5baf3e942002181503e3693be5c5e4b04c962261b74c3a70a1",
+    },
+    "fig3": {
+        "fig3.csv": "83844b9db4a583fbd6a3413e13c230c2288807aa17b21e95dcabff700a86c7e4",
+        "fig3.csv.summary.csv": "65adda71a91ec4c834fbaf5d043d031f2fc16ddbac74bebb5ffb3ce2207e5c72",
+    },
+}
 
 
 class TestCli:
@@ -730,6 +786,13 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "sample,label,misalignment_db"
         assert len(lines) == 1 + 5 * 8  # 5 labels, 400/50 rows each
+
+    @pytest.mark.parametrize("name", PRESET_DIGESTS)
+    def test_preset_csv_bytes_are_pinned(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        assert cli_main(["preset", name, "--out", str(out), "--total-samples", "2000"]) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+        assert written == PRESET_DIGESTS[name]
 
     def test_preset_forwards_only_given_flags(self, tmp_path):
         out = tmp_path / "cli.csv"

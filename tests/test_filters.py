@@ -133,6 +133,17 @@ class TestRegressorHistory:
         with pytest.raises(ValueError):
             RegressorHistory(4, 0)
 
+    @pytest.mark.parametrize("L,M", [(16, 1), (16, 3), (64, 8)])
+    @pytest.mark.parametrize("first_read", [0, 7])
+    def test_row_ring_is_the_contiguous_regressor(self, L, M, first_read):
+        rng = np.random.default_rng(L + M + first_read)
+        history = make_history(rng.standard_normal(first_read), L, M)
+        for _ in range(2 * (L + M) + 3):  # past 2*span pushes: the ring wraps
+            rows = history.regressor_rows()
+            assert rows.flags.c_contiguous and not rows.flags.writeable
+            assert np.array_equal(rows, np.ascontiguousarray(history.regressor_matrix()))
+            history.push(rng.standard_normal())
+
 
 class TestRegressorBuilders:
     def test_identity_gains_reproduce_regressor(self):
@@ -328,6 +339,31 @@ class TestBlasLayout:
             ring_views = batch._ring_views[batch.head]  # the ring regressors
             assert ring_views.shape == (memory, 16, 3) and all(blas_ready(m) for m in ring_views)
             assert all(lu.flags.f_contiguous for lu in batch._lu)
+
+    @pytest.mark.parametrize(
+        "variants,reads_rows",
+        [
+            (("pnlms", "bs-pnlms"), False),  # scalar rows
+            (("mpapa", "bs-mpapa"), False),  # memory rows
+            (("bs-papa",), False),  # built by product placement
+            (("bs-papa", "papa"), True),  # one-tap rows multiply the row view
+            (("apa", "mpapa"), True),  # unit-gain rows are the row view
+        ],
+    )
+    def test_only_unit_gain_and_one_tap_rows_make_the_row_ring(self, variants, reads_rows):
+        configs = [
+            FilterConfig(v, 16, 1 if v.endswith("pnlms") else 3, 4 if v.startswith("bs-") else None)
+            for v in variants
+        ]
+        [(_, batch)] = filters._panel_batches(configs)
+        order = configs[0].projection_order
+        history = RegressorHistory(16, order)
+        rng = np.random.default_rng(len(variants))
+        for _ in range(5):
+            history.push(rng.standard_normal())
+            batch.step(history, rng.standard_normal(order))
+        expected = (2 * (16 + order - 1), order) if reads_rows else None  # 2*span rows of M floats
+        assert (None if history._rows is None else history._rows.shape) == expected
 
     @pytest.mark.parametrize("group", [1, 4, 16])
     @pytest.mark.parametrize("order", [1, 2, 8])
@@ -533,6 +569,40 @@ class TestFilterStep:
             assert filt.process(x[n], d[n]) == expected
             assert np.array_equal(filt.weights, state.weights)
         assert np.any(state.weights != 0.0)
+
+    @pytest.mark.parametrize("variant,group", [("bs-papa", 4), ("bs-mpapa", 4)])
+    def test_filter_step_reuses_its_batch_while_the_state_arrays_stay(self, variant, group):
+        cfg = FilterConfig(variant, 16, 3, group_size=group, step_size=0.3)
+        other = FilterConfig(variant, 16, 3, group_size=group, step_size=0.7)
+        rng = np.random.default_rng(25)
+        state, history = FilterState.initial(cfg), RegressorHistory(16, 3)
+
+        def step(config):
+            """One filter_step, checked against a fresh batch of one on a copy of the state."""
+            history.push(rng.standard_normal())
+            desired = rng.standard_normal(3)
+            ring = state.memory_ring
+            ring_copy = None if ring is None else ring.copy()
+            shadow = FilterState(state.weights.copy(), ring_copy, state.memory_head)
+            expected = filters._Batch.of(config, shadow).step_one(shadow, history, desired)
+            assert filter_step(config, state, history, desired) == expected
+            assert np.array_equal(state.weights, shadow.weights)
+            assert ring is None or np.array_equal(state.memory_ring, shadow.memory_ring)
+            return filters._STEP_BATCHES[state][3]
+
+        for _ in range(4):
+            batch = step(cfg)
+        assert step(cfg) is batch
+        old = state.weights
+        state.weights = old.copy()
+        before = old.copy()
+        assert step(cfg) is not batch  # rebinding the weights rebuilds the batch
+        assert np.array_equal(old, before) and not np.array_equal(state.weights, before)
+        batch = step(other)  # so does another config object
+        assert batch.mu[0, 0] == 0.7
+        if cfg.is_memory:  # and rebinding the memory ring
+            state.memory_ring = state.memory_ring.copy()
+            assert step(other) is not batch
 
     def test_process_on_silent_input_raises_singular_with_pivot(self):
         cfg = FilterConfig("bs-papa", 8, 2, group_size=4, regularization=0.0)
