@@ -24,7 +24,9 @@ has gain exactly one, so its W is X(n) itself, which the history serves as
 a C-contiguous view (``RegressorHistory.regressor_rows``); one-tap blocks
 weight that view in one multiply, since the efficient build spends the
 same M*L products there.  Wider groups place (P+M-1)*N products as the
-paper does.  All three give the same bits as the public builders.
+paper does.  All three give the same bits as the public builders.  The
+single-projection rows compute their gains in buffers made once per batch
+(see ``_Batch``), through the same gain rule as the public functions.
 """
 
 from __future__ import annotations
@@ -445,24 +447,30 @@ def _solve_stack(systems, diagonal: np.ndarray, delta: np.ndarray) -> dict:
 
     Each ``lu`` is F-contiguous, so LAPACK factors it in place; ``diagonal``
     is their ``(B, M)`` diagonal view and ``delta`` a ``(B, 1)`` column (off
-    the diagonal ``x + 0.0`` is ``x``).  One pivot test covers the stack, in
-    the per-system form ``smallest <= bound``, so a NaN pivot is no collapse.
+    the diagonal ``x + 0.0`` is ``x``).  The pivot test is per system,
+    ``smallest <= bound`` with NaN-propagating reductions, so a NaN pivot is
+    no collapse.  It is skipped when ``min > scale * max`` over the whole
+    stack in Python floats passes every system at once: Python's ``min`` and
+    ``max`` may skip a NaN, but a system with a NaN pivot never fails, and
+    every other system's pivots lie between the two.
     Returns ``{b: SingularSystemError}``; those ``rhs`` stay unsolved.
     """
     diagonal += delta
     factors = [dgetrf(lu, overwrite_a=True) for lu, _ in systems]
     magnitudes, scale = np.abs(diagonal), diagonal.shape[1] * _EPS
-    smallest = np.minimum.reduce(magnitudes, 1).tolist()  # NaN-propagating, as np.min
-    largest = np.maximum.reduce(magnitudes, 1).tolist()
-    failed = {}
-    for b, ((lu, rhs), (_, piv, info), pivot, top) in enumerate(zip(systems, factors, smallest, largest)):
+    pivots, failed = magnitudes.ravel().tolist(), {}
+    if not min(pivots) > scale * max(pivots):
+        smallest = np.minimum.reduce(magnitudes, 1).tolist()
+        largest = np.maximum.reduce(magnitudes, 1).tolist()
+        for b, (pivot, top) in enumerate(zip(smallest, largest)):
+            if pivot <= scale * top:
+                failed[b] = SingularSystemError(
+                    f"projection system singular to working precision (pivot {pivot:.3e})", pivot=pivot
+                )
+    for b, ((lu, rhs), (_, piv, info)) in enumerate(zip(systems, factors)):
         if info < 0:
             raise ValueError(f"dgetrf rejected argument {-info}")
-        if pivot <= scale * top:
-            failed[b] = SingularSystemError(
-                f"projection system singular to working precision (pivot {pivot:.3e})", pivot=pivot
-            )
-        elif dgetrs(lu, piv, rhs, overwrite_b=True)[1] < 0:
+        if b not in failed and dgetrs(lu, piv, rhs, overwrite_b=True)[1] < 0:
             raise ValueError("dgetrs rejected an argument")
     return failed
 
@@ -482,13 +490,14 @@ def variant_gains(config: FilterConfig, weights) -> GainVector:
     return GainVector(_block_gains(config, w), config.partition)
 
 
-def _block_gains(config: FilterConfig, weights: np.ndarray) -> np.ndarray:
-    """The block gains of :func:`variant_gains` as a bare array; no checks."""
+def _block_gains(config: FilterConfig, weights: np.ndarray, out=None, squares=None) -> np.ndarray:
+    """The block gains of :func:`variant_gains` as a bare array; no checks.  The
+    optional buffers are those of :func:`~bspapa.gains._block_norms`."""
     if config.block_count == 1:
         return _UNIT_GAIN
     if config.group_size == 1:
-        return _floored_gains(np.abs(weights), config.guards)
-    return _floored_gains(_block_norms(weights, config.group_size), config.guards)
+        return _floored_gains(np.abs(weights, out=out), config.guards, out)
+    return _floored_gains(_block_norms(weights, config.group_size, out, squares), config.guards, out)
 
 
 def _per_tap(block_gains: np.ndarray, group_size: int) -> np.ndarray:
@@ -532,8 +541,10 @@ def filter_step(
             f"{weights.dtype} of shape {weights.shape}"
         )
     ring = state.memory_ring
-    if config.is_memory and (ring is None or ring.shape != _ring_shape(config)):
-        raise ValueError("state holds no memory regressor of the config's shape")
+    held = None if ring is None else ring.shape
+    needed = _ring_shape(config) if config.is_memory else None
+    if held != needed:  # a ring only for memory members, and one of their shape
+        raise ValueError(f"variant {config.variant!r} needs memory_ring {needed}, the state holds {held}")
     cached = _STEP_BATCHES.get(state)
     if cached is None or cached[0] is not config or cached[1] is not weights or cached[2] is not ring:
         cached = _STEP_BATCHES[state] = (config, weights, ring, _Batch.of(config, state))
@@ -555,7 +566,9 @@ class _Batch:
     view, update) equals the per-filter product bit for bit, and the pieces
     are the bodies the public functions wrap.  Only a batch with a
     unit-gain or one-tap projection row reads the row view, so only its
-    history makes the row ring.  No checks.
+    history makes the row ring.  A scalar row computes its gains in a
+    vector of its own and its squares and weighted input in its update row,
+    so its step allocates no array of L floats.  No checks.
     """
 
     def __init__(self, configs, weights: np.ndarray, rings: np.ndarray, head: int = 0):
@@ -574,8 +587,13 @@ class _Batch:
         self._diagonal = lu.reshape(count, -1)[:, :: order + 1]
         self._rhs = error[:, :, 0]
         self._systems = list(zip(self._lu, self._rhs))  # F-contiguous LU, rhs row
-        # scalar rows weight their input in place of their update
-        self._scalar_rows = list(zip(configs, weights, self._update)) if self.scalar else []
+        # Scalar rows weight their input in their update row (as (N, P) blocks
+        # for P > 1, which first hold the squares), with gains computed in a
+        # buffer of their own; a single block has gain one: x weighs itself.
+        self._scalar_rows = [
+            (c, w, u, u if c.group_size == 1 else u.reshape(-1, c.group_size), np.empty(c.block_count))
+            for c, w, u in zip(configs, weights, self._update)
+        ] if self.scalar else []
         weighted = np.empty((built, length, order))
         rows = list(zip(configs, weights, weighted))  # the built rows: zip stops at the unit rows
         self._one_tap = [(c, w, m) for c, w, m in rows if c.group_size == 1]
@@ -611,8 +629,8 @@ class _Batch:
         self.head = state.memory_head
         prior, failed = self.step(history, desired)
         state.memory_head = self.head
-        for error in failed.values():
-            raise error
+        if failed:
+            raise failed[0]
         return prior[0]
 
     def step(self, history: RegressorHistory, desired: np.ndarray):
@@ -620,17 +638,27 @@ class _Batch:
         (a failed row keeps its weights)."""
         weights, update, failed = self.weights, self._update, {}
         if self.scalar:  # per row: two dot products, cheapest as Python floats
-            x, prior = history.input_vector(), []
-            for b, (config, w, weighted) in enumerate(self._scalar_rows):
-                prior.append(desired[0] - float(np.dot(x, w)))
-                np.multiply(_per_tap(_block_gains(config, w), config.group_size), x, out=weighted)
+            head, d, prior = history._head, float(desired[0]), []
+            x = history._buf[head : head + weights.shape[1]]
+            for b, (config, w, out, blocks, gains) in enumerate(self._scalar_rows):
+                prior.append(d - float(np.dot(x, w)))
+                weighted = out
+                if gains.size == 1:  # one block, of gain one
+                    weighted = x
+                else:
+                    tap_gains = _block_gains(config, w, gains, blocks)
+                    if blocks is not out:  # P taps a block: copy its gain over them (a
+                        # broadcast multiply would buffer L floats), then multiply flat
+                        np.copyto(blocks, tap_gains[:, None])
+                        tap_gains = out
+                    np.multiply(tap_gains, x, out=out)
                 denominator = float(np.dot(x, weighted)) + config.regularization
                 if denominator == 0.0:
                     failed[b] = SingularSystemError(
                         "scalar normalization is zero (silent input with delta=0)", pivot=0.0
                     )
                 else:
-                    weighted *= config.step_size * prior[b] / denominator
+                    np.multiply(weighted, config.step_size * prior[b] / denominator, out=out)
         else:
             regressor_t, rhs = history._xt[history._head], self._rhs  # X.T, error rows
             np.matmul(regressor_t, self._columns, out=self._error)
@@ -658,8 +686,8 @@ class _Batch:
             for weighted, _, error, out in parts:
                 np.matmul(weighted, error, out=out)
             update *= self.mu
-        for b in failed:
-            update[b] = 0.0
+        if failed:
+            update[list(failed)] = 0.0
         weights += update
         return prior, failed
 
@@ -711,6 +739,7 @@ class AdaptiveFilter:
         """Consume one (input, desired) pair, adapt, and return the a-priori error."""
         self.history.push(sample)
         d = self._desired
-        d[1:] = d[:-1]
+        if d.size > 1:
+            d[1:] = d[:-1]
         d[0] = desired
         return self._batch.step_one(self.state, self.history, d)

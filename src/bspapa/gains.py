@@ -155,18 +155,23 @@ def proportionate_gains(
     return GainVector(_floored_gains(norms, guards), partition)
 
 
-def _block_norms(weights: np.ndarray, group_size: int) -> np.ndarray:
-    """Block norms of a float weight vector whose length ``group_size`` divides; no checks."""
+def _block_norms(weights: np.ndarray, group_size: int, out=None, squares=None) -> np.ndarray:
+    """Block norms of a float weight vector whose length ``group_size`` divides; no checks.
+    ``out`` (N floats) and ``squares`` (``(N, P)``) are optional buffers, with the same bits."""
     blocks = weights.reshape(-1, group_size)
-    return np.sqrt(np.add.reduce(blocks * blocks, axis=1))  # ``.sum`` minus its wrapper
+    squares = np.multiply(blocks, blocks, out=squares)
+    sums = np.add.reduce(squares, axis=1, out=out)  # ``.sum`` minus its wrapper
+    return np.sqrt(sums, out=sums)
 
 
-def _floored_gains(norms: np.ndarray, guards: StallGuards) -> np.ndarray:
-    """Floored norms normalized by their mean, for a nonempty nonnegative float vector; no checks."""
+def _floored_gains(norms: np.ndarray, guards: StallGuards, out=None) -> np.ndarray:
+    """Floored norms normalized by their mean, for a nonempty nonnegative float vector; no checks.
+    ``out`` is an optional buffer of the norms' shape, which may be ``norms`` itself."""
     floor = guards.rho * max(guards.q, float(np.maximum.reduce(norms)))
-    gamma = np.maximum(floor, norms)
+    gamma = np.maximum(floor, norms, out=out)
     # The same add-reduce and divide as gamma.mean(), without its dispatch.
-    return gamma / (np.add.reduce(gamma) / gamma.size)
+    gamma /= np.add.reduce(gamma) / gamma.size
+    return gamma
 
 
 def block_gains(weights, partition: BlockPartition, guards: StallGuards) -> GainVector:

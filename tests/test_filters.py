@@ -1,5 +1,8 @@
 """Update engines: regressor handling, builders, solver, and the step itself."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -439,6 +442,25 @@ class TestSolveRegularized:
         for b, delta in ((0, 0.1), (3, 0.2)):
             assert np.array_equal(solution[b], solve_regularized(systems[b], delta, rhs[b]))
 
+    @pytest.mark.parametrize(
+        "nan_at,singular_at", [(n, s) for n in (0, 1, 3) for s in (None, 0, 2) if n != s]
+    )
+    def test_stacked_pivot_test_wherever_the_nan_sits(self, nan_at, singular_at):
+        """A NaN system first, in the middle or last in the stack never hides a
+        collapse elsewhere, and is never one itself."""
+        rng = np.random.default_rng(29)
+        systems = rng.standard_normal((4, 3, 3)) + 4.0 * np.eye(3)
+        systems[nan_at] = np.nan
+        if singular_at is not None:
+            systems[singular_at] = 0.0
+        base = np.empty((4, 3, 3))
+        lu, diagonal = base.transpose(0, 2, 1), base.reshape(4, -1)[:, ::4]
+        np.copyto(lu, systems)
+        solution = np.ones((4, 3))
+        failed = filters._solve_stack(list(zip(lu, solution)), diagonal, np.zeros((4, 1)))
+        assert list(failed) == ([] if singular_at is None else [singular_at])
+        assert np.isnan(solution[nan_at]).all()
+
     def test_nan_row_leaves_the_other_batch_rows_unchanged(self):
         rng = np.random.default_rng(24)
         configs = [FilterConfig("bs-papa", 16, 3, group_size=4, step_size=0.3)] * 2
@@ -543,6 +565,23 @@ class TestFilterStep:
             filter_step(cfg, FilterState(np.zeros(4)), history, np.zeros(2))
 
     @pytest.mark.parametrize(
+        "config,state_of",
+        [
+            (FilterConfig("papa", 16, 3), FilterConfig("mpapa", 16, 3)),  # a ring the config has none of
+            (FilterConfig("bs-papa", 16, 3, group_size=4), FilterConfig("bs-mpapa", 16, 3, group_size=4)),
+            (FilterConfig("mpapa", 16, 3), FilterConfig("mpapa", 16, 2)),  # a ring of another shape
+        ],
+    )
+    def test_memory_ring_must_match_the_config(self, config, state_of):
+        state = FilterState.initial(state_of)
+        state.memory_head = 1
+        history = RegressorHistory(16, 3)
+        history.push(1.0)
+        with pytest.raises(ValueError, match="memory_ring"):
+            filter_step(config, state, history, np.ones(3))
+        assert state.memory_head == 1 and not state.weights.any()
+
+    @pytest.mark.parametrize(
         "variant,group",
         [
             ("apa", None),
@@ -603,6 +642,67 @@ class TestFilterStep:
         if cfg.is_memory:  # and rebinding the memory ring
             state.memory_ring = state.memory_ring.copy()
             assert step(other) is not batch
+
+    def test_mixed_scalar_batch_equals_each_solo_run(self):
+        configs = [
+            FilterConfig("pnlms", 256, step_size=0.4),
+            FilterConfig("bs-pnlms", 256, group_size=32, step_size=0.5),
+            FilterConfig("bs-pnlms", 256, group_size=256, step_size=0.6),
+        ]
+        [(indices, batch)] = filters._panel_batches(configs)
+        solo = [AdaptiveFilter(cfg) for cfg in configs]
+        rng = np.random.default_rng(26)
+        history = RegressorHistory(256, 1)
+        for x, d in rng.standard_normal((600, 2)):
+            history.push(x)
+            prior, failed = batch.step(history, np.array([d]))
+            assert not failed
+            assert prior == [filt.process(x, d) for filt in solo]
+            assert all(np.array_equal(batch.weights[b], filt.weights) for b, filt in enumerate(solo))
+        assert indices == [0, 1, 2] and np.all(batch.weights != 0.0)
+
+    @pytest.mark.parametrize("doomed", [0, 1, 2])
+    def test_silent_scalar_row_alone_leaves_the_batch(self, doomed):
+        """Zero input with delta=0 fails one-tap, P-tap and one-block rows alike."""
+        configs = [
+            FilterConfig("pnlms", 64, step_size=0.4, regularization=0.0 if doomed == 0 else 0.01),
+            FilterConfig("bs-pnlms", 64, group_size=8, regularization=0.0 if doomed == 1 else 0.01),
+            FilterConfig("bs-pnlms", 64, group_size=64, regularization=0.0 if doomed == 2 else 0.01),
+        ]
+        [(_, batch)] = filters._panel_batches(configs)
+        history = RegressorHistory(64, 1)
+        history.push(0.0)
+        _, failed = batch.step(history, np.ones(1))
+        assert list(failed) == [doomed]
+        assert str(failed[doomed]) == "scalar normalization is zero (silent input with delta=0)"
+        assert failed[doomed].pivot == 0.0 and not batch.weights.any()
+        with pytest.raises(SingularSystemError, match=re.escape(str(failed[doomed]))):
+            AdaptiveFilter(configs[doomed]).process(0.0, 1.0)
+        rest = batch.without(failed)
+        survivors = [AdaptiveFilter(cfg) for b, cfg in enumerate(configs) if b != doomed]
+        assert rest.configs == [f.config for f in survivors]
+        rng = np.random.default_rng(27)
+        for x, d in rng.standard_normal((80, 2)):
+            history.push(x)
+            assert rest.step(history, np.array([d]))[0] == [f.process(x, d) for f in survivors]
+        assert all(np.array_equal(rest.weights[b], f.weights) for b, f in enumerate(survivors))
+
+    @pytest.mark.parametrize("variant,group", [("pnlms", None), ("bs-pnlms", 32), ("bs-pnlms", 1024)])
+    def test_scalar_process_allocates_no_filter_length_array(self, variant, group):
+        filt = AdaptiveFilter(FilterConfig(variant, 1024, group_size=group, step_size=0.4))
+        samples = np.random.default_rng(28).standard_normal((120, 2)).tolist()
+        for x, d in samples[:20]:  # warm-up
+            filt.process(x, d)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            for x, d in samples[20:]:
+                filt.process(x, d)
+            growth = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < 8 * 1024, growth
 
     def test_process_on_silent_input_raises_singular_with_pivot(self):
         cfg = FilterConfig("bs-papa", 8, 2, group_size=4, regularization=0.0)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bspapa import (
     VARIANTS,
+    AdaptiveFilter,
     BlockPartition,
     FilterConfig,
     FilterState,
@@ -145,3 +146,52 @@ def test_reduction_check_catches_a_squared_one_tap_gain(monkeypatch):
     gaps = reduction_gaps()
     assert all(gaps[name] > 1e-10 for name in ("papa", "pnlms", "mpapa")), gaps
     assert all(gaps[name] <= 1e-10 for name in ("apa", "bs-pnlms")), gaps
+
+
+def scalar_gap(cfg, steps=300, seed=11):
+    """Largest gap between ``AdaptiveFilter.process``, a ``filter_step`` loop and
+    ``reference_filter_step`` over one stream, and the final weights."""
+    rng = np.random.default_rng(seed)
+    L = cfg.filter_length
+    target = rng.standard_normal(L) * (rng.uniform(size=L) < 0.05)
+    x = rng.standard_normal(steps)
+    d = np.convolve(x, target)[:steps] + 1e-3 * rng.standard_normal(steps)
+    filt, history = AdaptiveFilter(cfg), RegressorHistory(L, 1)
+    state, ref_state = FilterState.initial(cfg), ReferenceState(cfg)
+    gap = 0.0
+    for n in range(steps):
+        filt.process(x[n], d[n])
+        history.push(x[n])
+        filter_step(cfg, state, history, d[n : n + 1])
+        reference_filter_step(cfg, ref_state, history, d[n : n + 1])
+        gap = max(gap, float(np.max(np.abs(filt.weights - ref_state.weights))),
+                  float(np.max(np.abs(state.weights - ref_state.weights))))
+    return gap, filt.weights
+
+
+@pytest.mark.parametrize("L", [64, 1024])
+@pytest.mark.parametrize("group", [None, 2, 4, 32, "L"])
+def test_scalar_rows_bit_identical_to_reference(L, group):
+    """PNLMS and BS-PNLMS with P in {2, 4, 32, L}: the streaming, validating and
+    reference steps agree exactly, past a wrap of the input ring."""
+    variant = "pnlms" if group is None else "bs-pnlms"
+    cfg = FilterConfig(variant, L, group_size=L if group == "L" else group, step_size=0.4)
+    gap, weights = scalar_gap(cfg, steps=L + 200)
+    assert gap == 0.0
+    assert np.any(weights != 0.0)
+
+
+def test_oracle_comparison_catches_a_squared_one_tap_gain_in_scalar_rows(monkeypatch):
+    """The scalar rows take their gains from ``filters._block_gains``: weighing
+    one-tap blocks by w*w there, not |w|, moves PNLMS off the oracle."""
+    cfg = FilterConfig("pnlms", 64, step_size=0.4)
+    assert scalar_gap(cfg)[0] == 0.0
+    original = filters._block_gains
+
+    def squared(config, weights, *buffers):
+        if config.group_size == 1 and config.block_count > 1:
+            return _floored_gains(weights * weights, config.guards)
+        return original(config, weights, *buffers)
+
+    monkeypatch.setattr(filters, "_block_gains", squared)
+    assert scalar_gap(cfg)[0] > 1e-6
