@@ -16,12 +16,11 @@ from bspapa import (
     misalignment_db,
     scale_noise_for_snr,
 )
-from scipy.signal import lfilter
 
 L, SAMPLES = 256, 6000
 echo_path = make_block_sparse_ir(L, [(65, 80)], seed=8)
 x = gen_excitation(SAMPLES, seed=9, kind="white")
-clean = lfilter(echo_path.taps, [1.0], x)
+clean = np.convolve(echo_path.taps, x)[: x.size]
 d = clean + scale_noise_for_snr(clean, 30.0, seed=10)
 
 filters = {

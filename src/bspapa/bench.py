@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .filters import FilterConfig, RegressorHistory, _panel_batches
 from .gains import StallGuards
@@ -131,7 +130,8 @@ def synthesize_scenario(scenario: EchoScenario) -> tuple[np.ndarray, np.ndarray]
     )
     d = np.empty(scenario.total_samples)
     for j, (start, end, response) in enumerate(scenario.segments()):
-        clean = lfilter(response.taps, [1.0], x)[start:end]
+        # the full convolution, as lfilter(taps, [1.0], x) forms it, so the bits match
+        clean = np.convolve(response.taps, x)[start:end]
         if scenario.snr_db is not None:
             clean = clean + scale_noise_for_snr(
                 clean, scenario.snr_db, _substream_seed(scenario.seed, 1 + j)
@@ -153,7 +153,8 @@ def _stream_batch(batch, entries, x, d, segments, failures):
         truth, power = response.taps, _power(response.taps)
         for n in range(start, end):
             history.push(x[n])
-            desired[1:] = desired[:-1]
+            if order > 1:
+                desired[1:] = desired[:-1]
             desired[0] = d[n]
             _, singular = batch.step(history, desired)
             mis[target, n] = values = _misalignment_rows(truth, power, batch.weights)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "ImpulseResponse",
@@ -93,10 +92,30 @@ def make_block_sparse_ir(filter_length: int, clusters, seed: int) -> ImpulseResp
 
 
 def ar1_filter(driving, pole: float) -> np.ndarray:
-    """Run ``y(n) = pole * y(n-1) + w(n)`` over ``driving`` with y(-1) = 0."""
+    """Run ``y(n) = pole * y(n-1) + w(n)`` over ``driving`` with y(-1) = 0.
+
+    ``driving`` is a 1-D sequence of finite samples (it may be empty).  The
+    recursion runs in the transposed direct form of the classical one-pole
+    filter routines (``lfilter([1], [1, -pole], w)``): each output is the
+    carried state plus the new sample, and the next state is
+    ``w(n)*0 + pole*y(n)``.  The zero term only settles the sign of an
+    exactly-zero state, so every sample, signed zeros included, has the
+    bits of those routines.
+    """
     if not -1.0 < pole < 1.0:
         raise ValueError(f"AR(1) pole must satisfy |pole| < 1, got {pole}")
-    return lfilter([1.0], [1.0, -pole], np.asarray(driving, dtype=float))
+    samples = np.asarray(driving, dtype=float)
+    if samples.ndim != 1:
+        raise ValueError(f"AR(1) driving must be a 1-D sequence, got shape {samples.shape}")
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise ValueError(f"AR(1) driving sample {bad[0]} is not finite: {samples[bad[0]]}")
+    pole, state, out = float(pole), 0.0, []
+    for w in samples.tolist():  # Python floats: one rounding per operation, as in C
+        y = state + w
+        state = w * 0.0 + pole * y
+        out.append(y)
+    return np.array(out, dtype=float)
 
 
 def gen_excitation(n_samples: int, seed: int, kind: str = "white", pole: float | None = None) -> np.ndarray:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter  # the independent reference for the synthesized bits
 
 from bspapa import (
     ConfigError,
@@ -15,14 +16,16 @@ from bspapa import (
     ExperimentConfig,
     FilterConfig,
     experiment_from_dict,
+    gen_excitation,
     make_block_sparse_ir,
     misalignment_db,
     preset_config,
     run_experiment,
+    scale_noise_for_snr,
     synthesize_scenario,
     write_traces_csv,
 )
-from bspapa.bench import RunSummary, SegmentSummary, with_seed
+from bspapa.bench import RunSummary, SegmentSummary, _substream_seed, with_seed
 from bspapa.cli import main as cli_main
 from bspapa.filters import _panel_batches
 
@@ -63,8 +66,6 @@ class TestScenarioSynthesis:
         sc = small_scenario(snr_db=20.0)
         x, d = synthesize_scenario(sc)
         for start, end, response in sc.segments():
-            from scipy.signal import lfilter
-
             clean = lfilter(response.taps, [1.0], x)[start:end]
             noise = d[start:end] - clean
             realized = 10.0 * np.log10(np.mean(clean**2) / np.mean(noise**2))
@@ -73,9 +74,21 @@ class TestScenarioSynthesis:
     def test_noiseless_mode(self):
         sc = small_scenario(snr_db=None, switch=None)
         x, d = synthesize_scenario(sc)
-        from scipy.signal import lfilter
+        np.testing.assert_array_equal(d, lfilter(sc.schedule[0][1].taps, [1.0], x))
 
-        np.testing.assert_allclose(d, lfilter(sc.schedule[0][1].taps, [1.0], x), rtol=1e-12)
+    @pytest.mark.parametrize("total, switch", [(1200, 600), (20, 10)])  # longer and shorter than L
+    def test_two_noisy_segments_have_the_bits_of_lfilter(self, total, switch):
+        sc = small_scenario(total=total, switch=switch, snr_db=20.0)
+        x, d = synthesize_scenario(sc)
+        white = gen_excitation(total, _substream_seed(sc.seed, 0), "white")
+        np.testing.assert_array_equal(x, lfilter([1.0], [1.0, -sc.pole], white))
+        expected = np.empty(total)
+        for j, (start, end, response) in enumerate(sc.segments()):
+            clean = lfilter(response.taps, [1.0], x)[start:end]
+            noise = scale_noise_for_snr(clean, sc.snr_db, _substream_seed(sc.seed, 1 + j))
+            expected[start:end] = clean + noise
+        assert len(sc.segments()) == 2
+        assert d.tobytes() == expected.tobytes()
 
 
 class TestRunExperiment:

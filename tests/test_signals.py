@@ -1,7 +1,12 @@
 """Scenario synthesis: impulse responses, excitation, noise, misalignment."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter  # the independent reference for ar1_filter's bits
 
 from bspapa import signals
 from bspapa import (
@@ -92,6 +97,44 @@ class TestExcitation:
     def test_ar1_pole_bounds(self):
         with pytest.raises(ValueError):
             ar1_filter(np.zeros(4), 1.0)
+
+    @pytest.mark.parametrize("pole", [0.8, -0.9, 0.0, 0.999])
+    @pytest.mark.parametrize("length", [1, 7, 4000])
+    def test_ar1_has_the_bits_of_lfilter(self, pole, length):
+        driving = np.random.default_rng(length).standard_normal(length)
+        out, ref = ar1_filter(driving, pole), lfilter([1.0], [1.0, -pole], driving)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        driving=st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0])
+            | st.floats(-1e300, 1e300, allow_subnormal=True),
+            max_size=12,
+        ),
+        pole=st.sampled_from([0.8, -0.9, 0.0, -0.0, 1e-10, -1e-10, 0.999]),
+    )
+    def test_ar1_bits_hold_for_signed_zeros_and_subnormals(self, driving, pole):
+        driving = np.array(driving, dtype=float)
+        ref = lfilter([1.0], [1.0, -pole], driving) if driving.size else np.empty(0)
+        assert ar1_filter(driving, pole).tobytes() == ref.tobytes()
+
+    def test_ar1_accepts_an_empty_sequence(self):
+        out = ar1_filter([], 0.8)
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("driving", [np.zeros((2, 3)), np.float64(1.0), np.zeros((4, 1))])
+    def test_ar1_rejects_a_shape_that_is_not_1d(self, driving):
+        with pytest.raises(ValueError, match=re.escape(f"1-D sequence, got shape {np.shape(driving)}")):
+            ar1_filter(driving, 0.8)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_ar1_rejects_a_non_finite_sample_by_index(self, bad):
+        # one bad sample poisons every later one ([1, inf, nan, nan] from lfilter), and the
+        # plain y = pole*y + w would give [1, inf, inf, inf]: refuse it, naming the sample
+        with pytest.raises(ValueError, match="sample 1 is not finite"):
+            ar1_filter([1.0, bad, 0.5, 0.2], 0.8)
 
     def test_lag_one_autocorrelation(self):
         x = gen_excitation(100_000, seed=321, kind="ar1", pole=0.8)
