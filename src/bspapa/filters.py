@@ -19,14 +19,14 @@ pivot test per step.  ``filter_step`` and ``AdaptiveFilter`` run it for a
 single filter over views of a ``FilterState``; ``_panel_batches`` builds the
 zeroed batches of a panel, which ``run_experiment`` streams.
 
-The kernel builds W only where building saves products.  A single block
-has gain exactly one, so its W is X(n) itself, which the history serves as
-a C-contiguous view (``RegressorHistory.regressor_rows``); one-tap blocks
-weight that view in one multiply, since the efficient build spends the
-same M*L products there.  Wider groups place (P+M-1)*N products as the
-paper does.  All three give the same bits as the public builders.  The
-single-projection rows compute their gains in buffers made once per batch
-(see ``_Batch``), through the same gain rule as the public functions.
+The kernel spends products on W only where that is faster.  A single
+block has gain exactly one, so its W is X(n) itself, which the history
+serves as a C-contiguous view (``RegressorHistory.regressor_rows``).  Other
+rows weight that view in place: M*L products, each block gain copied over
+its rows, then one multiply.  Rows with P and M both from ``_PLACE_FROM``
+on place (P+M-1)*N products as the paper does.  All give the public
+builders' bits.  Every row computes its gains in buffers made once per
+batch, through the same gain rule as the public functions.
 """
 
 from __future__ import annotations
@@ -75,6 +75,9 @@ _EPS = float(np.finfo(float).eps)
 # The gain of a single block spanning the filter: its floored norm over itself.
 _UNIT_GAIN = np.ones(1)
 _UNIT_GAIN.flags.writeable = False
+# A row places (P+M-1)*N products, rather than weighting X(n) in place, where
+# both P and M reach this: only there is placing faster (see the README).
+_PLACE_FROM = 16
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -161,8 +164,8 @@ class FilterConfig:
         This is the cost model of :func:`build_weighted_regressor_efficient`
         (L for the memory members), reported in the summaries'
         ``mults_per_step`` column.  The step kernel spends none of them on a
-        single block of gain one (``apa``, ``bs-papa`` with P=L), whose
-        weighted regressor is the input regressor itself.
+        single block of gain one (``apa``, ``bs-papa`` with P=L) and M*L on
+        rows it weights in place; the column keeps the paper's count.
         """
         if self.is_memory:
             return self.filter_length
@@ -228,7 +231,7 @@ class RegressorHistory:
     ring of ``2*span`` rows of M floats, mirrored like the first: row i of
     X(n) is ring row ``head + i``, the M samples x(n - i) .. x(n - i - M + 1).
     The ring exists only once :meth:`regressor_rows` has been called (the
-    step kernel calls it only for a batch with a unit-gain or one-tap
+    step kernel calls it only for a batch with a unit-gain or in-place
     projection row), and from then on each push writes one row twice; it
     costs ``2*span*M`` floats (0.13 MiB at L=1024, M=8; 1.05 MiB at
     L=4096, M=16).
@@ -401,19 +404,18 @@ def update_memory_regressor(state: FilterState, gains: GainVector, newest_input)
     _check_gains(gains, ring.shape[1], "the memory ring")
     order = ring.shape[0] // 2
     state.memory_head = head = (state.memory_head - 1) % order
-    _push_memory(ring[head : head + 1], ring[head + order : head + order + 1], [gains.expand()], x)
+    np.multiply(gains.expand(), x, out=ring[head])
+    ring[head + order] = ring[head]
     return state.memory_regressor
 
 
-def _push_memory(newest: np.ndarray, mirror: np.ndarray, tap_gains, x: np.ndarray) -> None:
-    """Write ``tap_gains[k] * x`` into row k of ``newest`` and copy it to ``mirror``; no checks.
-
-    ``newest`` and ``mirror`` are the two copies of the head row of K rings
-    of :class:`FilterState` layout, as ``(K, L)`` views.
-    """
-    for row, gains in zip(newest, tap_gains):
-        np.multiply(gains, x, out=row)
-    np.copyto(mirror, newest)
+def _weigh(gains: np.ndarray, x: np.ndarray, out: np.ndarray, blocks) -> None:
+    """``out = gains * x``, in place; no checks.  ``blocks`` is ``out`` as one row per
+    block, whose gain is copied over it first (a broadcast would buffer), or None."""
+    if blocks is not None:
+        np.copyto(blocks, gains[:, None])
+        gains = out
+    np.multiply(gains, x, out=out)
 
 
 def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
@@ -500,9 +502,14 @@ def _block_gains(config: FilterConfig, weights: np.ndarray, out=None, squares=No
     return _floored_gains(_block_norms(weights, config.group_size, out, squares), config.guards, out)
 
 
-def _per_tap(block_gains: np.ndarray, group_size: int) -> np.ndarray:
-    """The values of ``GainVector.expand()``; one-tap gains are returned as they are."""
-    return block_gains if group_size == 1 else np.repeat(block_gains, group_size)
+def _gain_buffers(config: FilterConfig) -> tuple:
+    """The ``out`` and ``squares`` buffers of a row's :func:`_block_gains`."""
+    return np.empty(config.block_count), _blocks(np.empty(config.filter_length), config)
+
+
+def _blocks(row: np.ndarray, config: FilterConfig):
+    """``row``, of L floats, as one row per block for :func:`_weigh`; None for one-tap blocks."""
+    return None if config.group_size == 1 else row.reshape(config.block_count, -1)
 
 
 # state -> (config, weights, memory ring, batch): the batch of one that
@@ -558,17 +565,17 @@ class _Batch:
     built rows, unit-gain rows, memory rows.  Built rows weight their
     regressor into a C-contiguous ``(Bb, L, M)`` stack.  A unit-gain row
     (one block, whose gain is exactly one) uses X(n) itself, the history's
-    :meth:`~RegressorHistory.regressor_rows` view, and builds nothing.  A
-    one-tap built row multiplies that view by its tap gains in one pass;
-    wider groups place the products of the efficient build.  Memory members
-    keep their rings stacked as ``(Bm, 2M, L)`` under one head.  Each
-    stacked product (error, Gram over the stack, the row view or the ring
-    view, update) equals the per-filter product bit for bit, and the pieces
-    are the bodies the public functions wrap.  Only a batch with a
-    unit-gain or one-tap projection row reads the row view, so only its
-    history makes the row ring.  A scalar row computes its gains in a
-    vector of its own and its squares and weighted input in its update row,
-    so its step allocates no array of L floats.  No checks.
+    :meth:`~RegressorHistory.regressor_rows` view, and builds nothing.
+    Other built rows copy their block gains over their slot and multiply it
+    by that view in place, or place the efficient build's products (P and
+    M from ``_PLACE_FROM`` on).  Memory members keep their rings stacked
+    as ``(Bm, 2M, L)`` under one head and weight the head row by x(n) the
+    same way.  Each stacked product (error, Gram, update) equals the
+    per-filter product bit for bit.  Only a batch with a unit-gain or
+    in-place row reads the row view, so only its history makes the row
+    ring.  Every row computes its gains in buffers of its own (a scalar
+    row uses its update row for squares and weighted input), so a step
+    that places nothing allocates no array of L floats.  No checks.
     """
 
     def __init__(self, configs, weights: np.ndarray, rings: np.ndarray, head: int = 0):
@@ -578,7 +585,8 @@ class _Batch:
         p = self.plain
         units = 0 if self.scalar else sum(c.block_count == 1 for c in configs[:p])
         built = 0 if self.scalar else p - units
-        self.mu = np.array([[c.step_size] for c in configs])
+        # one step size a tap: a (B, 1) column would make the multiply buffer B*L floats
+        self.mu = np.repeat([[c.step_size] for c in configs], length, axis=1)
         self.delta = np.array([[c.regularization] for c in configs])
         error, update = np.empty((count, order, 1)), np.empty((count, length, 1))
         gram, lu = np.empty((count, order, order)), np.empty((count, order, order))
@@ -591,21 +599,26 @@ class _Batch:
         # for P > 1, which first hold the squares), with gains computed in a
         # buffer of their own; a single block has gain one: x weighs itself.
         self._scalar_rows = [
-            (c, w, u, u if c.group_size == 1 else u.reshape(-1, c.group_size), np.empty(c.block_count))
+            (c, w, u, _blocks(u, c), np.empty(c.block_count))
             for c, w, u in zip(configs, weights, self._update)
         ] if self.scalar else []
         weighted = np.empty((built, length, order))
         rows = list(zip(configs, weights, weighted))  # the built rows: zip stops at the unit rows
-        self._one_tap = [(c, w, m) for c, w, m in rows if c.group_size == 1]
-        self._placed = [(c, w, _rows_of(m, c.group_size)) for c, w, m in rows if c.group_size > 1]
-        self._memory = list(zip(configs[p:], weights[p:]))
+        # Built rows weight their slot, as (N, P*M) blocks, in place; see _PLACE_FROM.
+        self._in_place = [(c, w, m, m.reshape(c.block_count, -1), *_gain_buffers(c))
+                          for c, w, m in rows if min(c.group_size, order) < _PLACE_FROM]
+        self._placed = [(c, w, _rows_of(m, c.group_size), *_gain_buffers(c))
+                        for c, w, m in rows if min(c.group_size, order) >= _PLACE_FROM]
+        self._memory = [  # per head: the ring row a push weights, as (N, P) blocks, and its mirror
+            (c, w, [(r, _blocks(r, c), m) for r, m in zip(ring, ring[order:])], *_gain_buffers(c))
+            for c, w, ring in zip(configs[p:], weights[p:], rings)
+        ]
         # (weighted, gram, error, update): the built rows' part, the unit and ring rows' stacks
         self._parts = [(weighted, gram[:built], error[:built], update[:built])] if built else []
         self._unit_stacks = (gram[built:p], error[built:p], update[built:p]) if units else None
-        self._reads_rows = bool(units or self._one_tap)
+        self._reads_rows = bool(units or self._in_place)
         self._ring_stacks = (gram[p:], error[p:], update[p:])
-        # Indexed by head: the ring rows, and the (Bm, L, M) regressors as in FilterState.
-        self._ring_rows = rings.transpose(1, 0, 2)
+        # Indexed by head: the (Bm, L, M) regressors as in FilterState.
         ring, row, tap = rings.strides
         shape = (order, len(rings), length, order)
         self._ring_views = np.ndarray(shape, rings.dtype, rings, 0, (row, ring, tap, row))
@@ -646,12 +659,7 @@ class _Batch:
                 if gains.size == 1:  # one block, of gain one
                     weighted = x
                 else:
-                    tap_gains = _block_gains(config, w, gains, blocks)
-                    if blocks is not out:  # P taps a block: copy its gain over them (a
-                        # broadcast multiply would buffer L floats), then multiply flat
-                        np.copyto(blocks, tap_gains[:, None])
-                        tap_gains = out
-                    np.multiply(tap_gains, x, out=out)
+                    _weigh(_block_gains(config, w, gains, blocks), x, out, blocks)
                 denominator = float(np.dot(x, weighted)) + config.regularization
                 if denominator == 0.0:
                     failed[b] = SingularSystemError(
@@ -664,20 +672,23 @@ class _Batch:
             np.matmul(regressor_t, self._columns, out=self._error)
             np.subtract(desired, rhs, out=rhs)
             prior = rhs[:, 0].tolist()
-            parts, rows, order = self._parts, self._ring_rows, history.projection_order
+            parts, order = self._parts, history.projection_order
             if self._reads_rows:
                 regressor = history.regressor_rows()
-                for config, w, out in self._one_tap:  # the tap gains repeated along each row
-                    gains = np.repeat(_block_gains(config, w), order).reshape(-1, order)
-                    np.multiply(gains, regressor, out=out)
+                for config, w, out, blocks, gains, squares in self._in_place:
+                    _weigh(_block_gains(config, w, gains, squares), regressor, out, blocks)
                 if self._unit_stacks:
                     parts = [*parts, (regressor, *self._unit_stacks)]
-            for config, w, out in self._placed:
-                _place_products(_block_gains(config, w), history.block_windows(config.group_size), out)
+            for config, w, out, gains, squares in self._placed:
+                windows = history.block_windows(config.group_size)
+                _place_products(_block_gains(config, w, gains, squares), windows, out)
             if self._memory:
                 self.head = head = (self.head - 1) % order
-                gains = [_per_tap(_block_gains(c, w), c.group_size) for c, w in self._memory]
-                _push_memory(rows[head], rows[head + order], gains, history.input_vector())
+                x = history._buf[history._head : history._head + weights.shape[1]]
+                for config, w, heads, gains, squares in self._memory:
+                    row, blocks, mirror = heads[head]
+                    _weigh(_block_gains(config, w, gains, squares), x, row, blocks)
+                    np.copyto(mirror, row)
                 parts = [*parts, (self._ring_views[head], *self._ring_stacks)]
             for weighted, gram, _, _ in parts:
                 np.matmul(regressor_t, weighted, out=gram)

@@ -160,7 +160,12 @@ def _block_norms(weights: np.ndarray, group_size: int, out=None, squares=None) -
     ``out`` (N floats) and ``squares`` (``(N, P)``) are optional buffers, with the same bits."""
     blocks = weights.reshape(-1, group_size)
     squares = np.multiply(blocks, blocks, out=squares)
-    sums = np.add.reduce(squares, axis=1, out=out)  # ``.sum`` minus its wrapper
+    if 1 < group_size < 8:  # numpy adds a row this short in order: so do P-1 column adds
+        sums = np.add(squares[:, 0], squares[:, 1], out=out)
+        for column in squares.T[2:]:
+            np.add(sums, column, out=sums)
+    else:
+        sums = np.add.reduce(squares, axis=1, out=out)  # ``.sum`` minus its wrapper
     return np.sqrt(sums, out=sums)
 
 

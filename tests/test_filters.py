@@ -19,6 +19,7 @@ from bspapa import (
     build_weighted_regressor_direct,
     build_weighted_regressor_efficient,
     filter_step,
+    preset_config,
     solve_regularized,
     update_memory_regressor,
     variant_gains,
@@ -344,28 +345,31 @@ class TestBlasLayout:
             assert all(lu.flags.f_contiguous for lu in batch._lu)
 
     @pytest.mark.parametrize(
-        "variants,reads_rows",
+        "variants,reads_rows,shape",
         [
-            (("pnlms", "bs-pnlms"), False),  # scalar rows
-            (("mpapa", "bs-mpapa"), False),  # memory rows
-            (("bs-papa",), False),  # built by product placement
-            (("bs-papa", "papa"), True),  # one-tap rows multiply the row view
-            (("apa", "mpapa"), True),  # unit-gain rows are the row view
+            (("pnlms", "bs-pnlms"), False, (16, 3, 4)),  # scalar rows
+            (("mpapa", "bs-mpapa"), False, (16, 3, 4)),  # memory rows
+            (("bs-papa",), True, (16, 3, 4)),  # P taps a block, weighted in place
+            (("bs-papa", "papa"), True, (16, 3, 4)),  # one-tap rows, weighted in place
+            (("apa", "mpapa"), True, (16, 3, 4)),  # unit-gain rows are the row view
+            (("bs-papa",), False, (32, 16, 16)),  # P and M from _PLACE_FROM on: placed products
         ],
     )
-    def test_only_unit_gain_and_one_tap_rows_make_the_row_ring(self, variants, reads_rows):
+    def test_only_unit_gain_and_in_place_rows_make_the_row_ring(self, variants, reads_rows, shape):
+        L, M, P = shape
         configs = [
-            FilterConfig(v, 16, 1 if v.endswith("pnlms") else 3, 4 if v.startswith("bs-") else None)
+            FilterConfig(v, L, 1 if v.endswith("pnlms") else M, P if v.startswith("bs-") else None)
             for v in variants
         ]
         [(_, batch)] = filters._panel_batches(configs)
+        assert bool(batch._placed) == (min(M, P) >= filters._PLACE_FROM)
         order = configs[0].projection_order
-        history = RegressorHistory(16, order)
+        history = RegressorHistory(L, order)
         rng = np.random.default_rng(len(variants))
         for _ in range(5):
             history.push(rng.standard_normal())
             batch.step(history, rng.standard_normal(order))
-        expected = (2 * (16 + order - 1), order) if reads_rows else None  # 2*span rows of M floats
+        expected = (2 * (L + order - 1), order) if reads_rows else None  # 2*span rows of M floats
         assert (None if history._rows is None else history._rows.shape) == expected
 
     @pytest.mark.parametrize("group", [1, 4, 16])
@@ -699,6 +703,30 @@ class TestFilterStep:
             before = tracemalloc.get_traced_memory()[0]
             for x, d in samples[20:]:
                 filt.process(x, d)
+            growth = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < 8 * 1024, growth
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3"])
+    def test_projection_batch_step_allocates_no_filter_length_array(self, preset):
+        """Every fig2/fig3 row weights X(n) in place, with its gains in buffers of its own."""
+        configs = [cfg for _, cfg in preset_config(preset).panel]
+        [(_, batch)] = filters._panel_batches(configs)
+        assert not batch._placed
+        rng = np.random.default_rng(29)
+        history = RegressorHistory(1024, 8)
+        samples, desired = rng.standard_normal(70), rng.standard_normal((70, 8))
+        for x, d in zip(samples[:20], desired[:20]):  # warm-up: the row ring is made
+            history.push(x)
+            batch.step(history, d)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            for x, d in zip(samples[20:], desired[20:]):
+                history.push(x)
+                assert not batch.step(history, d)[1]
             growth = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

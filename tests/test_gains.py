@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bspapa import BlockPartition, GainVector, StallGuards, block_gains, block_l2_norms, proportionate_gains
+from bspapa.gains import _block_norms
 
 GUARDS = StallGuards(rho=0.01, q=0.01)
 
@@ -78,6 +81,20 @@ class TestBlockL2Norms:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             block_l2_norms(np.zeros(7), BlockPartition(8, 2))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), group=st.integers(2, 7), blocks=st.integers(1, 40), buffered=st.booleans())
+    def test_short_blocks_summed_by_columns_keep_the_reduction_bits(self, data, group, blocks, buffered):
+        """For 1 < P < 8 the column adds give the bits of ``np.add.reduce`` along
+        the rows, signed zeros, subnormals, overflow, inf and NaN included."""
+        special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf, np.nan])
+        entries = st.one_of(special, st.floats(-1e300, 1e300))
+        w = np.array(data.draw(st.lists(entries, min_size=group * blocks, max_size=group * blocks)))
+        buffers = (np.empty(blocks), np.empty((blocks, group))) if buffered else ()
+        with np.errstate(all="ignore"):
+            expected = np.sqrt(np.add.reduce(w.reshape(-1, group) ** 2, axis=1))
+            norms = _block_norms(w, group, *buffers)
+        assert norms.tobytes() == expected.tobytes()
 
     def test_single_tap_blocks_give_magnitudes(self):
         rng = np.random.default_rng(9)

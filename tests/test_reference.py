@@ -137,10 +137,10 @@ def test_reduction_check_catches_a_squared_one_tap_gain(monkeypatch):
     """Criterion 1 fails when one-tap groupings weigh taps by w*w, not |w|."""
     original = filters._block_gains
 
-    def squared(config, weights):
+    def squared(config, weights, *buffers):
         if config.group_size == 1 and config.block_count > 1:
             return _floored_gains(weights * weights, config.guards)
-        return original(config, weights)
+        return original(config, weights, *buffers)
 
     monkeypatch.setattr(filters, "_block_gains", squared)
     gaps = reduction_gaps()
@@ -195,3 +195,36 @@ def test_oracle_comparison_catches_a_squared_one_tap_gain_in_scalar_rows(monkeyp
 
     monkeypatch.setattr(filters, "_block_gains", squared)
     assert scalar_gap(cfg)[0] > 1e-6
+
+
+def test_batch_with_both_builds_equals_solo_runs_and_reference():
+    """At M = ``filters._PLACE_FROM`` a row with as many taps a block places
+    its products while narrower rows weight X(n) in place: a six-entry batch
+    there equals each solo run and the reference step exactly, past a wrap of
+    the memory rings."""
+    L, M, steps = 1024, filters._PLACE_FROM, 120
+    members = [("apa", L), ("papa", 1), ("bs-papa", 4), ("bs-papa", 64), ("mpapa", 1), ("bs-mpapa", 64)]
+    configs = [variant_config(v, L, M, P, step_size=0.3) for v, P in members]
+    [(indices, batch)] = filters._panel_batches(configs)
+    assert [c.group_size for c, *_ in batch._in_place] == [1, 4]
+    assert [c.group_size for c, *_ in batch._placed] == [64]
+    solo = [AdaptiveFilter(cfg) for cfg in configs]
+    refs = [ReferenceState(cfg) for cfg in configs]
+    rng = np.random.default_rng(31)
+    target = rng.standard_normal(L) * (rng.uniform(size=L) < 0.02)
+    x = rng.standard_normal(steps)
+    d = np.convolve(x, target)[:steps] + 1e-3 * rng.standard_normal(steps)
+    history, desired = RegressorHistory(L, M), np.zeros(M)
+    for n in range(steps):
+        history.push(x[n])
+        desired[1:] = desired[:-1]
+        desired[0] = d[n]
+        prior, failed = batch.step(history, desired)
+        assert not failed
+        for b, k in enumerate(indices):
+            assert prior[b] == solo[k].process(x[n], d[n])
+            reference_filter_step(configs[k], refs[k], history, desired)
+    for b, k in enumerate(indices):
+        assert np.array_equal(batch.weights[b], solo[k].weights), members[k]
+        assert np.array_equal(batch.weights[b], refs[k].weights), members[k]
+        assert np.any(batch.weights[b] != 0.0)
