@@ -15,9 +15,9 @@ and skip the linear solve.
 One kernel, ``_Batch``, takes the step for B filters that share the filter
 length, the projection order and the branch, over one input history: the
 error, Gram and update products are stacked over the filters, with one
-pivot test per step.  ``filter_step`` and ``AdaptiveFilter`` run it for a
-single filter over views of a ``FilterState``; ``_panel_batches`` builds the
-zeroed batches of a panel, which ``run_experiment`` streams.
+pivot test per step.  ``filter_step`` and ``AdaptiveFilter`` run the batch of
+one a ``FilterState`` keeps; ``_panel_batches`` builds the zeroed batches of a
+panel, which ``run_experiment`` streams.
 
 The kernel spends products on W only where that is faster.  A single
 block has gain exactly one, so its W is X(n) itself, which the history
@@ -32,7 +32,6 @@ batch, through the same gain rule as the public functions.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -115,6 +114,10 @@ class FilterConfig:
     def __post_init__(self) -> None:
         if self.variant not in _ALIASES:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        for name in ("filter_length", "projection_order", "group_size"):
+            value = getattr(self, name)
+            if not (_is_integer(value) or name == "group_size" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.projection_order < 1:
             raise ValueError(f"projection_order must be >= 1, got {self.projection_order}")
         # step_size 0 is allowed: it freezes the filter, which is useful as a
@@ -138,17 +141,14 @@ class FilterConfig:
                 f"variant {self.variant!r} is the projection_order={order} member, "
                 f"got projection_order={self.projection_order}"
             )
-        BlockPartition(self.filter_length, self.group_size)  # validates the length and grouping
-
-    # cached: these are read every sample in the update loop
-    @cached_property
-    def partition(self) -> BlockPartition:
-        return BlockPartition(self.filter_length, self.group_size)
+        # validates the length and grouping; read every sample in the update loop
+        object.__setattr__(self, "partition", BlockPartition(self.filter_length, self.group_size))
 
     @property
     def block_count(self) -> int:
         return self.filter_length // self.group_size
 
+    # cached: these are read every sample in the update loop
     @cached_property
     def is_memory(self) -> bool:
         return _ALIASES[self.variant][1]
@@ -172,6 +172,11 @@ class FilterConfig:
         return (self.group_size + self.projection_order - 1) * self.block_count
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _ring_shape(config: FilterConfig) -> tuple[int, int]:
     """The ``(2M, L)`` shape of a memory member's regressor ring (see :class:`FilterState`)."""
     return (2 * config.projection_order, config.filter_length)
@@ -185,12 +190,16 @@ class FilterState:
     input rows mirrored at two offsets, shape ``(2M, L)``: rows
     ``memory_head .. memory_head + M - 1`` are the columns of the current
     L-by-M matrix, newest first.  A step writes one row (twice) instead of
-    shifting the whole matrix, at the cost of M*L extra floats.
+    shifting the whole matrix, at the cost of M*L extra floats.  A step runs
+    :class:`_Batch` over views of the arrays, rebuilt when the config or either
+    array is another object; copies and pickles leave it out.
     """
 
     weights: np.ndarray
     memory_ring: np.ndarray | None = None
     memory_head: int = 0
+    # (config, weights, memory_ring, batch): the batch of one _step last built, over those objects
+    _batch = (None, None, None, None)
 
     @classmethod
     def initial(cls, config: FilterConfig) -> "FilterState":
@@ -205,6 +214,23 @@ class FilterState:
             return None
         head = self.memory_head
         return ring[head : head + ring.shape[0] // 2].T
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_batch"}
+
+    def _step(self, config: FilterConfig, history: RegressorHistory, desired: np.ndarray) -> float:
+        """One step of the batch of one: sync the head, raise the failure, return the error; no checks."""
+        built, weights, ring, batch = self._batch
+        if built is not config or weights is not self.weights or ring is not self.memory_ring:
+            weights, ring = self.weights, self.memory_ring
+            rings = np.empty((0, *_ring_shape(config))) if ring is None else ring[None]
+            self._batch = (config, weights, ring, batch := _Batch([config], weights[None], rings))
+        batch.head = self.memory_head
+        prior, failed = batch.step(history, desired)
+        self.memory_head = batch.head
+        if failed:
+            raise failed[0]
+        return prior[0]
 
 
 class RegressorHistory:
@@ -262,6 +288,14 @@ class RegressorHistory:
         )
         self._block_views: dict[int, np.ndarray] = {}
         self._rows = self._row_slots = None  # the row ring, made by regressor_rows()
+
+    def __getstate__(self) -> tuple:
+        """(L, M, head, one ring row): the M rows are equal, and every view is rebuilt."""
+        return self.filter_length, self.projection_order, self._head, self._buf.copy()
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(*state[:2])
+        self._head, self._buf.base[:] = state[2:]  # base: the (M, 2*span) rows
 
     def push(self, sample: float) -> None:
         """Append ``sample`` as the newest input x(n)."""
@@ -512,12 +546,6 @@ def _blocks(row: np.ndarray, config: FilterConfig):
     return None if config.group_size == 1 else row.reshape(config.block_count, -1)
 
 
-# state -> (config, weights, memory ring, batch): the batch of one that
-# filter_step last built for the state, reused while the state still holds
-# the arrays the batch views and the config is the same object
-_STEP_BATCHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def filter_step(
     config: FilterConfig, state: FilterState, history: RegressorHistory, desired
 ) -> float:
@@ -527,9 +555,7 @@ def filter_step(
     desired samples, newest first.  Gains are recomputed from the current
     weights every call; the returned ``d(n) - x(n).T @ w`` uses the old weights.
     The arguments are checked against ``config`` on every call; the step
-    itself is the batch kernel :class:`_Batch` over this one filter, built
-    on the first call for ``state`` and reused while ``config`` is the same
-    object and ``state`` holds the same weight and memory arrays.
+    itself is the batch of one that ``state`` keeps (see :class:`FilterState`).
     """
     if (
         history.filter_length != config.filter_length
@@ -552,10 +578,9 @@ def filter_step(
     needed = _ring_shape(config) if config.is_memory else None
     if held != needed:  # a ring only for memory members, and one of their shape
         raise ValueError(f"variant {config.variant!r} needs memory_ring {needed}, the state holds {held}")
-    cached = _STEP_BATCHES.get(state)
-    if cached is None or cached[0] is not config or cached[1] is not weights or cached[2] is not ring:
-        cached = _STEP_BATCHES[state] = (config, weights, ring, _Batch.of(config, state))
-    return cached[3].step_one(state, history, desired)
+    if not (_is_integer(head := state.memory_head) and 0 <= head < config.projection_order):
+        raise ValueError(f"memory_head must be an integer in [0, {config.projection_order}), got {head!r}")
+    return state._step(config, history, desired)
 
 
 class _Batch:
@@ -623,28 +648,12 @@ class _Batch:
         shape = (order, len(rings), length, order)
         self._ring_views = np.ndarray(shape, rings.dtype, rings, 0, (row, ring, tap, row))
 
-    @classmethod
-    def of(cls, config: FilterConfig, state: FilterState) -> "_Batch":
-        """The batch of one filter, over views of ``state``'s arrays."""
-        ring = state.memory_ring
-        rings = np.empty((0, *_ring_shape(config))) if ring is None else ring[None]
-        return cls([config], state.weights[None], rings, state.memory_head)
-
     def without(self, rows) -> "_Batch":
         """A new batch of copies of every filter but ``rows``."""
         keep = [b for b in range(len(self.configs)) if b not in rows]
         ring_rows = [b - self.plain for b in keep if b >= self.plain]
         configs = [self.configs[b] for b in keep]
         return _Batch(configs, self.weights[keep], self.rings[ring_rows], self.head)
-
-    def step_one(self, state: FilterState, history: RegressorHistory, desired: np.ndarray) -> float:
-        """:meth:`step` for one filter: sync ``state``'s head, raise its failure, return its error."""
-        self.head = state.memory_head
-        prior, failed = self.step(history, desired)
-        state.memory_head = self.head
-        if failed:
-            raise failed[0]
-        return prior[0]
 
     def step(self, history: RegressorHistory, desired: np.ndarray):
         """Advance every filter a sample; return the a-priori errors and ``{row: failure}``
@@ -728,8 +737,8 @@ class AdaptiveFilter:
     One instance adapts over one logical signal stream; distinct instances
     are fully independent.  The config is validated once, at construction,
     and the state, history and window are built from it, so :meth:`process`
-    runs the step kernel, as a batch of one over views of ``state``, without
-    per-sample argument checks.
+    runs the batch of one ``state`` keeps, without per-sample argument
+    checks; rebinding ``state`` or its arrays, or copying the filter, is safe.
     """
 
     def __init__(self, config: FilterConfig):
@@ -740,7 +749,6 @@ class AdaptiveFilter:
         self.state = FilterState.initial(self.config)
         self.history = RegressorHistory(self.config.filter_length, self.config.projection_order)
         self._desired = np.zeros(self.config.projection_order)
-        self._batch = _Batch.of(self.config, self.state)
 
     @property
     def weights(self) -> np.ndarray:
@@ -753,4 +761,4 @@ class AdaptiveFilter:
         if d.size > 1:
             d[1:] = d[:-1]
         d[0] = desired
-        return self._batch.step_one(self.state, self.history, d)
+        return self.state._step(self.config, self.history, d)

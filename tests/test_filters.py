@@ -1,5 +1,7 @@
 """Update engines: regressor handling, builders, solver, and the step itself."""
 
+import copy
+import pickle
 import re
 import tracemalloc
 
@@ -94,6 +96,35 @@ class TestFilterConfig:
         with pytest.raises(ValueError):
             FilterConfig("bs-papa", 64, 4, group_size=12)
 
+    @pytest.mark.parametrize(
+        "args,kwargs,field",
+        [
+            (("apa", 16, 2.0), {}, "projection_order"),
+            (("bs-papa", 16), {"group_size": 4.0}, "group_size"),
+            (("apa", True), {}, "filter_length"),
+            (("apa", 16.0, 2), {}, "filter_length"),
+            (("papa", 16, True), {}, "projection_order"),
+            (("papa", 16), {"group_size": 1.0}, "group_size"),
+            (("bs-papa", 16), {"group_size": np.bool_(True)}, "group_size"),
+        ],
+    )
+    def test_sizes_must_be_integers(self, args, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            FilterConfig(*args, **kwargs)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        cfg = FilterConfig("bs-papa", np.int64(16), np.int32(2), group_size=np.int64(4), step_size=0.5)
+        filt = AdaptiveFilter(cfg)
+        assert filt.process(1.0, 2.0) == 2.0 and filt.weights.any()
+        assert cfg.partition.block_count == 4
+
+    def test_partition_is_built_once(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(filters, "BlockPartition", lambda *a: built.append(a) or BlockPartition(*a))
+        cfg = FilterConfig("bs-papa", 16, 2, group_size=4)
+        assert cfg.partition is cfg.partition and cfg.partition.block_count == 4
+        assert built == [(16, 4)]
+
     def test_multiplication_formulas(self):
         eff = FilterConfig("bs-papa", 1024, 8, 32)
         mem = FilterConfig("bs-mpapa", 1024, 8, 32)
@@ -147,6 +178,27 @@ class TestRegressorHistory:
             assert rows.flags.c_contiguous and not rows.flags.writeable
             assert np.array_equal(rows, np.ascontiguousarray(history.regressor_matrix()))
             history.push(rng.standard_normal())
+
+    @pytest.mark.parametrize("L,M", [(16, 1), (16, 3)])
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda h: pickle.loads(pickle.dumps(h))])
+    def test_a_copy_keeps_up_with_the_original(self, L, M, clone):
+        rng = np.random.default_rng(L + M)
+        history = make_history(rng.standard_normal(3 * (L + M)), L, M)
+        history.regressor_rows()  # the original has a row ring, the copy makes its own
+        twin = clone(history)
+        for _ in range(2 * (L + M) + 3):
+            sample = rng.standard_normal()
+            history.push(sample)
+            twin.push(sample)
+            assert np.array_equal(twin.window(), history.window())
+            assert np.array_equal(twin.regressor_matrix(), history.regressor_matrix())
+            assert np.array_equal(twin.regressor_rows(), history.regressor_rows())
+            assert np.array_equal(twin.block_windows(4), history.block_windows(4))
+
+    def test_a_pickle_holds_one_ring_row(self):
+        history = make_history(np.random.default_rng(30).standard_normal(3000), 1024, 8)
+        history.regressor_rows()
+        assert len(pickle.dumps(history)) < 64 * 1024
 
 
 class TestRegressorBuilders:
@@ -627,11 +679,11 @@ class TestFilterStep:
             ring = state.memory_ring
             ring_copy = None if ring is None else ring.copy()
             shadow = FilterState(state.weights.copy(), ring_copy, state.memory_head)
-            expected = filters._Batch.of(config, shadow).step_one(shadow, history, desired)
+            expected = shadow._step(config, history, desired)
             assert filter_step(config, state, history, desired) == expected
             assert np.array_equal(state.weights, shadow.weights)
             assert ring is None or np.array_equal(state.memory_ring, shadow.memory_ring)
-            return filters._STEP_BATCHES[state][3]
+            return state._batch[3]
 
         for _ in range(4):
             batch = step(cfg)
@@ -646,6 +698,87 @@ class TestFilterStep:
         if cfg.is_memory:  # and rebinding the memory ring
             state.memory_ring = state.memory_ring.copy()
             assert step(other) is not batch
+
+    @pytest.mark.parametrize("head", [3, 4, -1, 1.0, True, None])
+    def test_memory_head_must_index_the_ring(self, head):
+        cfg = FilterConfig("mpapa", 16, 3)
+        state = FilterState.initial(cfg)
+        state.memory_head = head
+        history = RegressorHistory(16, 3)
+        history.push(1.0)
+        with pytest.raises(ValueError, match="memory_head"):
+            filter_step(cfg, state, history, np.ones(3))
+        assert state.memory_head is head and not state.weights.any()
+        state.memory_head = np.int64(2)  # a numpy integer in range is a head
+        filter_step(cfg, state, history, np.ones(3))
+        assert state.memory_head == 1 and state.weights.any()
+
+    @pytest.mark.parametrize("variant,group", [("bs-papa", 4), ("bs-mpapa", 4), ("bs-pnlms", 4)])
+    def test_process_follows_a_rebound_state_and_weights(self, variant, group):
+        order = 1 if variant.endswith("pnlms") else 3
+        cfg = FilterConfig(variant, 16, order, group_size=group, step_size=0.3)
+        filt = AdaptiveFilter(cfg)
+        history, window = RegressorHistory(16, order), np.zeros(order)
+        rng = np.random.default_rng(31)
+
+        def feed(count, state=None):
+            """Process ``count`` samples; a given ``state`` steps beside, through filter_step."""
+            for x, d in rng.standard_normal((count, 2)):
+                prior = filt.process(x, d)
+                history.push(x)
+                window[1:], window[0] = window[:-1].copy(), d
+                assert state is None or prior == filter_step(cfg, state, history, window)
+
+        for rebind in (lambda f: setattr(f, "state", FilterState.initial(cfg)),
+                       lambda f: setattr(f.state, "weights", np.zeros(16))):
+            feed(40)
+            stale, before = filt.weights, filt.weights.copy()
+            rebind(filt)
+            ring = filt.state.memory_ring
+            state = FilterState(np.zeros(16), None if ring is None else ring.copy(), filt.state.memory_head)
+            feed(40, state)
+            assert np.array_equal(filt.weights, state.weights) and filt.weights.any()
+            assert np.array_equal(stale, before)  # the arrays let go of are left alone
+
+    @pytest.mark.parametrize("variant,group", [("bs-papa", 4), ("bs-mpapa", 4), ("pnlms", None)])
+    def test_a_deep_copied_state_steps_like_the_original(self, variant, group):
+        order = 1 if variant == "pnlms" else 3
+        cfg = FilterConfig(variant, 16, order, group_size=group, step_size=0.3)
+        state, history = FilterState.initial(cfg), RegressorHistory(16, order)
+        rng = np.random.default_rng(32)
+
+        def run(states, count):
+            for x in rng.standard_normal(count):
+                history.push(x)
+                desired = rng.standard_normal(order)
+                assert len({filter_step(cfg, s, history, desired) for s in states}) == 1
+
+        run([state], 30)
+        twin = copy.deepcopy(state)
+        assert "_batch" not in twin.__dict__ and "_batch" not in pickle.loads(pickle.dumps(state)).__dict__
+        run([state, twin], 30)
+        assert np.array_equal(state.weights, twin.weights) and state.weights is not twin.weights
+        assert state.memory_head == twin.memory_head
+        assert state.memory_ring is None or np.array_equal(state.memory_ring, twin.memory_ring)
+
+    @pytest.mark.parametrize(
+        "variant,group",
+        [("apa", None), ("papa", None), ("bs-papa", 4), ("mpapa", None), ("bs-mpapa", 4), ("bs-pnlms", 4), ("pnlms", None)],
+    )
+    def test_a_copied_or_pickled_filter_steps_like_the_original(self, variant, group):
+        order = 1 if variant.endswith("pnlms") else 3
+        cfg = FilterConfig(variant, 64, order, group_size=group, step_size=0.3)
+        filt = AdaptiveFilter(cfg)
+        x, d = np.random.default_rng(33).standard_normal((2, 1200))
+        for n in range(600):
+            filt.process(x[n], d[n])
+        blob = pickle.dumps(filt)
+        copies = [copy.deepcopy(filt), pickle.loads(blob)]
+        for n in range(600, 1200):
+            prior = filt.process(x[n], d[n])
+            assert [c.process(x[n], d[n]) for c in copies] == [prior, prior]
+        assert all(np.array_equal(c.weights, filt.weights) for c in copies)
+        assert len(blob) < 24 * 1024
 
     def test_mixed_scalar_batch_equals_each_solo_run(self):
         configs = [
