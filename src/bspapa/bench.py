@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -146,7 +150,7 @@ def _stream_batch(batch, entries, x, d, segments, failures):
     sample.  An entry that fails leaves the batch with ``failures[entry]`` set."""
     length, order = batch.weights.shape[1], batch.configs[0].projection_order
     history, desired = RegressorHistory(length, order), np.zeros(order)
-    mis = np.empty((len(entries), x.size))
+    mis, diff = np.empty((len(entries), x.size)), np.empty(batch.weights.shape)
     rows = np.arange(len(entries))  # starting row of each filter still in the batch
     target = slice(None)  # indexes ``rows`` faster while no filter has left
     for start, end, response in segments:
@@ -157,7 +161,7 @@ def _stream_batch(batch, entries, x, d, segments, failures):
                 desired[1:] = desired[:-1]
             desired[0] = d[n]
             _, singular = batch.step(history, desired)
-            mis[target, n] = values = _misalignment_rows(truth, power, batch.weights)
+            mis[target, n] = values = _misalignment_rows(truth, power, batch.weights, diff)
             if singular or not all(map(math.isfinite, values)):
                 # NaN or inf: the weights left the finite range
                 failed = {b: f"diverged at sample {n}: misalignment is {v} dB"
@@ -167,8 +171,96 @@ def _stream_batch(batch, entries, x, d, segments, failures):
                 rows = target = np.delete(rows, list(failed))
                 if not rows.size:
                     return mis
-                batch = batch.without(failed)
+                batch, diff = batch.without(failed), diff[: rows.size]
     return mis
+
+
+def _run_shard(configs, shard: slice, x, d, segments, mis, failed) -> None:
+    """Run the panel entries ``shard`` selects over the scenario in this process: their
+    misalignment into the rows ``mis[shard]``, and ``{entry: message}`` into ``failed``."""
+    entries, out = range(len(configs))[shard], mis[shard]
+    for rows, batch in _panel_batches([configs[k] for k in entries]):
+        out[rows] = _stream_batch(batch, [entries[r] for r in rows], x, d, segments, failed)
+
+
+def _shard_count(entries: int) -> int:
+    """The processes a panel of ``entries`` runs in: one per CPU this process may use.
+    One where it cannot fork, or beside a second thread, which could hold a lock that
+    the forked child would then wait on forever."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), entries)
+
+
+def _send_shard(pipe: int, configs, shard: slice, x, d, segments, mis) -> None:
+    """In a forked child: run ``shard`` and write its rows and failures, or the exception
+    it raised, pickled to the ``pipe`` descriptor.  Leaves only through ``os._exit``, with
+    code 0 once the whole outcome is written."""
+    code = 1
+    try:
+        try:
+            failed = {}
+            _run_shard(configs, shard, x, d, segments, mis, failed)
+            outcome = mis[shard], failed
+        except Exception as exc:  # the parent raises it
+            outcome = exc
+        with open(pipe, "wb") as out:
+            out.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_shards(configs, x, d, segments):
+    """The misalignment per panel entry and sample, and ``{entry: message}`` failures.
+
+    The entries are dealt over :func:`_shard_count` shards: shard s of k runs
+    entries s, s+k, s+2k, ...  Shard 0 runs in this process; every other one
+    runs in a child forked here, which sends its outcome back through a pipe.
+    The pipes are read, then every child is reaped; on any error the children
+    still alive are killed and reaped, so none outlives the call.
+    """
+    k = _shard_count(len(configs))
+    shards = [slice(s, None, k) for s in range(k)]
+    mis, failed = np.empty((len(configs), x.size)), {}
+    pids, pipes, exits = [], [], []  # children not yet reaped, read ends not yet closed
+    try:
+        for shard in shards[1:]:
+            read, write = os.pipe()
+            pipes.append(read)
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(write)
+                raise
+            if pid == 0:
+                _send_shard(write, configs, shard, x, d, segments, mis)
+            os.close(write)
+            pids.append(pid)
+        _run_shard(configs, shards[0], x, d, segments, mis, failed)
+        payloads = []
+        for read in pipes:
+            with open(read, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+        while pids:
+            exits.append(os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1]))
+            del pids[0]
+    finally:
+        for read in pipes:
+            os.close(read)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for shard, payload, code in zip(shards[1:], payloads, exits):
+        entries = list(range(len(configs))[shard])
+        if code:
+            raise RuntimeError(f"the process running panel entries {entries} exited with code {code}")
+        outcome = pickle.loads(payload)  # written by _send_shard in a child of this process
+        if isinstance(outcome, Exception):
+            raise outcome
+        mis[shard], shard_failed = outcome
+        failed.update(shard_failed)
+    return mis, failed
 
 
 def _time_to_threshold(segment_values: np.ndarray, threshold: float) -> int | None:
@@ -179,21 +271,24 @@ def _time_to_threshold(segment_values: np.ndarray, threshold: float) -> int | No
 def run_experiment(config: ExperimentConfig):
     """Run every panel entry over the scenario; return ``(traces, summary)``.
 
-    Entries sharing the projection order and branch (projection or scalar)
-    run as one batch built by ``filters._panel_batches`` over one input history:
-    one stacked error, Gram matrix, pivot test, update and misalignment pass per sample.
-    Each trace equals the entry's one-entry run bit for bit.  A solver
-    failure or a non-finite misalignment (diverged or NaN-fed weights)
-    aborts only the offending entry: it leaves the batch and is recorded in
+    The entries are dealt over the CPUs this process may run on, one shard
+    each; a shard beyond the first runs in a forked child, and none outlives
+    the call.  Within a shard, entries sharing the projection order and branch
+    (projection or scalar) run as one batch built by ``filters._panel_batches``
+    over one input history: one stacked error, Gram matrix, pivot test, update
+    and misalignment pass per sample.  Each trace equals the entry's one-entry
+    run bit for bit, so the results do not depend on the CPU count, and
+    ``taskset -c 0`` runs the whole panel in this process.  The children's
+    memory is not in this process's peak RSS.  A solver failure or a
+    non-finite misalignment (diverged or NaN-fed weights) aborts only the
+    offending entry: it leaves the batch and is recorded in
     ``summary.failures`` with its sample index, and the others still run.
     """
     x, d = synthesize_scenario(config.scenario)
     segments = config.scenario.segments()
     traces: list[MisalignmentTrace] = []
     rows: list[SegmentSummary] = []
-    mis, failed = np.empty((len(config.panel), x.size)), {}
-    for indices, batch in _panel_batches([cfg for _, cfg in config.panel]):
-        mis[indices] = _stream_batch(batch, indices, x, d, segments, failed)
+    mis, failed = _run_shards([cfg for _, cfg in config.panel], x, d, segments)
     failures = {config.panel[k][0]: failed[k] for k in sorted(failed)}
     for k, (label, fcfg) in enumerate(config.panel):
         if k in failed:

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .gains import BlockPartition, GainVector, StallGuards, _block_norms, _floored_gains
+from .gains import BlockPartition, GainVector, StallGuards, _block_norms, _floored_gains, _is_integer
 
 __all__ = [
     "VARIANTS",
@@ -170,11 +170,6 @@ class FilterConfig:
         if self.is_memory:
             return self.filter_length
         return (self.group_size + self.projection_order - 1) * self.block_count
-
-
-def _is_integer(value) -> bool:
-    """An int or a numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _ring_shape(config: FilterConfig) -> tuple[int, int]:

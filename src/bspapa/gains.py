@@ -25,6 +25,11 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is not one.  Filter sizes and cluster endpoints both follow it."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """Split of ``filter_length`` taps into contiguous groups of ``group_size``.

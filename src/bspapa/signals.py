@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gains import _is_integer
+
 __all__ = [
     "ImpulseResponse",
     "EchoScenario",
@@ -30,7 +32,7 @@ def _validated_clusters(clusters, filter_length: int) -> tuple[tuple[int, int], 
     """Normalize 1-based inclusive (start, end) integer ranges; reject bad layouts."""
     spec = []
     for start, end in clusters:
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (start, end)):
+        if not (_is_integer(start) and _is_integer(end)):
             raise ValueError(f"cluster ({start!r}, {end!r}): endpoints must be integers")
         start, end = int(start), int(end)
         if not 1 <= start <= end <= filter_length:
@@ -181,9 +183,10 @@ def _power(true_h: np.ndarray) -> float:
     return power
 
 
-def _misalignment_rows(true_h: np.ndarray, power: float, est_rows: np.ndarray) -> list:
-    """``misalignment_db`` of each row of ``est_rows``, given ``power = _power(true_h)``; no checks."""
-    diff = est_rows - true_h
+def _misalignment_rows(true_h: np.ndarray, power: float, est_rows: np.ndarray, out=None) -> list:
+    """``misalignment_db`` of each row of ``est_rows``, given ``power = _power(true_h)``; no checks.
+    ``out``, of the shape of ``est_rows``, is an optional C-contiguous buffer, with the same bits."""
+    diff = np.subtract(est_rows, true_h, out=out)
     ratios = (np.vecdot(diff, diff) / power).tolist()  # vecdot: the per-row BLAS dot's bits
     # 10*log10(1e-30) is the floor itself
     return [MISALIGNMENT_FLOOR_DB if r <= 1e-30 else 10.0 * math.log10(r) for r in ratios]

@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter  # the independent reference for the synthesized bits
 
+from bspapa import bench
 from bspapa import (
     ConfigError,
     EchoScenario,
@@ -278,6 +282,168 @@ class TestRunExperiment:
         for trace in traces:
             row = summary.row(trace.label, 0)
             assert row.steady_state_db == pytest.approx(float(np.mean(trace.values[-100:])))
+
+
+class ShardFault(Exception):
+    """Raised by a patched stream in a forked shard; picklable by its import path."""
+
+
+def see_cpus(monkeypatch, count):
+    """Make ``run_experiment`` see ``count`` CPUs, and return the list each fork appends to."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def outcome(exp):
+    """Everything ``run_experiment`` returns, as comparable values with the traces' bits."""
+    traces, summary = run_experiment(exp)
+    return [(t.label, t.sample_indices.tolist(), t.values.tobytes()) for t in traces], summary
+
+
+def silent_after_120(monkeypatch):
+    """Scenario synthesis patched so the input goes silent at sample 120 of 300 (see
+    ``test_failure_in_mid_batch_leaves_the_others_unchanged``)."""
+    sc = small_scenario(total=300, switch=None)
+    x, d = synthesize_scenario(sc)
+    x = x.copy()
+    x[120:] = 0.0
+    monkeypatch.setattr("bspapa.bench.synthesize_scenario", lambda scenario: (x, d))
+    return sc
+
+
+def nan_at_100(monkeypatch):
+    """Scenario synthesis patched so the desired sample 100 of 300 is NaN."""
+    sc = small_scenario(total=300, switch=None)
+    x, d = synthesize_scenario(sc)
+    d = d.copy()
+    d[100] = np.nan
+    monkeypatch.setattr("bspapa.bench.synthesize_scenario", lambda scenario: (x, d))
+    return sc
+
+
+class TestShards:
+    """``run_experiment`` deals the entries over the CPUs, shards past the first in forked
+    children; the results are those of the one-shard run, and no child outlives a call."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def mixed():
+        base = dict(filter_length=32, projection_order=3, step_size=0.3)
+        panel = [
+            ("pnlms", FilterConfig("pnlms", 32, step_size=0.3)),
+            ("apa", FilterConfig("apa", **base)),
+            ("bs-pnlms", FilterConfig("bs-pnlms", 32, group_size=8, step_size=0.2)),
+            ("papa", FilterConfig("papa", **base)),
+            ("bs-mpapa", FilterConfig("bs-mpapa", group_size=4, **base)),
+            ("bs-papa", FilterConfig("bs-papa", group_size=8, **base)),
+            ("mpapa", FilterConfig("mpapa", **base)),
+        ]
+        return ExperimentConfig(scenario=small_scenario(total=300, switch=150), panel=panel, trace_decimation=1)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "mixed"])
+    def test_a_sharded_run_equals_the_one_shard_run(self, monkeypatch, name):
+        if name == "mixed":
+            exp = self.mixed()
+        else:
+            exp = preset_config(name, total_samples=1800, switch_sample=900, trace_decimation=1)
+        forks = see_cpus(monkeypatch, 1)
+        serial = outcome(exp)
+        assert not forks and not serial[1].failures
+        for cpus in (2, 3, 64):
+            forks = see_cpus(monkeypatch, cpus)
+            assert outcome(exp) == serial, cpus
+            assert len(forks) == min(cpus, len(exp.panel)) - 1
+
+    @pytest.mark.parametrize("fault", [nan_at_100, silent_after_120])
+    def test_an_entry_failing_in_a_child_reads_as_in_the_serial_run(self, monkeypatch, fault):
+        sc = fault(monkeypatch)
+        base = dict(filter_length=32, projection_order=1, step_size=0.2)
+        panel = [  # the doomed entries are odd, so a second shard runs them
+            ("BS-PAPA(P=4)", FilterConfig("bs-papa", group_size=4, **base)),
+            ("doomed", FilterConfig("bs-papa", group_size=8, regularization=0.0, **base)),
+            ("MPAPA", FilterConfig("mpapa", **base)),
+            ("doomed memory", FilterConfig("mpapa", regularization=0.0, **base)),
+            ("PNLMS", FilterConfig("pnlms", **base)),
+            ("doomed scalar", FilterConfig("pnlms", regularization=0.0, **base)),
+        ]
+        exp = ExperimentConfig(scenario=sc, panel=panel, trace_decimation=1)
+        see_cpus(monkeypatch, 1)
+        serial = outcome(exp)
+        failures = serial[1].failures
+        if fault is nan_at_100:
+            assert not serial[0] and len(failures) == 6
+            assert all(m.startswith("diverged at sample 100:") for m in failures.values())
+        else:
+            assert list(failures) == ["doomed", "doomed memory", "doomed scalar"]
+            assert all(m.startswith("aborted at sample 1") for m in failures.values())
+        forks = see_cpus(monkeypatch, 2)
+        assert outcome(exp) == serial and len(forks) == 1
+
+    def test_an_exception_in_a_child_reaches_the_parent(self, monkeypatch):
+        stream = bench._stream_batch
+
+        def faulty(batch, entries, *args):
+            if entries[0] % 2:  # the second of two shards
+                raise ShardFault(f"entries {entries}")
+            return stream(batch, entries, *args)
+
+        monkeypatch.setattr(bench, "_stream_batch", faulty)
+        forks = see_cpus(monkeypatch, 2)
+        with pytest.raises(ShardFault, match=r"entries \[1\]"):
+            run_experiment(ExperimentConfig(scenario=small_scenario(total=50), panel=small_panel()))
+        assert len(forks) == 1
+
+    def test_a_child_that_sends_nothing_is_an_error(self, monkeypatch):
+        stream = bench._stream_batch
+        monkeypatch.setattr(bench, "_stream_batch", lambda batch, entries, *args: (
+            os._exit(3) if entries[0] % 2 else stream(batch, entries, *args)))
+        see_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"panel entries \[1\] exited with code 3"):
+            run_experiment(ExperimentConfig(scenario=small_scenario(total=50), panel=small_panel()))
+
+    def test_an_exception_here_kills_the_children(self, monkeypatch):
+        stream = bench._stream_batch
+
+        def stuck(batch, entries, *args):
+            if entries[0] % 2:
+                time.sleep(60)  # a child that would outlive the call unless killed
+                return stream(batch, entries, *args)
+            raise ShardFault("in this process")
+
+        monkeypatch.setattr(bench, "_stream_batch", stuck)
+        see_cpus(monkeypatch, 2)
+        start = time.perf_counter()
+        with pytest.raises(ShardFault, match="in this process"):
+            run_experiment(ExperimentConfig(scenario=small_scenario(total=50), panel=small_panel()))
+        assert time.perf_counter() - start < 30
+
+    @pytest.mark.parametrize("why", ["one cpu", "a second thread"])
+    def test_no_fork_on_one_cpu_or_beside_a_thread(self, monkeypatch, why):
+        see_cpus(monkeypatch, 1 if why == "one cpu" else 2)
+
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        if why == "a second thread":
+            thread.start()
+        try:
+            traces, summary = run_experiment(ExperimentConfig(scenario=small_scenario(total=50), panel=small_panel()))
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert [t.label for t in traces] == [label for label, _ in small_panel()] and not summary.failures
 
 
 class TestCsvOutput:

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bspapa import BlockPartition, GainVector, StallGuards, block_gains, block_l2_norms, proportionate_gains
+from bspapa import (
+    BlockPartition,
+    FilterConfig,
+    GainVector,
+    StallGuards,
+    block_gains,
+    block_l2_norms,
+    make_block_sparse_ir,
+    proportionate_gains,
+)
 from bspapa.gains import _block_norms
 
 GUARDS = StallGuards(rho=0.01, q=0.01)
@@ -175,3 +184,20 @@ class TestGainInvariants:
     def test_gain_vector_shape_checked(self):
         with pytest.raises(ValueError):
             GainVector(np.ones(3), BlockPartition(8, 4))
+
+
+@pytest.mark.parametrize(
+    "value,accepted", [(4, True), (np.int64(4), True), (True, False), (np.bool_(True), False), (4.0, False)]
+)
+def test_cluster_endpoints_and_filter_sizes_share_one_integer_rule(value, accepted):
+    def takes(build) -> bool:
+        try:
+            build()
+        except ValueError as exc:
+            assert "integer" in str(exc)
+            return False
+        return True
+
+    assert takes(lambda: make_block_sparse_ir(16, [(1, value)], seed=0)) is accepted
+    assert takes(lambda: FilterConfig("bs-papa", 16, group_size=value)) is accepted
+    assert takes(lambda: FilterConfig("bs-papa", 16, value, group_size=4)) is accepted
