@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .filters import FilterConfig, RegressorHistory, _panel_batches
-from .gains import StallGuards
+from .gains import StallGuards, _is_integer
 from .signals import (
     EchoScenario,
     _misalignment_rows,
@@ -77,6 +77,8 @@ class ExperimentConfig:
                     f"panel[{label!r}].filter_length: {cfg.filter_length} does not match "
                     f"the scenario length {self.scenario.filter_length}"
                 )
+        if not _is_integer(self.trace_decimation):
+            raise ConfigError(f"trace_decimation: must be an integer, got {self.trace_decimation!r}")
         if self.trace_decimation < 1:
             raise ConfigError(f"trace_decimation: must be >= 1, got {self.trace_decimation}")
 

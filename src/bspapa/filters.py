@@ -27,18 +27,26 @@ its rows, then one multiply.  Rows with P and M both from ``_PLACE_FROM``
 on place (P+M-1)*N products as the paper does.  All give the public
 builders' bits.  Every row computes its gains in buffers made once per
 batch, through the same gain rule as the public functions.
+
+The projection systems are factored and solved by LAPACK's ``dgetrf`` and
+``dgetrs``, from scipy's f2py extension ``scipy/linalg/_flapack*.so``.  It
+is loaded from its file as ``bspapa._flapack`` (see :func:`_load_flapack`),
+so ``import bspapa`` does not run the ``scipy.linalg`` package.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .gains import BlockPartition, GainVector, StallGuards, _block_norms, _floored_gains, _is_integer
 
@@ -79,12 +87,46 @@ _UNIT_GAIN.flags.writeable = False
 _PLACE_FROM = 16
 
 
+def _load_flapack():
+    """scipy's f2py LAPACK extension, loaded from its file under a private name.
+
+    ``scipy.linalg.lapack`` hands out the same wrappers over the same
+    OpenBLAS, but importing it runs the whole ``scipy.linalg`` package, which
+    would be most of the time and memory ``import bspapa`` takes (see the
+    README).  ``find_spec`` of the top-level ``scipy`` package locates it
+    without running it, and the extension's init symbol, ``PyInit__flapack``,
+    follows from the last part of the name.  A later ``import scipy.linalg``
+    loads a module object of its own over the same library.
+    """
+    name = f"{__package__}._flapack"
+    scipy = find_spec("scipy")
+    folders = [os.path.join(p, "linalg") for p in scipy.submodule_search_locations] if scipy else []
+    for folder in folders:
+        spec = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is not None:
+            break
+    else:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {folders}", name=name)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+dgetrf, dgetrs = _flapack.dgetrf, _flapack.dgetrs
+
+
 class SingularSystemError(np.linalg.LinAlgError):
     """Projection system singular to working precision."""
 
     def __init__(self, message: str, pivot: float):
         super().__init__(message)
         self.pivot = pivot
+
+    def __reduce__(self):
+        # the default passes only the message back to __init__
+        return type(self), (*self.args, self.pivot), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -452,7 +494,9 @@ def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
 
     One general factorization covers all variants, since the memory members
     produce nonsymmetric systems.  The LAPACK routines ``dgetrf``/``dgetrs``
-    are called directly, without scipy's ``lu_factor``/``lu_solve`` wrappers.
+    are called directly, from scipy's ``_flapack`` extension loaded on its
+    own (see the module notes), without ``scipy.linalg`` or its
+    ``lu_factor``/``lu_solve`` wrappers.
     A pivot collapsing to working precision raises
     :class:`SingularSystemError` carrying the offending magnitude, and no
     warning is emitted on that path.  A NaN pivot is not a collapse: a NaN

@@ -11,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter  # the independent reference for the synthesized bits
 
 from bspapa import bench
 from bspapa import (
+    VARIANTS,
     ConfigError,
     EchoScenario,
     ExperimentConfig,
@@ -446,6 +449,50 @@ class TestShards:
         assert [t.label for t in traces] == [label for label, _ in small_panel()] and not summary.failures
 
 
+@st.composite
+def panel_entries(draw):
+    """One FilterConfig of L=32: any variant, P and M=1..6.  With delta=0 an M>1 system
+    is singular at sample 0, and an M=1 one once the input has been silent for L samples."""
+    variant = draw(st.sampled_from(VARIANTS))
+    order = 1 if variant.endswith("pnlms") else draw(st.integers(1, 6))
+    group = draw(st.sampled_from([1, 2, 4, 8, 16, 32])) if variant.startswith("bs-") else None
+    return FilterConfig(
+        variant, 32, order, group_size=group,
+        step_size=draw(st.sampled_from([0.1, 0.3, 0.6])),
+        regularization=draw(st.sampled_from([0.0, 0.01, 0.03, 0.05])),
+    )
+
+
+class TestBatchInvariance:
+    """Whatever batch an entry sits in, and however many shards share the panel, its
+    results are those of its one-entry run, bit for bit: no row's arithmetic may depend
+    on the rows beside it.  About 5 s for 60 panels on two CPUs."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        configs=st.lists(panel_entries(), min_size=1, max_size=6),
+        silent=st.booleans(),
+        cpus=st.integers(1, 3),
+    )
+    def test_every_entry_equals_its_one_entry_run(self, configs, silent, cpus):
+        sc = small_scenario(total=300, switch=150)
+        x, d = synthesize_scenario(sc)
+        if silent:  # a delta=0 entry of M=1 then fails mid-run
+            x = x.copy()
+            x[120:] = 0.0
+        panel = [(f"{k} {cfg.variant}", cfg) for k, cfg in enumerate(configs)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("bspapa.bench.synthesize_scenario", lambda scenario: (x, d))
+            see_cpus(patch, cpus)
+            traces, summary = outcome(ExperimentConfig(scenario=sc, panel=panel, trace_decimation=1))
+            for label, cfg in panel:
+                solo, solo_summary = outcome(ExperimentConfig(scenario=sc, panel=[(label, cfg)], trace_decimation=1))
+                assert [t for t in traces if t[0] == label] == solo, label
+                assert summary.failures.get(label) == solo_summary.failures.get(label), label
+                assert [r for r in summary.rows if r.label == label] == solo_summary.rows, label
+        assert len(traces) + len(summary.failures) == len(panel)
+
+
 class TestCsvOutput:
     def test_structure_and_roundtrip(self, tmp_path):
         from bspapa import MisalignmentTrace
@@ -510,6 +557,18 @@ class TestExperimentConfigValidation:
     def test_empty_panel_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(scenario=small_scenario(), panel=[])
+
+    @pytest.mark.parametrize("value", [2.5, 10.0, True, "10", None])
+    def test_non_integer_trace_decimation_rejected(self, value):
+        # before the run, not as an IndexError once the whole panel has run
+        with pytest.raises(ConfigError, match=r"^trace_decimation: must be an integer, got "):
+            ExperimentConfig(scenario=small_scenario(), panel=small_panel(), trace_decimation=value)
+
+    def test_numpy_integer_trace_decimation_accepted(self):
+        exp = ExperimentConfig(scenario=small_scenario(total=50), panel=small_panel(),
+                               trace_decimation=np.int64(7))
+        traces, _ = run_experiment(exp)
+        assert traces[0].sample_indices.tolist() == list(range(0, 50, 7))
 
 
 def readme_config():

@@ -472,6 +472,19 @@ class TestSolveRegularized:
             solve_regularized(singular, 0.0, np.array([1.0, 1.0]))
         assert excinfo.value.pivot >= 0.0
 
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_singular_error_copies_with_its_message_and_pivot(self, clone):
+        # a shard child's exception reaches the parent pickled
+        with pytest.raises(SingularSystemError) as excinfo:
+            solve_regularized(np.zeros((2, 2)), 0.0, np.ones(2))
+        error = excinfo.value
+        error.add_note("entry 3")
+        copied = clone(error)
+        assert type(copied) is SingularSystemError and copied is not error
+        assert str(copied) == str(error) and copied.args == error.args
+        assert copied.pivot == error.pivot == 0.0 and copied.__notes__ == ["entry 3"]
+
     def test_nan_system_solves_to_nan_without_raising(self):
         # A NaN pivot is not a collapse: smallest <= bound is false for NaN,
         # so the NaN runs on into the weights and the harness's diverged abort.
