@@ -10,7 +10,7 @@ clustered systems.
 
 import numpy as np
 
-from bspapa import BlockPartition, StallGuards, block_gains, make_block_sparse_ir
+from bspapa import FilterConfig, StallGuards, make_block_sparse_ir, variant_gains
 
 L = 256
 ir = make_block_sparse_ir(L, [(65, 96)], seed=4)  # one 32-tap cluster
@@ -20,7 +20,8 @@ active = ir.support_mask()
 print(f"system: {L} taps, active cluster at taps 65..96")
 print(f"{'group size':>10s} {'blocks':>7s} {'mean gain (active taps)':>24s} {'mean gain (quiet taps)':>23s}")
 for group in (1, 8, 32, 64, 256):
-    gains = block_gains(ir.taps, BlockPartition(L, group), guards).expand()
+    config = FilterConfig("bs-papa", L, group_size=group, guards=guards)
+    gains = variant_gains(config, ir.taps).expand()
     print(
         f"{group:>10d} {L // group:>7d} {gains[active].mean():>24.3f} {gains[~active].mean():>23.4f}"
     )

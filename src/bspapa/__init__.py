@@ -6,14 +6,7 @@ plus the signal synthesis and benchmark harness used to compare their
 convergence and tracking behavior.
 """
 
-from .gains import (
-    BlockPartition,
-    GainVector,
-    StallGuards,
-    block_gains,
-    block_l2_norms,
-    proportionate_gains,
-)
+from .gains import BlockPartition, GainVector, StallGuards
 from .filters import (
     VARIANTS,
     AdaptiveFilter,

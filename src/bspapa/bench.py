@@ -129,7 +129,9 @@ def synthesize_scenario(scenario: EchoScenario) -> tuple[np.ndarray, np.ndarray]
     segment's response over the full input history, so a response switch
     changes the output immediately while the input stream keeps flowing.
     Noise is drawn and power-calibrated per segment, keeping the realized
-    SNR on target on both sides of every switch.
+    SNR on target on both sides of every switch.  A segment whose clean
+    output is silent has no power to scale noise to, so with ``snr_db`` set
+    it is a :class:`ConfigError` that names the segment.
     """
     x = gen_excitation(
         scenario.total_samples, _substream_seed(scenario.seed, 0), scenario.excitation, scenario.pole
@@ -139,6 +141,14 @@ def synthesize_scenario(scenario: EchoScenario) -> tuple[np.ndarray, np.ndarray]
         # the full convolution, as lfilter(taps, [1.0], x) forms it, so the bits match
         clean = np.convolve(response.taps, x)[start:end]
         if scenario.snr_db is not None:
+            if not np.mean(clean * clean):  # the power scale_noise_for_snr divides by
+                taps = np.flatnonzero(response.taps)
+                first = f"first nonzero tap {taps[0] + 1}, counted from 1" if taps.size else "no nonzero tap"
+                raise ConfigError(
+                    f"scenario.schedule[{j}]: the clean echo over samples [{start}, {end}) has "
+                    f"zero power (the response has {first}), so snr_db={scenario.snr_db} cannot "
+                    f"scale noise to it; lengthen the segment or set snr_db to null"
+                )
             clean = clean + scale_noise_for_snr(
                 clean, scenario.snr_db, _substream_seed(scenario.seed, 1 + j)
             )

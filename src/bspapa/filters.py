@@ -26,7 +26,7 @@ rows weight that view in place: M*L products, each block gain copied over
 its rows, then one multiply.  Rows with P and M both from ``_PLACE_FROM``
 on place (P+M-1)*N products as the paper does.  All give the public
 builders' bits.  Every row computes its gains in buffers made once per
-batch, through the same gain rule as the public functions.
+batch, through the same gain rule as :func:`variant_gains`.
 
 The projection systems are factored and solved by LAPACK's ``dgetrf`` and
 ``dgetrs``, from scipy's f2py extension ``scipy/linalg/_flapack*.so``.  It
@@ -168,6 +168,8 @@ class FilterConfig:
             raise ValueError(f"step_size must lie in [0, 2], got {self.step_size}")
         if not 0.0 <= self.regularization < math.inf:
             raise ValueError(f"regularization must be finite and nonnegative, got {self.regularization}")
+        if not isinstance(self.guards, StallGuards):
+            raise ValueError(f"guards must be a StallGuards, got {self.guards!r}")
         group, _, order = _ALIASES[self.variant]
         if group is not None:
             group = self.filter_length if group == "full" else group

@@ -6,6 +6,10 @@ stalls at zero, and normalized so the gains average to one.  A group size
 of one tap reproduces the classical per-coefficient proportionate rule,
 while a single group spanning the whole filter degenerates to a uniform
 (identity) gain.
+
+This module holds the partition, the guards and the rule's two halves,
+block norms then floored gains.  The public way to compute a filter's gains
+is :func:`bspapa.filters.variant_gains`, keyed by its ``FilterConfig``.
 """
 
 from __future__ import annotations
@@ -19,9 +23,6 @@ __all__ = [
     "BlockPartition",
     "StallGuards",
     "GainVector",
-    "block_l2_norms",
-    "proportionate_gains",
-    "block_gains",
 ]
 
 
@@ -102,64 +103,6 @@ class GainVector:
         return np.repeat(self.block_gains, self.partition.group_size)
 
 
-def block_l2_norms(weights, partition: BlockPartition) -> np.ndarray:
-    """Euclidean norm of each contiguous block of ``weights``.
-
-    Parameters
-    ----------
-    weights : array_like
-        Weight vector of length ``partition.filter_length``.
-    partition : BlockPartition
-        Block layout; block ``i`` covers taps ``i*P .. (i+1)*P - 1``.
-
-    Returns
-    -------
-    ndarray
-        Nonnegative norms, one per block.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (partition.filter_length,):
-        raise ValueError(
-            f"expected a weight vector of length {partition.filter_length}, got shape {w.shape}"
-        )
-    return _block_norms(w, partition.group_size)
-
-
-def proportionate_gains(
-    block_norms, guards: StallGuards, partition: BlockPartition | None = None
-) -> GainVector:
-    """Stall-protected proportionate gains from per-block norms.
-
-    Every norm is floored at ``rho`` times the largest norm (itself floored
-    at ``q``), and the floored values are normalized by their mean.  All-zero
-    norms therefore come out uniform instead of stalling, and the gains are
-    strictly positive whenever the guards are.
-
-    Parameters
-    ----------
-    block_norms : array_like
-        Nonnegative per-block norms (or per-tap magnitudes for a one-tap
-        grouping).
-    guards : StallGuards
-        Positive floors ``rho`` and ``q``.
-    partition : BlockPartition, optional
-        Partition the gains belong to.  Defaults to one tap per block,
-        which makes ``expand()`` the identity.
-
-    Returns
-    -------
-    GainVector
-    """
-    norms = np.asarray(block_norms, dtype=float)
-    if norms.ndim != 1 or norms.size == 0:
-        raise ValueError("block_norms must be a nonempty 1-D vector")
-    if norms.min() < 0:
-        raise ValueError("block norms must be nonnegative")
-    if partition is None:
-        partition = BlockPartition(norms.size, 1)
-    return GainVector(_floored_gains(norms, guards), partition)
-
-
 def _block_norms(weights: np.ndarray, group_size: int, out=None, squares=None) -> np.ndarray:
     """Block norms of a float weight vector whose length ``group_size`` divides; no checks.
     ``out`` (N floats) and ``squares`` (``(N, P)``) are optional buffers, with the same bits."""
@@ -182,8 +125,3 @@ def _floored_gains(norms: np.ndarray, guards: StallGuards, out=None) -> np.ndarr
     # The same add-reduce and divide as gamma.mean(), without its dispatch.
     gamma /= np.add.reduce(gamma) / gamma.size
     return gamma
-
-
-def block_gains(weights, partition: BlockPartition, guards: StallGuards) -> GainVector:
-    """Gains computed directly from a weight vector (norms, then gains)."""
-    return proportionate_gains(block_l2_norms(weights, partition), guards, partition)

@@ -7,6 +7,7 @@ their seeds do.
 """
 
 import csv
+import math
 import time
 
 import numpy as np
@@ -18,10 +19,13 @@ from bspapa import (
     GainVector,
     RegressorHistory,
     StallGuards,
-    block_gains,
     build_weighted_regressor_direct,
     build_weighted_regressor_efficient,
+    preset_config,
+    run_experiment,
+    variant_gains,
 )
+from bspapa.bench import THRESHOLD_DB
 from bspapa.cli import main as cli_main
 from oracles import reduction_gaps
 
@@ -129,15 +133,17 @@ def test_criterion_3_multiplication_counts():
 def test_criterion_4_gain_normalization():
     guards = StallGuards(rho=0.01, q=0.01)
     shapes = [(32, 4), (64, 8), (16, 1), (24, 24), (64, 2)]
+    configs = [FilterConfig("bs-papa", length, group_size=group, guards=guards) for length, group in shapes]
     rng = np.random.default_rng(4)
     worst_sum_error = 0.0
     min_gain = np.inf
     for i in range(100_000):
-        filter_length, group = shapes[i % len(shapes)]
+        config = configs[i % len(configs)]
+        filter_length = config.filter_length
         weights = rng.standard_normal(filter_length)
         if i % 7 == 0:
             weights[rng.random(filter_length) < 0.9] = 0.0
-        gains = block_gains(weights, BlockPartition(filter_length, group), guards)
+        gains = variant_gains(config, weights)
         expanded = gains.expand()
         worst_sum_error = max(worst_sum_error, abs(float(expanded.sum()) - filter_length))
         min_gain = min(min_gain, float(gains.block_gains.min()))
@@ -175,6 +181,55 @@ def test_criterion_5_group_size_sweep(fig2_results):
         "group-size sweep reproduction",
         not problems,
         problems or f"segment-0 times {ttm} in {elapsed:.0f}s",
+    )
+
+
+# Scenario seeds of the ensemble check.  Disjoint from seed 42 (criterion 5),
+# from 1601, 1-7, 100-111 and 200-211 (the seed studies behind this check) and
+# from every seed in BENCH_*.json; chosen once, before the check first ran.
+ENSEMBLE_SEEDS = range(3001, 3013)
+
+
+def test_criterion_5_orderings_over_a_seed_ensemble():
+    """Criterion 5's orderings on the learning curve averaged over scenario seeds.
+
+    One seed's curve can put P=64 behind P=1 by the draw alone (a 4% margin over
+    an earlier ensemble).  Learning curves are ensemble averages: the linear
+    misalignment of each entry is averaged over the seeds, over fig2's first
+    segment (6000 samples, too short for P=1024, which never reaches -15 dB).
+    """
+    labels = list(FIG2_REFERENCE_TIME_TO_15DB)
+    start = time.perf_counter()
+    power = 0.0
+    wins = {"P=32 fastest": 0, "P=64 before P=1": 0}
+    for seed in ENSEMBLE_SEEDS:
+        config = preset_config("fig2", seed=seed, total_samples=6000, switch_sample=6000, trace_decimation=1)
+        traces, summary = run_experiment(config)
+        assert not summary.failures, f"seed {seed}: {summary.failures}"
+        assert [trace.label for trace in traces] == labels
+        power = power + 10.0 ** (np.array([trace.values for trace in traces]) / 10.0)
+        own = {label: summary.row(label, 0).time_to_threshold for label in labels}
+        own = {label: math.inf if value is None else value for label, value in own.items()}
+        wins["P=32 fastest"] += all(own["P=32"] < own[label] for label in labels if label != "P=32")
+        wins["P=64 before P=1"] += own["P=64"] < own["P=1"]
+    elapsed = time.perf_counter() - start
+    ttm = {}
+    for label, curve in zip(labels, 10.0 * np.log10(power / len(ENSEMBLE_SEEDS))):
+        hits = np.flatnonzero(curve <= THRESHOLD_DB)
+        ttm[label] = int(hits[0]) if hits.size else math.inf
+    runner_up = min((label for label in labels if label != "P=32"), key=ttm.get)
+    margin_32 = 1.0 - ttm["P=32"] / ttm[runner_up]
+    margin_64 = 1.0 - ttm["P=64"] / ttm["P=1"]
+    ok = margin_32 > 0.0 and margin_64 > 0.0
+    k = len(ENSEMBLE_SEEDS)
+    _report(
+        "5e",
+        "group-size orderings over a seed ensemble",
+        ok,
+        f"K={k} seeds {ENSEMBLE_SEEDS.start}-{ENSEMBLE_SEEDS.stop - 1}, averaged times {ttm}; "
+        f"P=32 leads {runner_up} by {margin_32:.1%}, P=64 leads P=1 by {margin_64:.1%}; "
+        f"per seed: P=32 fastest {wins['P=32 fastest']}/{k}, P=64 before P=1 {wins['P=64 before P=1']}/{k}; "
+        f"{elapsed:.0f}s",
     )
 
 

@@ -1054,6 +1054,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "snr_db" in err and "Traceback" not in err
 
+    def test_silent_segment_with_snr_is_a_named_error(self, tmp_path, capsys, monkeypatch):
+        def no_steps(*args):
+            raise AssertionError("a filter stepped")
+
+        monkeypatch.setattr(bench, "_panel_batches", no_steps)
+        # fig2's first cluster starts at tap 257: 200 samples hold no echo
+        assert cli_main(["preset", "fig2", "--total-samples", "200", "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: scenario.schedule[0]: the clean echo over samples [0, 200) has zero power "
+            "(the response has first nonzero tap 257, counted from 1), so snr_db=30.0 cannot "
+            "scale noise to it; lengthen the segment or set snr_db to null\n"
+        )
+        raw = TestConfigParsing().raw()
+        raw["scenario"]["filter_length"] = 64
+        raw["scenario"]["schedule"] = [
+            {"switch_sample": 0, "clusters": [[50, 60]]},
+            {"switch_sample": 40, "clusters": [[9, 12]]},
+        ]
+        with pytest.raises(ConfigError) as excinfo:
+            run_experiment(experiment_from_dict(raw))
+        assert str(excinfo.value).startswith(
+            "scenario.schedule[0]: the clean echo over samples [0, 40) has zero power "
+            "(the response has first nonzero tap 50, counted from 1), so snr_db=30.0 "
+        )
+        raw["scenario"]["snr_db"] = None  # no noise to scale: the silent segment is legal
+        monkeypatch.undo()
+        _, summary = run_experiment(experiment_from_dict(raw))
+        assert not summary.failures and summary.row("BS-PAPA(P=4)", 1).time_to_threshold is not None
+
     def test_negative_preset_seed_is_a_named_error(self, tmp_path, capsys):
         args = ["--total-samples", "400", "--seed", "-1", "--out", str(tmp_path / "o.csv")]
         assert cli_main(["preset", "fig3", *args]) == 1

@@ -1,7 +1,10 @@
-"""The demo scripts run as written and reproduce their recorded CSV output."""
+"""The demo scripts and the README quickstart run as written; the demos reproduce
+their recorded CSV output."""
 
 import hashlib
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -24,19 +27,35 @@ WRITTEN = {
 }
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
-def test_demo_runs_and_reproduces_its_csv(demo, tmp_path):
-    script = tmp_path / demo.name
-    shutil.copy(demo, script)
+def run_script(script: Path) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter, in its own folder, with ``src`` importable."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(script)],
-        cwd=tmp_path,
+        cwd=script.parent,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
+def test_demo_runs_and_reproduces_its_csv(demo, tmp_path):
+    script = tmp_path / demo.name
+    shutil.copy(demo, script)
+    result = run_script(script)
     assert result.returncode == 0, result.stderr
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
     assert written == WRITTEN.get(demo.name, {})
+
+
+def test_readme_quickstart_runs_as_written(tmp_path):
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1, "the README has one python block: the library quickstart"
+    script = tmp_path / "quickstart.py"
+    script.write_text(blocks[0])
+    result = run_script(script)
+    assert result.returncode == 0, result.stderr
+    misalignment = float(result.stdout.split()[-1])  # the block prints the final misalignment in dB
+    assert math.isfinite(misalignment) and misalignment < -20.0, result.stdout

@@ -96,6 +96,13 @@ class TestFilterConfig:
         with pytest.raises(ValueError):
             FilterConfig("bs-papa", 64, 4, group_size=12)
 
+    @pytest.mark.parametrize("variant", ["apa", "papa"])
+    @pytest.mark.parametrize("guards", [(0.01, 0.01), None, {"rho": 0.01, "q": 0.01}])
+    def test_guards_must_be_stall_guards(self, variant, guards):
+        with pytest.raises(ValueError, match="^guards must be a StallGuards"):
+            FilterConfig(variant, 16, 2, guards=guards)
+        assert FilterConfig(variant, 16, 2, guards=StallGuards(0.5, 0.2)).guards == StallGuards(0.5, 0.2)
+
     @pytest.mark.parametrize(
         "args,kwargs,field",
         [

@@ -10,12 +10,10 @@ from bspapa import (
     FilterConfig,
     GainVector,
     StallGuards,
-    block_gains,
-    block_l2_norms,
     make_block_sparse_ir,
-    proportionate_gains,
+    variant_gains,
 )
-from bspapa.gains import _block_norms
+from bspapa.gains import _block_norms, _floored_gains
 
 GUARDS = StallGuards(rho=0.01, q=0.01)
 
@@ -66,30 +64,30 @@ class TestStallGuards:
 
 class TestBlockL2Norms:
     def test_right_triangle(self):
-        norms = block_l2_norms([3.0, 4.0, 0.0, 0.0], BlockPartition(4, 2))
+        norms = _block_norms(np.array([3.0, 4.0, 0.0, 0.0]), 2)
         np.testing.assert_array_equal(norms, [5.0, 0.0])
 
     def test_all_zero(self):
         for group in (1, 2, 4, 8):
-            norms = block_l2_norms(np.zeros(8), BlockPartition(8, group))
+            norms = _block_norms(np.zeros(8), group)
             np.testing.assert_array_equal(norms, np.zeros(8 // group))
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(712)
         w = rng.standard_normal(8)
-        norms = block_l2_norms(w, BlockPartition(8, 4))
+        norms = _block_norms(w, 4)
         np.testing.assert_allclose(norms, brute_force_block_norms(w, 4), rtol=1e-14)
 
     def test_against_brute_force_many_shapes(self):
         rng = np.random.default_rng(55)
         for length, group in [(12, 3), (64, 8), (64, 64), (30, 1)]:
             w = rng.standard_normal(length)
-            norms = block_l2_norms(w, BlockPartition(length, group))
+            norms = _block_norms(w, group)
             np.testing.assert_allclose(norms, brute_force_block_norms(w, group), rtol=1e-14)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            block_l2_norms(np.zeros(7), BlockPartition(8, 2))
+            variant_gains(FilterConfig("bs-papa", 8, group_size=2), np.zeros(7))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data(), group=st.integers(2, 7), blocks=st.integers(1, 40), buffered=st.booleans())
@@ -108,53 +106,43 @@ class TestBlockL2Norms:
     def test_single_tap_blocks_give_magnitudes(self):
         rng = np.random.default_rng(9)
         w = rng.standard_normal(16)
-        norms = block_l2_norms(w, BlockPartition(16, 1))
+        norms = _block_norms(w, 1)
         np.testing.assert_allclose(norms, np.abs(w), rtol=1e-15)
 
 
 class TestProportionateGains:
     def test_dominant_block(self):
         # gamma = [5, 0.05], mean 2.525; cross-checked by hand evaluation
-        gv = proportionate_gains([5.0, 0.0], GUARDS)
-        np.testing.assert_allclose(gv.block_gains, [1.9801980198019802, 0.019801980198019802], rtol=1e-14)
-        assert gv.block_gains.sum() == pytest.approx(2.0, rel=1e-14)
+        gains = _floored_gains(np.array([5.0, 0.0]), GUARDS)
+        np.testing.assert_allclose(gains, [1.9801980198019802, 0.019801980198019802], rtol=1e-14)
+        assert gains.sum() == pytest.approx(2.0, rel=1e-14)
 
     def test_symmetric_norms(self):
-        gv = proportionate_gains([1.0, 1.0, 1.0, 1.0], StallGuards(0.5, 2.0))
-        np.testing.assert_array_equal(gv.block_gains, np.ones(4))
+        gains = _floored_gains(np.ones(4), StallGuards(0.5, 2.0))
+        np.testing.assert_array_equal(gains, np.ones(4))
 
     def test_all_zero_norms_uniform(self):
         # zero initialization: the q floor keeps every gain alive and equal
-        gv = proportionate_gains(np.zeros(6), GUARDS)
-        np.testing.assert_array_equal(gv.block_gains, np.ones(6))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            proportionate_gains([], GUARDS)
-
-    def test_negative_norm_rejected(self):
-        with pytest.raises(ValueError):
-            proportionate_gains([1.0, -0.1], GUARDS)
+        gains = _floored_gains(np.zeros(6), GUARDS)
+        np.testing.assert_array_equal(gains, np.ones(6))
 
     def test_single_block_is_exactly_one(self):
         for norm in (0.0, 0.3, 42.0):
-            gv = proportionate_gains([norm], GUARDS)
-            assert gv.block_gains[0] == 1.0
-
-    def test_partition_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            proportionate_gains([1.0, 2.0], GUARDS, BlockPartition(12, 4))
+            assert _floored_gains(np.array([norm]), GUARDS)[0] == 1.0
 
 
 class TestGainInvariants:
     def test_mean_one_and_diagonal_sum(self):
         rng = np.random.default_rng(2024)
+        shapes = [(16, 4), (32, 8), (64, 1), (24, 24)]
+        configs = {shape: FilterConfig("bs-papa", shape[0], group_size=shape[1], guards=GUARDS) for shape in shapes}
         for _ in range(200):
-            length, group = rng.choice([(16, 4), (32, 8), (64, 1), (24, 24)])
+            length, group = rng.choice(shapes)
+            config = configs[int(length), int(group)]
             w = rng.standard_normal(length) * 10.0 ** rng.integers(-6, 4)
             if rng.random() < 0.2:
                 w[:] = 0.0
-            gv = block_gains(w, BlockPartition(int(length), int(group)), GUARDS)
+            gv = variant_gains(config, w)
             assert abs(gv.block_gains.mean() - 1.0) <= 1e-12
             expanded = gv.expand()
             assert expanded.size == length
@@ -162,20 +150,33 @@ class TestGainInvariants:
 
     def test_positivity(self):
         rng = np.random.default_rng(77)
+        config = FilterConfig("bs-papa", 32, group_size=4, guards=GUARDS)
         for _ in range(100):
             w = rng.standard_normal(32)
             w[rng.random(32) < 0.8] = 0.0
-            gv = block_gains(w, BlockPartition(32, 4), GUARDS)
+            gv = variant_gains(config, w)
             assert gv.block_gains.min() > 0.0
 
     def test_scale_covariance(self):
         # scaling the norms leaves gains unchanged while above the q floor
         rng = np.random.default_rng(31)
         norms = np.abs(rng.standard_normal(8)) + GUARDS.q
-        base = proportionate_gains(norms, GUARDS).block_gains
+        base = _floored_gains(norms, GUARDS)
         for scale in (2.0, 0.5, 3.7, 1e3):
-            scaled = proportionate_gains(scale * norms, GUARDS).block_gains
+            scaled = _floored_gains(scale * norms, GUARDS)
             np.testing.assert_allclose(scaled, base, rtol=1e-12)
+
+    def test_one_tap_and_one_block_shortcuts_give_the_block_rule_bits(self):
+        # |w| == sqrt(w*w) short of overflow, and a lone floored norm over itself is one
+        rng = np.random.default_rng(808)
+        for length in (8, 64):
+            taps = FilterConfig("bs-papa", length, group_size=1, guards=GUARDS)
+            whole = FilterConfig("bs-papa", length, group_size=length, guards=GUARDS)
+            for _ in range(200):
+                w = rng.standard_normal(length) * 10.0 ** rng.uniform(-150, 150)
+                rule = _floored_gains(_block_norms(w, 1), GUARDS)
+                assert variant_gains(taps, w).block_gains.tobytes() == rule.tobytes()
+                assert variant_gains(whole, w).block_gains.tobytes() == np.ones(1).tobytes()
 
     def test_expand_repeats_each_block(self):
         gv = GainVector(np.array([2.0, 0.5]), BlockPartition(6, 3))
