@@ -395,9 +395,11 @@ def preset_config(
     """
     if name not in PRESET_NAMES:
         raise ConfigError(f"preset: unknown name {name!r}; expected one of {PRESET_NAMES}")
+    if not (_is_integer(switch_sample) and switch_sample >= 1):
+        raise ConfigError(f"switch_sample: expected an integer >= 1, got {switch_sample!r}")
     schedule = [{"switch_sample": 0, "clusters": [[257, 288]]}]
     if switch_sample < total_samples:
-        schedule.append({"switch_sample": switch_sample, "clusters": [[257, 288], [769, 800]]})
+        schedule.append({"switch_sample": int(switch_sample), "clusters": [[257, 288], [769, 800]]})
     scenario = {"filter_length": 1024, "total_samples": total_samples, "seed": seed, "snr_db": snr_db}
     return experiment_from_dict(
         {

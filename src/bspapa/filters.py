@@ -15,9 +15,10 @@ and skip the linear solve.
 One kernel, ``_Batch``, takes the step for B filters that share the filter
 length, the projection order and the branch, over one input history: the
 error, Gram and update products are stacked over the filters, with one
-pivot test per step.  ``filter_step`` and ``AdaptiveFilter`` run the batch of
-one a ``FilterState`` keeps; ``_panel_batches`` builds the zeroed batches of a
-panel, which ``run_experiment`` streams.
+pivot test per step, and ``_ScalarRow`` steps its single-projection rows one
+by one.  ``filter_step`` and ``AdaptiveFilter`` run the batch of one a
+``FilterState`` keeps, a lone ``_ScalarRow`` for ``pnlms``/``bs-pnlms``;
+``_panel_batches`` builds the zeroed batches of a panel, which ``run_experiment`` streams.
 
 The kernel spends products on W only where that is faster.  A single
 block has gain exactly one, so its W is X(n) itself, which the history
@@ -263,7 +264,15 @@ class FilterState:
         if built is not config or weights is not self.weights or ring is not self.memory_ring:
             weights, ring = self.weights, self.memory_ring
             rings = np.empty((0, *_ring_shape(config))) if ring is None else ring[None]
-            self._batch = (config, weights, ring, batch := _Batch([config], weights[None], rings))
+            batch = (_ScalarRow(config, weights, np.empty(config.filter_length)) if config.is_scalar
+                     else _Batch([config], weights[None], rings))
+            self._batch = (config, weights, ring, batch)
+        if config.is_scalar:
+            head = history._head
+            prior, failed = batch(history._buf[head : head + config.filter_length], float(desired[0]))
+            if failed:
+                raise failed
+            return prior
         batch.head = self.memory_head
         prior, failed = batch.step(history, desired)
         self.memory_head = batch.head
@@ -624,6 +633,34 @@ def filter_step(
     return state._step(config, history, desired)
 
 
+class _ScalarRow:
+    """One single-projection row's step, ``w += mu*e*Gx / (x.Gx + delta)`` with mu and delta
+    as Python floats; no checks.  Gx is x weighted in the update row (as ``(N, P)`` blocks,
+    which first hold the squares, for P > 1), or x itself for one block, of gain one.  Called
+    with x(n) and d(n), it returns the a-priori error and the failure or None; a failure leaves
+    the weights untouched.  A scalar batch's rows and a scalar state's batch of one are these."""
+
+    def __init__(self, config: FilterConfig, weights: np.ndarray, out: np.ndarray):
+        self.config, self.weights, self.out, self.blocks = config, weights, out, _blocks(out, config)
+        self.gains = None if config.block_count == 1 else np.empty(config.block_count)
+        self.mu, self.delta = float(config.step_size), float(config.regularization)
+
+    def __call__(self, x: np.ndarray, d: float):
+        w, out, gains = self.weights, self.out, self.gains
+        prior = d - float(np.dot(x, w))
+        weighted = x
+        if gains is not None:
+            _weigh(_block_gains(self.config, w, gains, self.blocks), x, out, self.blocks)
+            weighted = out
+        denominator = float(np.dot(x, weighted)) + self.delta
+        if denominator == 0.0:
+            message = "scalar normalization is zero (silent input with delta=0)"
+            return prior, SingularSystemError(message, pivot=0.0)
+        np.multiply(weighted, self.mu * prior / denominator, out=out)
+        np.add(w, out, out=w)
+        return prior, None
+
+
 class _Batch:
     """The step kernel: B filters sharing (L, M) and the branch, stepped as one.
 
@@ -639,9 +676,9 @@ class _Batch:
     same way.  Each stacked product (error, Gram, update) equals the
     per-filter product bit for bit.  Only a batch with a unit-gain or
     in-place row reads the row view, so only its history makes the row
-    ring.  Every row computes its gains in buffers of its own (a scalar
-    row uses its update row for squares and weighted input), so a step
-    that places nothing allocates no array of L floats.  No checks.
+    ring.  Single-projection rows are :class:`_ScalarRow` steps over their
+    update rows, called in turn.  Every row computes its gains in buffers of its
+    own, so a step that places nothing allocates no array of L floats.  No checks.
     """
 
     def __init__(self, configs, weights: np.ndarray, rings: np.ndarray, head: int = 0):
@@ -661,13 +698,8 @@ class _Batch:
         self._diagonal = lu.reshape(count, -1)[:, :: order + 1]
         self._rhs = error[:, :, 0]
         self._systems = list(zip(self._lu, self._rhs))  # F-contiguous LU, rhs row
-        # Scalar rows weight their input in their update row (as (N, P) blocks
-        # for P > 1, which first hold the squares), with gains computed in a
-        # buffer of their own; a single block has gain one: x weighs itself.
-        self._scalar_rows = [
-            (c, w, u, _blocks(u, c), np.empty(c.block_count))
-            for c, w, u in zip(configs, weights, self._update)
-        ] if self.scalar else []
+        scalar_rows = zip(configs, weights, self._update) if self.scalar else ()
+        self._scalar_rows = [_ScalarRow(*row) for row in scalar_rows]
         weighted = np.empty((built, length, order))
         rows = list(zip(configs, weights, weighted))  # the built rows: zip stops at the unit rows
         # Built rows weight their slot, as (N, P*M) blocks, in place; see _PLACE_FROM.
@@ -699,54 +731,41 @@ class _Batch:
     def step(self, history: RegressorHistory, desired: np.ndarray):
         """Advance every filter a sample; return the a-priori errors and ``{row: failure}``
         (a failed row keeps its weights)."""
-        weights, update, failed = self.weights, self._update, {}
-        if self.scalar:  # per row: two dot products, cheapest as Python floats
-            head, d, prior = history._head, float(desired[0]), []
-            x = history._buf[head : head + weights.shape[1]]
-            for b, (config, w, out, blocks, gains) in enumerate(self._scalar_rows):
-                prior.append(d - float(np.dot(x, w)))
-                weighted = out
-                if gains.size == 1:  # one block, of gain one
-                    weighted = x
-                else:
-                    _weigh(_block_gains(config, w, gains, blocks), x, out, blocks)
-                denominator = float(np.dot(x, weighted)) + config.regularization
-                if denominator == 0.0:
-                    failed[b] = SingularSystemError(
-                        "scalar normalization is zero (silent input with delta=0)", pivot=0.0
-                    )
-                else:
-                    np.multiply(weighted, config.step_size * prior[b] / denominator, out=out)
-        else:
-            regressor_t, rhs = history._xt[history._head], self._rhs  # X.T, error rows
-            np.matmul(regressor_t, self._columns, out=self._error)
-            np.subtract(desired, rhs, out=rhs)
-            prior = rhs[:, 0].tolist()
-            parts, order = self._parts, history.projection_order
-            if self._reads_rows:
-                regressor = history.regressor_rows()
-                for config, w, out, blocks, gains, squares in self._in_place:
-                    _weigh(_block_gains(config, w, gains, squares), regressor, out, blocks)
-                if self._unit_stacks:
-                    parts = [*parts, (regressor, *self._unit_stacks)]
-            for config, w, out, gains, squares in self._placed:
-                windows = history.block_windows(config.group_size)
-                _place_products(_block_gains(config, w, gains, squares), windows, out)
-            if self._memory:
-                self.head = head = (self.head - 1) % order
-                x = history._buf[history._head : history._head + weights.shape[1]]
-                for config, w, heads, gains, squares in self._memory:
-                    row, blocks, mirror = heads[head]
-                    _weigh(_block_gains(config, w, gains, squares), x, row, blocks)
-                    np.copyto(mirror, row)
-                parts = [*parts, (self._ring_views[head], *self._ring_stacks)]
-            for weighted, gram, _, _ in parts:
-                np.matmul(regressor_t, weighted, out=gram)
-            np.copyto(self._lu, self._gram)
-            failed = _solve_stack(self._systems, self._diagonal, self.delta)
-            for weighted, _, error, out in parts:
-                np.matmul(weighted, error, out=out)
-            update *= self.mu
+        if self.scalar:  # one call a row; a failed row keeps its weights
+            head, d = history._head, float(desired[0])
+            x = history._buf[head : head + self.weights.shape[1]]
+            steps = [row(x, d) for row in self._scalar_rows]
+            return [prior for prior, _ in steps], {b: failed for b, (_, failed) in enumerate(steps) if failed}
+        weights, update = self.weights, self._update
+        regressor_t, rhs = history._xt[history._head], self._rhs  # X.T, error rows
+        np.matmul(regressor_t, self._columns, out=self._error)
+        np.subtract(desired, rhs, out=rhs)
+        prior = rhs[:, 0].tolist()
+        parts, order = self._parts, history.projection_order
+        if self._reads_rows:
+            regressor = history.regressor_rows()
+            for config, w, out, blocks, gains, squares in self._in_place:
+                _weigh(_block_gains(config, w, gains, squares), regressor, out, blocks)
+            if self._unit_stacks:
+                parts = [*parts, (regressor, *self._unit_stacks)]
+        for config, w, out, gains, squares in self._placed:
+            windows = history.block_windows(config.group_size)
+            _place_products(_block_gains(config, w, gains, squares), windows, out)
+        if self._memory:
+            self.head = head = (self.head - 1) % order
+            x = history._buf[history._head : history._head + weights.shape[1]]
+            for config, w, heads, gains, squares in self._memory:
+                row, blocks, mirror = heads[head]
+                _weigh(_block_gains(config, w, gains, squares), x, row, blocks)
+                np.copyto(mirror, row)
+            parts = [*parts, (self._ring_views[head], *self._ring_stacks)]
+        for weighted, gram, _, _ in parts:
+            np.matmul(regressor_t, weighted, out=gram)
+        np.copyto(self._lu, self._gram)
+        failed = _solve_stack(self._systems, self._diagonal, self.delta)
+        for weighted, _, error, out in parts:
+            np.matmul(weighted, error, out=out)
+        update *= self.mu
         if failed:
             update[list(failed)] = 0.0
         weights += update

@@ -119,8 +119,9 @@ def _block_norms(weights: np.ndarray, group_size: int, out=None, squares=None) -
 
 def _floored_gains(norms: np.ndarray, guards: StallGuards, out=None) -> np.ndarray:
     """Floored norms normalized by their mean, for a nonempty nonnegative float vector; no checks.
-    ``out`` is an optional buffer of the norms' shape, which may be ``norms`` itself."""
-    floor = guards.rho * max(guards.q, float(np.maximum.reduce(norms)))
+    ``out`` is an optional buffer of the norms' shape, which may be ``norms`` itself.  The max is
+    taken by ``argmax``, which finds the first NaN: ``max(q, nan)`` is q as after a reduce, cheaper."""
+    floor = guards.rho * max(guards.q, norms[norms.argmax()])
     gamma = np.maximum(floor, norms, out=out)
     # The same add-reduce and divide as gamma.mean(), without its dispatch.
     gamma /= np.add.reduce(gamma) / gamma.size

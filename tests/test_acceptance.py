@@ -266,6 +266,67 @@ def test_criterion_6_algorithm_comparison(fig3_artifacts):
     )
 
 
+# Scenario seeds of the fig3 ensemble check.  Disjoint from every seed above,
+# from 5001-5004 (the sizing runs behind this check), from 701-704, 801-816
+# and 901-932 (earlier timing runs) and from every seed in BENCH_*.json;
+# chosen once, before the check first ran.
+FIG3_ENSEMBLE_SEEDS = range(6001, 6009)
+FIG3_PAIRS = (("BS-PAPA(P=32)", "PAPA"), ("BS-MPAPA(P=32)", "MPAPA"))
+
+
+def test_criterion_6_orderings_over_a_seed_ensemble():
+    """Criterion 6's orderings and memory gap on the learning curve averaged over scenario seeds.
+
+    As for criterion 5e, the linear misalignment of each entry is averaged over
+    the seeds.  fig3 runs 12 000 samples with the switch at 4000: PAPA and MPAPA
+    reach -15 dB within 4000 samples in segment 0, and every entry reaches it
+    within the 8000 of segment 1.  Times are counted from each segment's start;
+    the steady state is the mean over a segment's last tenth, as in the summary.
+    """
+    switch, total = 4000, 12000
+    start = time.perf_counter()
+    power = 0.0
+    wins = {(block, segment): 0 for block, _ in FIG3_PAIRS for segment in (0, 1)}
+    for seed in FIG3_ENSEMBLE_SEEDS:
+        config = preset_config("fig3", seed=seed, total_samples=total, switch_sample=switch, trace_decimation=1)
+        traces, summary = run_experiment(config)
+        assert not summary.failures, f"seed {seed}: {summary.failures}"
+        labels = [trace.label for trace in traces]
+        power = power + 10.0 ** (np.array([trace.values for trace in traces]) / 10.0)
+        for block, plain in FIG3_PAIRS:
+            for segment in (0, 1):
+                own, other = (summary.row(label, segment).time_to_threshold for label in (block, plain))
+                wins[block, segment] += own is not None and (other is None or own < other)
+    elapsed = time.perf_counter() - start
+    ttm, steady = {}, {}
+    for label, curve in zip(labels, 10.0 * np.log10(power / len(FIG3_ENSEMBLE_SEEDS))):
+        for segment, values in enumerate((curve[:switch], curve[switch:])):
+            hits = np.flatnonzero(values <= THRESHOLD_DB)
+            ttm[label, segment] = int(hits[0]) if hits.size else math.inf
+            steady[label, segment] = float(np.mean(values[-(values.size // 10) :]))
+    margins = {
+        (block, segment): 1.0 - ttm[block, segment] / ttm[plain, segment]
+        for block, plain in FIG3_PAIRS
+        for segment in (0, 1)
+    }
+    gaps = [abs(steady["BS-MPAPA(P=32)", s] - steady["BS-PAPA(P=32)", s]) for s in (0, 1)]
+    ok = all(margin > 0.0 for margin in margins.values()) and max(gaps) <= 2.0
+    k = len(FIG3_ENSEMBLE_SEEDS)
+    leads = "; ".join(
+        f"segment {segment}: {block} {ttm[block, segment]} leads {plain} {ttm[plain, segment]} "
+        f"by {margins[block, segment]:.1%}, per seed {wins[block, segment]}/{k}"
+        for segment in (0, 1)
+        for block, plain in FIG3_PAIRS
+    )
+    _report(
+        "6e",
+        "algorithm orderings over a seed ensemble",
+        ok,
+        f"K={k} seeds {FIG3_ENSEMBLE_SEEDS.start}-{FIG3_ENSEMBLE_SEEDS.stop - 1}, averaged times to -15 dB; "
+        f"{leads}; memory steady-state gaps {[round(gap, 3) for gap in gaps]} dB; {elapsed:.0f}s",
+    )
+
+
 def test_criterion_7_noiseless_sanity():
     from bspapa import EchoScenario, ExperimentConfig, make_block_sparse_ir, run_experiment
 

@@ -924,6 +924,17 @@ class TestPresets:
             preset_config("fig2", total_samples=0)
         assert str(excinfo.value).startswith("scenario:")
 
+    @pytest.mark.parametrize("switch", [0, -5, 2.5, True])
+    def test_bad_switch_sample_is_named(self, switch):
+        with pytest.raises(ConfigError) as excinfo:
+            preset_config("fig2", switch_sample=switch)
+        assert str(excinfo.value) == f"switch_sample: expected an integer >= 1, got {switch!r}"
+
+    @pytest.mark.parametrize("switch,starts", [(np.int64(900), [0, 900]), (1800, [0]), (5000, [0])])
+    def test_switch_sample_at_or_past_the_end_leaves_one_segment(self, switch, starts):
+        scenario = preset_config("fig2", total_samples=1800, switch_sample=switch).scenario
+        assert [start for start, _ in scenario.schedule] == starts
+
 
 # sha256 of the files `bspapa-bench preset <name> --total-samples 2000` writes
 PRESET_DIGESTS = {

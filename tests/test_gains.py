@@ -130,6 +130,36 @@ class TestProportionateGains:
         for norm in (0.0, 0.3, 42.0):
             assert _floored_gains(np.array([norm]), GUARDS)[0] == 1.0
 
+    @pytest.mark.parametrize("size", [1, 32, 1024])
+    @pytest.mark.parametrize(
+        "case",
+        [f"{value} {at}" for value in ("nan", "max", "inf") for at in ("first", "middle", "last")]
+        + ["signed zeros", "subnormal", "equal"],
+    )
+    @pytest.mark.parametrize("guards", [GUARDS, StallGuards(rho=0.5, q=5e-324)], ids=["q=0.01", "q=tiny"])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_floor_max_has_the_reduce_bits_on_extreme_norms(self, size, case, guards, in_place):
+        """The floor's max must be exact: the rule gives the bits of the max taken by a
+        NaN-propagating reduce, written out here, NaN, signed zeros and all."""
+        norms = np.random.default_rng(size).random(size)
+        value, _, at = case.partition(" ")
+        if value in ("nan", "max", "inf"):
+            index = {"first": 0, "middle": size // 2, "last": -1}[at]
+            norms[index] = {"nan": np.nan, "max": 2.0, "inf": np.inf}[value]
+        elif case == "signed zeros":
+            norms[::2], norms[1::2] = -0.0, 0.0
+        elif case == "subnormal":  # 5e-324 up to 1024 times that, all below the smallest normal
+            norms = 5e-324 * np.arange(1, size + 1)
+        elif case == "equal":
+            norms[:] = 0.7
+        given = norms.copy()
+        with np.errstate(invalid="ignore"):  # an infinite norm gives inf / inf
+            floor = guards.rho * max(guards.q, float(np.maximum.reduce(norms)))
+            expected = np.maximum(floor, norms)
+            expected /= np.add.reduce(expected) / expected.size
+            gains = _floored_gains(given, guards, given if in_place else None)
+        assert gains.tobytes() == expected.tobytes()
+
 
 class TestGainInvariants:
     def test_mean_one_and_diagonal_sum(self):
