@@ -72,6 +72,8 @@ class ExperimentConfig:
         if len(set(labels)) != len(labels):
             raise ConfigError("panel: labels must be unique")
         for label, cfg in self.panel:
+            if not isinstance(cfg, FilterConfig):
+                raise ConfigError(f"panel[{label!r}]: expected a FilterConfig, got {cfg!r}")
             if cfg.filter_length != self.scenario.filter_length:
                 raise ConfigError(
                     f"panel[{label!r}].filter_length: {cfg.filter_length} does not match "
@@ -398,7 +400,7 @@ def preset_config(
     if not (_is_integer(switch_sample) and switch_sample >= 1):
         raise ConfigError(f"switch_sample: expected an integer >= 1, got {switch_sample!r}")
     schedule = [{"switch_sample": 0, "clusters": [[257, 288]]}]
-    if switch_sample < total_samples:
+    if not _is_integer(total_samples) or switch_sample < total_samples:  # the reader names a bad total
         schedule.append({"switch_sample": int(switch_sample), "clusters": [[257, 288], [769, 800]]})
     scenario = {"filter_length": 1024, "total_samples": total_samples, "seed": seed, "snr_db": snr_db}
     return experiment_from_dict(
@@ -411,13 +413,14 @@ def preset_config(
 
 
 _REQUIRED = object()
-# A field's kind: the types its JSON value may take (a boolean is never a
-# number) and the words an error names them by.  A kind of None accepts any value.
-_INTEGER = ((int,), "an integer")
+# A field's kind: the types its value may take (a boolean is never a number,
+# and an integer is one by ``_is_integer``) and the words an error names them
+# by.  A kind of None accepts any value.
+_INTEGER = ((int, np.integer), "an integer")
 _NUMBER = ((int, float), "a number")
 _STRING = ((str,), "a string")
 _PAIRS = ((list,), "a list of [start, end] pairs")
-_INTEGER_OR_NULL = ((int, type(None)), "an integer")
+_INTEGER_OR_NULL = ((int, np.integer, type(None)), "an integer")
 _NUMBER_OR_NULL = ((int, float, type(None)), "a number")
 _STRING_OR_NULL = ((str, type(None)), "a string or null")
 

@@ -15,9 +15,9 @@ and skip the linear solve.
 One kernel, ``_Batch``, takes the step for B filters that share the filter
 length, the projection order and the branch, over one input history: the
 error, Gram and update products are stacked over the filters, with one
-pivot test per step, and ``_ScalarRow`` steps its single-projection rows one
-by one.  ``filter_step`` and ``AdaptiveFilter`` run the batch of one a
-``FilterState`` keeps, a lone ``_ScalarRow`` for ``pnlms``/``bs-pnlms``;
+pivot test per step.  A single-projection batch is only its rows, ``_ScalarRow`` steps
+that read x(n) and d(n) themselves.  ``filter_step`` and ``AdaptiveFilter`` run the batch
+of one a ``FilterState`` keeps, a lone ``_ScalarRow`` for ``pnlms``/``bs-pnlms``;
 ``_panel_batches`` builds the zeroed batches of a panel, which ``run_experiment`` streams.
 
 The kernel spends products on W only where that is faster.  A single
@@ -268,8 +268,7 @@ class FilterState:
                      else _Batch([config], weights[None], rings))
             self._batch = (config, weights, ring, batch)
         if config.is_scalar:
-            head = history._head
-            prior, failed = batch(history._buf[head : head + config.filter_length], float(desired[0]))
+            prior, failed = batch(history, desired)
             if failed:
                 raise failed
             return prior
@@ -636,18 +635,19 @@ def filter_step(
 class _ScalarRow:
     """One single-projection row's step, ``w += mu*e*Gx / (x.Gx + delta)`` with mu and delta
     as Python floats; no checks.  Gx is x weighted in the update row (as ``(N, P)`` blocks,
-    which first hold the squares, for P > 1), or x itself for one block, of gain one.  Called
-    with x(n) and d(n), it returns the a-priori error and the failure or None; a failure leaves
-    the weights untouched.  A scalar batch's rows and a scalar state's batch of one are these."""
+    which first hold the squares, for P > 1), or x itself for one block, of gain one.  A call
+    reads x(n) and d(n) from the history and desired window itself and returns the a-priori
+    error and the failure or None; a failure leaves the weights untouched."""
 
     def __init__(self, config: FilterConfig, weights: np.ndarray, out: np.ndarray):
         self.config, self.weights, self.out, self.blocks = config, weights, out, _blocks(out, config)
         self.gains = None if config.block_count == 1 else np.empty(config.block_count)
         self.mu, self.delta = float(config.step_size), float(config.regularization)
 
-    def __call__(self, x: np.ndarray, d: float):
-        w, out, gains = self.weights, self.out, self.gains
-        prior = d - float(np.dot(x, w))
+    def __call__(self, history: RegressorHistory, desired: np.ndarray):
+        w, out, gains, head = self.weights, self.out, self.gains, history._head
+        x = history._buf[head : head + len(w)]  # x(n)
+        prior = float(desired[0]) - float(np.dot(x, w))
         weighted = x
         if gains is not None:
             _weigh(_block_gains(self.config, w, gains, self.blocks), x, out, self.blocks)
@@ -676,8 +676,8 @@ class _Batch:
     same way.  Each stacked product (error, Gram, update) equals the
     per-filter product bit for bit.  Only a batch with a unit-gain or
     in-place row reads the row view, so only its history makes the row
-    ring.  Single-projection rows are :class:`_ScalarRow` steps over their
-    update rows, called in turn.  Every row computes its gains in buffers of its
+    ring.  A single-projection batch is only its :class:`_ScalarRow` steps, called in
+    turn, with no projection buffers.  Every row computes its gains in buffers of its
     own, so a step that places nothing allocates no array of L floats.  No checks.
     """
 
@@ -685,9 +685,12 @@ class _Batch:
         self.configs, self.weights, self.rings, self.head = configs, weights, rings, head
         (count, length), order = weights.shape, configs[0].projection_order
         self.scalar, self.plain = configs[0].is_scalar, count - len(rings)
+        if self.scalar:  # the rows alone, each with an update row of its own
+            self._scalar_rows = [_ScalarRow(*row) for row in zip(configs, weights, np.empty(weights.shape))]
+            return
         p = self.plain
-        units = 0 if self.scalar else sum(c.block_count == 1 for c in configs[:p])
-        built = 0 if self.scalar else p - units
+        units = sum(c.block_count == 1 for c in configs[:p])
+        built = p - units
         # one step size a tap: a (B, 1) column would make the multiply buffer B*L floats
         self.mu = np.repeat([[c.step_size] for c in configs], length, axis=1)
         self.delta = np.array([[c.regularization] for c in configs])
@@ -698,8 +701,6 @@ class _Batch:
         self._diagonal = lu.reshape(count, -1)[:, :: order + 1]
         self._rhs = error[:, :, 0]
         self._systems = list(zip(self._lu, self._rhs))  # F-contiguous LU, rhs row
-        scalar_rows = zip(configs, weights, self._update) if self.scalar else ()
-        self._scalar_rows = [_ScalarRow(*row) for row in scalar_rows]
         weighted = np.empty((built, length, order))
         rows = list(zip(configs, weights, weighted))  # the built rows: zip stops at the unit rows
         # Built rows weight their slot, as (N, P*M) blocks, in place; see _PLACE_FROM.
@@ -732,9 +733,7 @@ class _Batch:
         """Advance every filter a sample; return the a-priori errors and ``{row: failure}``
         (a failed row keeps its weights)."""
         if self.scalar:  # one call a row; a failed row keeps its weights
-            head, d = history._head, float(desired[0])
-            x = history._buf[head : head + self.weights.shape[1]]
-            steps = [row(x, d) for row in self._scalar_rows]
+            steps = [row(history, desired) for row in self._scalar_rows]
             return [prior for prior, _ in steps], {b: failed for b, (_, failed) in enumerate(steps) if failed}
         weights, update = self.weights, self._update
         regressor_t, rhs = history._xt[history._head], self._rhs  # X.T, error rows

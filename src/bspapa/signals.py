@@ -210,6 +210,13 @@ class EchoScenario:
     total_samples: int = 1
 
     def __post_init__(self) -> None:
+        for s, _ in self.schedule:
+            if not _is_integer(s):
+                raise ValueError(f"schedule switch samples must be integers, got {s!r}")
+        for name in ("seed", "total_samples"):
+            if not _is_integer(value := getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         entries = tuple((int(s), r) for s, r in self.schedule)
         if not entries:
             raise ValueError("schedule must contain at least one response")

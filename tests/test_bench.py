@@ -558,6 +558,12 @@ class TestExperimentConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(scenario=small_scenario(), panel=[])
 
+    @pytest.mark.parametrize("entry", ["notacfg", None, {"variant": "apa"}])
+    def test_entry_that_is_no_filter_config_is_named(self, entry):
+        panel = [("ok", FilterConfig("apa", 32, 4)), ("a", entry)]
+        with pytest.raises(ConfigError, match=r"^panel\['a'\]: expected a FilterConfig, got "):
+            ExperimentConfig(scenario=small_scenario(), panel=panel)
+
     @pytest.mark.parametrize("value", [2.5, 10.0, True, "10", None])
     def test_non_integer_trace_decimation_rejected(self, value):
         # before the run, not as an IndexError once the whole panel has run
@@ -929,6 +935,24 @@ class TestPresets:
         with pytest.raises(ConfigError) as excinfo:
             preset_config("fig2", switch_sample=switch)
         assert str(excinfo.value) == f"switch_sample: expected an integer >= 1, got {switch!r}"
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+    def test_numpy_integer_arguments_read_as_ints(self, kind):
+        plain = preset_config("fig2", seed=5, total_samples=1800, switch_sample=900, trace_decimation=3)
+        numpy = preset_config("fig2", seed=kind(5), total_samples=kind(1800), switch_sample=kind(900),
+                              trace_decimation=kind(3))
+        for exp in (plain, numpy):
+            sc = exp.scenario
+            assert (sc.seed, sc.total_samples, exp.trace_decimation) == (5, 1800, 3)
+            assert type(sc.seed) is int and type(sc.total_samples) is int
+            assert [start for start, _ in sc.schedule] == [0, 900]
+        assert numpy.panel == plain.panel
+
+    @pytest.mark.parametrize("field", ["seed", "total_samples", "trace_decimation"])
+    @pytest.mark.parametrize("value", [True, np.bool_(True), 5.0, "5"])
+    def test_non_integer_arguments_are_named(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^(scenario\.)?{field}: expected an integer, got "):
+            preset_config("fig2", **{field: value})
 
     @pytest.mark.parametrize("switch,starts", [(np.int64(900), [0, 900]), (1800, [0]), (5000, [0])])
     def test_switch_sample_at_or_past_the_end_leaves_one_segment(self, switch, starts):

@@ -421,7 +421,7 @@ class TestBlasLayout:
             for v in variants
         ]
         [(_, batch)] = filters._panel_batches(configs)
-        assert bool(batch._placed) == (min(M, P) >= filters._PLACE_FROM)
+        assert batch.scalar or bool(batch._placed) == (min(M, P) >= filters._PLACE_FROM)
         order = configs[0].projection_order
         history = RegressorHistory(L, order)
         rng = np.random.default_rng(len(variants))
@@ -860,6 +860,20 @@ class TestFilterStep:
         finally:
             tracemalloc.stop()
         assert growth < 8 * 1024, growth
+
+    def test_scalar_panel_batch_allocates_only_its_rows(self):
+        """A scalar batch is its rows: weights, update rows and gain buffers, about
+        7 arrays of L floats here, and no projection buffers (the step sizes a tap
+        alone would be 3 more)."""
+        configs = [FilterConfig("pnlms", 1024), FilterConfig("bs-pnlms", 1024, group_size=32),
+                   FilterConfig("bs-pnlms", 1024, group_size=1024)]
+        tracemalloc.start()
+        try:
+            [(_, batch)] = filters._panel_batches(configs)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert batch.scalar and size < 72 * 1024, size
 
     @pytest.mark.parametrize("preset", ["fig2", "fig3"])
     def test_projection_batch_step_allocates_no_filter_length_array(self, preset):

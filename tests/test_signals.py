@@ -262,6 +262,24 @@ class TestEchoScenario:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             EchoScenario(schedule=((0, self.ir()),), seed=-1, total_samples=10)
 
+    @pytest.mark.parametrize("switch", [20.7, 20.0, "20", True, None])
+    def test_non_integer_switch_sample_rejected(self, switch):
+        with pytest.raises(ValueError, match=r"^schedule switch samples must be integers, got "):
+            EchoScenario(schedule=((0, self.ir(1)), (switch, self.ir(2))), total_samples=40)
+
+    @pytest.mark.parametrize("field", ["seed", "total_samples"])
+    @pytest.mark.parametrize("value", [1.5, 40.0, "40", True, None])
+    def test_non_integer_seed_or_length_rejected(self, field, value):
+        kwargs = {"seed": 1, "total_samples": 40, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+            EchoScenario(schedule=((0, self.ir()),), **kwargs)
+
+    def test_numpy_integers_become_ints(self):
+        sc = EchoScenario(schedule=((np.int64(0), self.ir(1)), (np.int32(20), self.ir(2))),
+                          seed=np.uint8(3), total_samples=np.int64(40))
+        assert [(type(s), s) for s, _ in sc.schedule] == [(int, 0), (int, 20)]
+        assert (type(sc.seed), sc.seed, type(sc.total_samples), sc.total_samples) == (int, 3, int, 40)
+
     def test_ar1_needs_valid_pole(self):
         with pytest.raises(ValueError):
             EchoScenario(schedule=((0, self.ir()),), excitation="ar1", pole=1.5, total_samples=10)
