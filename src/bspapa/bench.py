@@ -231,13 +231,14 @@ def _run_shards(configs, x, d, segments):
     The entries are dealt over :func:`_shard_count` shards: shard s of k runs
     entries s, s+k, s+2k, ...  Shard 0 runs in this process; every other one
     runs in a child forked here, which sends its outcome back through a pipe.
-    The pipes are read, then every child is reaped; on any error the children
-    still alive are killed and reaped, so none outlives the call.
+    The children are then collected in shard order, each one drained, reaped
+    and checked, so the first that failed ends the wait.  On any error the
+    children still alive are killed and reaped, so none outlives the call.
     """
     k = _shard_count(len(configs))
     shards = [slice(s, None, k) for s in range(k)]
     mis, failed = np.empty((len(configs), x.size)), {}
-    pids, pipes, exits = [], [], []  # children not yet reaped, read ends not yet closed
+    pids, pipes = [], []  # children not yet reaped, read ends not yet closed
     try:
         for shard in shards[1:]:
             read, write = os.pipe()
@@ -252,28 +253,25 @@ def _run_shards(configs, x, d, segments):
             os.close(write)
             pids.append(pid)
         _run_shard(configs, shards[0], x, d, segments, mis, failed)
-        payloads = []
-        for read in pipes:
+        for shard, read in zip(shards[1:], pipes):
             with open(read, "rb", closefd=False) as pipe:
-                payloads.append(pipe.read())
-        while pids:
-            exits.append(os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1]))
-            del pids[0]
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]  # reaped: an interrupted wait leaves it to the kill below
+            if code:
+                entries = list(range(len(configs))[shard])
+                raise RuntimeError(f"the process running panel entries {entries} exited with code {code}")
+            outcome = pickle.loads(payload)  # written by _send_shard in a child of this process
+            if isinstance(outcome, Exception):
+                raise outcome
+            mis[shard], shard_failed = outcome
+            failed.update(shard_failed)
     finally:
         for read in pipes:
             os.close(read)
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    for shard, payload, code in zip(shards[1:], payloads, exits):
-        entries = list(range(len(configs))[shard])
-        if code:
-            raise RuntimeError(f"the process running panel entries {entries} exited with code {code}")
-        outcome = pickle.loads(payload)  # written by _send_shard in a child of this process
-        if isinstance(outcome, Exception):
-            raise outcome
-        mis[shard], shard_failed = outcome
-        failed.update(shard_failed)
     return mis, failed
 
 
@@ -413,15 +411,15 @@ def preset_config(
 
 
 _REQUIRED = object()
-# A field's kind: the types its value may take (a boolean is never a number,
-# and an integer is one by ``_is_integer``) and the words an error names them
-# by.  A kind of None accepts any value.
+# A field's kind: the types its value may take (a boolean is never a number;
+# numpy integers and floats are, and an integer is one by ``_is_integer``) and
+# the words an error names them by.  A kind of None accepts any value.
 _INTEGER = ((int, np.integer), "an integer")
-_NUMBER = ((int, float), "a number")
+_NUMBER = ((int, float, np.integer, np.floating), "a number")
 _STRING = ((str,), "a string")
 _PAIRS = ((list,), "a list of [start, end] pairs")
 _INTEGER_OR_NULL = ((int, np.integer, type(None)), "an integer")
-_NUMBER_OR_NULL = ((int, float, type(None)), "a number")
+_NUMBER_OR_NULL = ((int, float, np.integer, np.floating, type(None)), "a number")
 _STRING_OR_NULL = ((str, type(None)), "a string or null")
 
 
@@ -434,14 +432,14 @@ def _checked(value, kind, path: str):
 
 
 class _Fields:
-    """The JSON object at ``path`` (``""`` at the top level), read field by field with
-    kind and default; :meth:`close` rejects by name the first key no read asked for."""
+    """The JSON object at ``path`` (``""``, named ``config``, at the top level), read field by
+    field with kind and default; :meth:`close` rejects by name the first key no read asked for."""
 
     def __init__(self, raw, path: str):
+        self.path, self.prefix = path or "config", f"{path}." if path else ""
         if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: expected an object")
-        self.raw, self.path, self.read = raw, path, set()
-        self.prefix = f"{path}." if path else ""
+            raise ConfigError(f"{self.path}: expected an object")
+        self.raw, self.read = raw, set()
 
     def __call__(self, key: str, kind=None, default=_REQUIRED):
         """The value at ``key`` checked against ``kind``, or ``default`` when absent."""
@@ -449,7 +447,7 @@ class _Fields:
         if key in self.raw:
             return _checked(self.raw[key], kind, self.prefix + key)
         if default is _REQUIRED:
-            raise ConfigError(f"{self.path or 'config'}.{key}: missing required field")
+            raise ConfigError(f"{self.path}.{key}: missing required field")
         return default
 
     def entries(self, key: str):
@@ -462,14 +460,12 @@ class _Fields:
     def close(self) -> None:
         for key in self.raw:
             if key not in self.read:
-                raise ConfigError(f"{self.path or 'config'}: unknown field {key!r}")
+                raise ConfigError(f"{self.path}: unknown field {key!r}")
 
 
 def experiment_from_dict(raw: dict) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from parsed JSON; a missing required field,
     a value of the wrong kind and an unknown key are each rejected by path."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config: expected a JSON object at the top level")
     top = _Fields(raw, "")
     sc = _Fields(top("scenario"), "scenario")
     filter_length = sc("filter_length", _INTEGER)

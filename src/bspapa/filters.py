@@ -311,10 +311,10 @@ class RegressorHistory:
     """
 
     def __init__(self, filter_length: int, projection_order: int):
-        if filter_length < 1:
-            raise ValueError(f"filter_length must be positive, got {filter_length}")
-        if projection_order < 1:
-            raise ValueError(f"projection_order must be >= 1, got {projection_order}")
+        if not (_is_integer(filter_length) and filter_length >= 1):
+            raise ValueError(f"filter_length must be a positive integer, got {filter_length!r}")
+        if not (_is_integer(projection_order) and projection_order >= 1):
+            raise ValueError(f"projection_order must be an integer >= 1, got {projection_order!r}")
         self.filter_length = filter_length
         self.projection_order = projection_order
         span = filter_length + projection_order - 1
@@ -362,8 +362,8 @@ class RegressorHistory:
 
     def input_vector(self, delay: int = 0) -> np.ndarray:
         """x(n - delay) as a length-L vector, newest sample first."""
-        if not 0 <= delay < self.projection_order:
-            raise ValueError(f"delay must lie in [0, {self.projection_order - 1}], got {delay}")
+        if not (_is_integer(delay) and 0 <= delay < self.projection_order):
+            raise ValueError(f"delay must be an integer in [0, {self.projection_order - 1}], got {delay!r}")
         return self.window()[delay : delay + self.filter_length]
 
     def regressor_matrix(self) -> np.ndarray:

@@ -44,11 +44,11 @@ class BlockPartition:
     group_size: int
 
     def __post_init__(self) -> None:
-        if self.filter_length < 1:
-            raise ValueError(f"filter_length must be positive, got {self.filter_length}")
-        if not 1 <= self.group_size <= self.filter_length:
+        if not (_is_integer(self.filter_length) and self.filter_length >= 1):
+            raise ValueError(f"filter_length must be a positive integer, got {self.filter_length!r}")
+        if not (_is_integer(self.group_size) and 1 <= self.group_size <= self.filter_length):
             raise ValueError(
-                f"group_size must lie in [1, {self.filter_length}], got {self.group_size}"
+                f"group_size must be an integer in [1, {self.filter_length}], got {self.group_size!r}"
             )
         if self.filter_length % self.group_size:
             raise ValueError(

@@ -84,6 +84,8 @@ def make_block_sparse_ir(filter_length: int, clusters, seed: int) -> ImpulseResp
     Cluster taps are drawn in the order the clusters are listed, so the
     response is fully determined by ``(filter_length, clusters, seed)``.
     """
+    if not _is_integer(filter_length):
+        raise ValueError(f"filter_length must be an integer, got {filter_length!r}")
     if filter_length < 1:
         raise ValueError(f"filter_length must be positive, got {filter_length}")
     response = ImpulseResponse(np.zeros(filter_length), clusters)  # validates the clusters
@@ -126,8 +128,8 @@ def gen_excitation(n_samples: int, seed: int, kind: str = "white", pole: float |
     ``kind="ar1"`` filters the white sequence through a one-pole recursion,
     which is how colored speech-like test signals are usually produced.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not (_is_integer(n_samples) and n_samples >= 1):
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     white = np.random.default_rng(seed).standard_normal(n_samples)
     if kind == "white":
         return white

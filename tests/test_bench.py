@@ -411,6 +411,25 @@ class TestShards:
         with pytest.raises(RuntimeError, match=r"panel entries \[1\] exited with code 3"):
             run_experiment(ExperimentConfig(scenario=small_scenario(total=50), panel=small_panel()))
 
+    def test_a_failed_child_ends_the_wait(self, monkeypatch):
+        stream = bench._stream_batch
+
+        def exit_or_sleep(batch, entries, *args):
+            if entries[0] == 1:
+                os._exit(3)
+            if entries[0] == 2:
+                time.sleep(60)  # the children after a failed one are not waited for
+            return stream(batch, entries, *args)
+
+        monkeypatch.setattr(bench, "_stream_batch", exit_or_sleep)
+        panel = small_panel() + [("MPAPA", FilterConfig("mpapa", 32, 4, step_size=0.2))]
+        forks = see_cpus(monkeypatch, 3)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"panel entries \[1\] exited with code 3"):
+            run_experiment(ExperimentConfig(scenario=small_scenario(total=50), panel=panel))
+        assert len(forks) == 2
+        assert time.perf_counter() - start < 30
+
     def test_an_exception_here_kills_the_children(self, monkeypatch):
         stream = bench._stream_batch
 
@@ -653,6 +672,11 @@ class TestConfigParsing:
         assert exp.panel[0][1].group_size == 4
         assert exp.trace_decimation == 4
         assert exp.output_path == "out.csv"
+
+    @pytest.mark.parametrize("raw", [[], "x", None])
+    def test_top_level_that_is_no_object_is_named_config(self, raw):
+        with pytest.raises(ConfigError, match=r"^config: expected an object$"):
+            experiment_from_dict(raw)
 
     def test_missing_field_names_path(self):
         raw = self.raw()
@@ -948,6 +972,16 @@ class TestPresets:
             assert [start for start, _ in sc.schedule] == [0, 900]
         assert numpy.panel == plain.panel
 
+    @pytest.mark.parametrize("value", [np.int64(30), np.float64(30.0), np.float32(30.0)])
+    def test_numpy_real_snr_db_reads_as_the_number(self, value):
+        x, d = synthesize_scenario(preset_config("fig2", total_samples=2000, snr_db=30).scenario)
+        same = synthesize_scenario(preset_config("fig2", total_samples=2000, snr_db=value).scenario)
+        assert x.tobytes() == same[0].tobytes() and d.tobytes() == same[1].tobytes()
+
+    def test_numpy_bool_snr_db_is_named(self):
+        with pytest.raises(ConfigError, match=r"^scenario\.snr_db: expected a number, got "):
+            preset_config("fig2", snr_db=np.bool_(True))
+
     @pytest.mark.parametrize("field", ["seed", "total_samples", "trace_decimation"])
     @pytest.mark.parametrize("value", [True, np.bool_(True), 5.0, "5"])
     def test_non_integer_arguments_are_named(self, field, value):
@@ -1004,6 +1038,12 @@ class TestCli:
         bad.write_text(json.dumps({"scenario": {}}))
         assert cli_main(["run", "--config", str(bad)]) == 1
         assert "scenario" in capsys.readouterr().err
+
+    def test_run_rejects_a_json_array(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([TestConfigParsing().raw()]))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: config: expected an object\n"
 
     def test_run_rejects_non_finite_json_literal(self, tmp_path, capsys):
         raw = TestConfigParsing().raw()

@@ -21,6 +21,8 @@ from bspapa import (
     build_weighted_regressor_direct,
     build_weighted_regressor_efficient,
     filter_step,
+    gen_excitation,
+    make_block_sparse_ir,
     preset_config,
     solve_regularized,
     update_memory_regressor,
@@ -137,6 +139,32 @@ class TestFilterConfig:
         mem = FilterConfig("bs-mpapa", 1024, 8, 32)
         assert eff.multiplications_per_step == (32 + 8 - 1) * 32 == 1248
         assert mem.multiplications_per_step == 1024
+
+
+@pytest.mark.parametrize("call,field", [
+    (lambda: BlockPartition(7.0, 3.5), "filter_length"),
+    (lambda: BlockPartition(8, 2.0), "group_size"),
+    (lambda: BlockPartition(True, True), "filter_length"),
+    (lambda: RegressorHistory(10.5, 2), "filter_length"),
+    (lambda: RegressorHistory(8, 2.0), "projection_order"),
+    (lambda: RegressorHistory(4, 2).input_vector(True), "delay"),
+    (lambda: make_block_sparse_ir(10.5, [(1, 2)], 0), "filter_length"),
+    (lambda: gen_excitation(10.5, 0), "n_samples"),
+], ids=["partition-floats", "partition-float-group", "partition-bools", "history-length",
+        "history-order", "history-bool-delay", "response-length", "excitation-length"])
+def test_size_arguments_take_integers_only(call, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be .*integer"):
+        call()
+
+
+def test_numpy_integer_sizes_accepted():
+    L, M, P = np.int64(8), np.int32(2), np.uint8(4)
+    assert BlockPartition(L, P).block_count == 2
+    history = RegressorHistory(L, M)
+    history.extend(np.arange(1.0, 4.0))
+    np.testing.assert_array_equal(history.input_vector(np.int64(1)), [2, 1, 0, 0, 0, 0, 0, 0])
+    assert gen_excitation(L, 0).tobytes() == gen_excitation(8, 0).tobytes()
+    np.testing.assert_array_equal(make_block_sparse_ir(L, [(1, 2)], 0).taps, make_block_sparse_ir(8, [(1, 2)], 0).taps)
 
 
 class TestRegressorHistory:
