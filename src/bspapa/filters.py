@@ -49,7 +49,8 @@ from typing import ClassVar
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .gains import BlockPartition, GainVector, StallGuards, _block_norms, _floored_gains, _is_integer
+from .gains import BlockPartition, GainVector, StallGuards
+from .gains import _block_norms, _floored_gains, _is_integer, _is_real
 
 __all__ = [
     "VARIANTS",
@@ -163,12 +164,17 @@ class FilterConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.projection_order < 1:
             raise ValueError(f"projection_order must be >= 1, got {self.projection_order}")
+        for name in ("step_size", "regularization"):
+            if not _is_real(value := getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         # step_size 0 is allowed: it freezes the filter, which is useful as a
         # null reference in benchmark panels.
         if not 0.0 <= self.step_size <= 2.0:
             raise ValueError(f"step_size must lie in [0, 2], got {self.step_size}")
         if not 0.0 <= self.regularization < math.inf:
             raise ValueError(f"regularization must be finite and nonnegative, got {self.regularization}")
+        object.__setattr__(self, "step_size", float(self.step_size))
+        object.__setattr__(self, "regularization", float(self.regularization))
         if not isinstance(self.guards, StallGuards):
             raise ValueError(f"guards must be a StallGuards, got {self.guards!r}")
         group, _, order = _ALIASES[self.variant]
@@ -585,11 +591,6 @@ def _block_gains(config: FilterConfig, weights: np.ndarray, out=None, squares=No
     return _floored_gains(_block_norms(weights, config.group_size, out, squares), config.guards, out)
 
 
-def _gain_buffers(config: FilterConfig) -> tuple:
-    """The ``out`` and ``squares`` buffers of a row's :func:`_block_gains`."""
-    return np.empty(config.block_count), _blocks(np.empty(config.filter_length), config)
-
-
 def _blocks(row: np.ndarray, config: FilterConfig):
     """``row``, of L floats, as one row per block for :func:`_weigh`; None for one-tap blocks."""
     return None if config.group_size == 1 else row.reshape(config.block_count, -1)
@@ -664,21 +665,21 @@ class _ScalarRow:
 class _Batch:
     """The step kernel: B filters sharing (L, M) and the branch, stepped as one.
 
-    The weights are the rows of one ``(B, L)`` block, in three runs:
-    built rows, unit-gain rows, memory rows.  Built rows weight their
-    regressor into a C-contiguous ``(Bb, L, M)`` stack.  A unit-gain row
-    (one block, whose gain is exactly one) uses X(n) itself, the history's
-    :meth:`~RegressorHistory.regressor_rows` view, and builds nothing.
-    Other built rows copy their block gains over their slot and multiply it
-    by that view in place, or place the efficient build's products (P and
-    M from ``_PLACE_FROM`` on).  Memory members keep their rings stacked
-    as ``(Bm, 2M, L)`` under one head and weight the head row by x(n) the
-    same way.  Each stacked product (error, Gram, update) equals the
-    per-filter product bit for bit.  Only a batch with a unit-gain or
-    in-place row reads the row view, so only its history makes the row
-    ring.  A single-projection batch is only its :class:`_ScalarRow` steps, called in
-    turn, with no projection buffers.  Every row computes its gains in buffers of its
-    own, so a step that places nothing allocates no array of L floats.  No checks.
+    A step is six layers, one method each: gains, error, build, Gram, solve,
+    update.  The weights are the rows of one ``(B, L)`` block, in three runs:
+    built rows, unit-gain rows, memory rows.  The one gain pass fills each
+    other row's own gain buffers, in the order the build reads the rows
+    (in-place, placed, memory), and the build only weights.  Built rows
+    weight their regressor into a C-contiguous ``(Bb, L, M)`` stack: they copy
+    their block gains over their slot and multiply it by X(n), the history's
+    :meth:`~RegressorHistory.regressor_rows` view, in place, or place the
+    efficient build's products (P and M from ``_PLACE_FROM`` on).  A unit-gain
+    row (one block, of gain exactly one) uses that view itself.  Memory rings
+    are stacked as ``(Bm, 2M, L)`` under one head, whose row is weighted by
+    x(n) the same way.  Each stacked product equals the per-filter product bit
+    for bit.  Only a unit-gain or in-place row reads the row view, so only its
+    history makes the row ring; a step that places nothing allocates no array
+    of L floats.  A single-projection batch is its :class:`_ScalarRow` steps.  No checks.
     """
 
     def __init__(self, configs, weights: np.ndarray, rings: np.ndarray, head: int = 0):
@@ -696,22 +697,24 @@ class _Batch:
         self.delta = np.array([[c.regularization] for c in configs])
         error, update = np.empty((count, order, 1)), np.empty((count, length, 1))
         gram, lu = np.empty((count, order, order)), np.empty((count, order, order))
-        self._columns, self._error, self._update = weights[:, :, None], error, update[:, :, 0]
-        self._gram, self._lu = gram, lu.transpose(0, 2, 1)
+        self._columns, self._errors, self._updates = weights[:, :, None], error, update[:, :, 0]
+        self._grams, self._lu = gram, lu.transpose(0, 2, 1)
         self._diagonal = lu.reshape(count, -1)[:, :: order + 1]
         self._rhs = error[:, :, 0]
         self._systems = list(zip(self._lu, self._rhs))  # F-contiguous LU, rhs row
         weighted = np.empty((built, length, order))
         rows = list(zip(configs, weights, weighted))  # the built rows: zip stops at the unit rows
+        in_place = [row for row in rows if min(row[0].group_size, order) < _PLACE_FROM]
+        placed = [row for row in rows if min(row[0].group_size, order) >= _PLACE_FROM]
+        memory = list(zip(configs[p:], weights[p:], rings))
+        # The gain pass's (config, weights, gains, squares) a row, in the order the build reads them.
+        self._gained = [(c, w, np.empty(c.block_count), _blocks(np.empty(length), c))
+                        for c, w, _ in in_place + placed + memory]
         # Built rows weight their slot, as (N, P*M) blocks, in place; see _PLACE_FROM.
-        self._in_place = [(c, w, m, m.reshape(c.block_count, -1), *_gain_buffers(c))
-                          for c, w, m in rows if min(c.group_size, order) < _PLACE_FROM]
-        self._placed = [(c, w, _rows_of(m, c.group_size), *_gain_buffers(c))
-                        for c, w, m in rows if min(c.group_size, order) >= _PLACE_FROM]
+        self._in_place = [(c, m, m.reshape(c.block_count, -1)) for c, _, m in in_place]
+        self._placed = [(c, _rows_of(m, c.group_size)) for c, _, m in placed]
         self._memory = [  # per head: the ring row a push weights, as (N, P) blocks, and its mirror
-            (c, w, [(r, _blocks(r, c), m) for r, m in zip(ring, ring[order:])], *_gain_buffers(c))
-            for c, w, ring in zip(configs[p:], weights[p:], rings)
-        ]
+            [(r, _blocks(r, c), m) for r, m in zip(ring, ring[order:])] for c, _, ring in memory]
         # (weighted, gram, error, update): the built rows' part, the unit and ring rows' stacks
         self._parts = [(weighted, gram[:built], error[:built], update[:built])] if built else []
         self._unit_stacks = (gram[built:p], error[built:p], update[built:p]) if units else None
@@ -730,45 +733,67 @@ class _Batch:
         return _Batch(configs, self.weights[keep], self.rings[ring_rows], self.head)
 
     def step(self, history: RegressorHistory, desired: np.ndarray):
-        """Advance every filter a sample; return the a-priori errors and ``{row: failure}``
-        (a failed row keeps its weights)."""
+        """Step every filter a sample, layer by layer; return the a-priori errors and ``{row: failure}``."""
         if self.scalar:  # one call a row; a failed row keeps its weights
             steps = [row(history, desired) for row in self._scalar_rows]
             return [prior for prior, _ in steps], {b: failed for b, (_, failed) in enumerate(steps) if failed}
-        weights, update = self.weights, self._update
-        regressor_t, rhs = history._xt[history._head], self._rhs  # X.T, error rows
-        np.matmul(regressor_t, self._columns, out=self._error)
-        np.subtract(desired, rhs, out=rhs)
-        prior = rhs[:, 0].tolist()
-        parts, order = self._parts, history.projection_order
+        gains = self._gains()
+        prior = self._error(history, desired)
+        parts = self._build(history, gains)
+        self._gram(history, parts)
+        failed = self._solve()
+        self._update(parts, failed)
+        return prior, failed
+
+    def _gains(self) -> list:
+        """Every gained row's block gains, in buffers of its own, in the order the build reads them."""
+        return [_block_gains(config, w, gains, squares) for config, w, gains, squares in self._gained]
+
+    def _error(self, history: RegressorHistory, desired: np.ndarray) -> list:
+        """The a-priori errors ``d - X.T w``, into the solve's right-hand sides; return each row's e(n)."""
+        np.matmul(history._xt[history._head], self._columns, out=self._errors)
+        np.subtract(desired, self._rhs, out=self._rhs)
+        return self._rhs[:, 0].tolist()
+
+    def _build(self, history: RegressorHistory, gains: list) -> list:
+        """Weight the gained rows' regressors by ``gains``; return the (W, Gram, error, update) stacks."""
+        gains, parts = iter(gains), self._parts
         if self._reads_rows:
             regressor = history.regressor_rows()
-            for config, w, out, blocks, gains, squares in self._in_place:
-                _weigh(_block_gains(config, w, gains, squares), regressor, out, blocks)
+            for (_, out, blocks), g in zip(self._in_place, gains):
+                _weigh(g, regressor, out, blocks)
             if self._unit_stacks:
                 parts = [*parts, (regressor, *self._unit_stacks)]
-        for config, w, out, gains, squares in self._placed:
-            windows = history.block_windows(config.group_size)
-            _place_products(_block_gains(config, w, gains, squares), windows, out)
+        for (config, out), g in zip(self._placed, gains):
+            _place_products(g, history.block_windows(config.group_size), out)
         if self._memory:
-            self.head = head = (self.head - 1) % order
-            x = history._buf[history._head : history._head + weights.shape[1]]
-            for config, w, heads, gains, squares in self._memory:
+            self.head = head = (self.head - 1) % history.projection_order
+            x = history._buf[history._head : history._head + self.weights.shape[1]]
+            for heads, g in zip(self._memory, gains):
                 row, blocks, mirror = heads[head]
-                _weigh(_block_gains(config, w, gains, squares), x, row, blocks)
+                _weigh(g, x, row, blocks)
                 np.copyto(mirror, row)
             parts = [*parts, (self._ring_views[head], *self._ring_stacks)]
+        return parts
+
+    def _gram(self, history: RegressorHistory, parts: list) -> None:
+        """Each stack's Gram matrix ``X.T W``."""
         for weighted, gram, _, _ in parts:
-            np.matmul(regressor_t, weighted, out=gram)
-        np.copyto(self._lu, self._gram)
-        failed = _solve_stack(self._systems, self._diagonal, self.delta)
+            np.matmul(history._xt[history._head], weighted, out=gram)
+
+    def _solve(self) -> dict:
+        """Solve ``(Gram + delta*I) z = e`` in place of the errors; return ``{row: failure}``."""
+        np.copyto(self._lu, self._grams)
+        return _solve_stack(self._systems, self._diagonal, self.delta)
+
+    def _update(self, parts: list, failed: dict) -> None:
+        """``w += mu * W z`` on every row but the failed ones."""
         for weighted, _, error, out in parts:
             np.matmul(weighted, error, out=out)
-        update *= self.mu
+        self._updates *= self.mu
         if failed:
-            update[list(failed)] = 0.0
-        weights += update
-        return prior, failed
+            self._updates[list(failed)] = 0.0
+        self.weights += self._updates
 
 
 def _row_run(config: FilterConfig) -> int:

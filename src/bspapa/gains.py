@@ -31,6 +31,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """An int, a float or a numpy integer or float; a bool is not one.  Real-valued settings follow it."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """Split of ``filter_length`` taps into contiguous groups of ``group_size``.
@@ -73,10 +78,12 @@ class StallGuards:
     q: float = 0.01
 
     def __post_init__(self) -> None:
-        if not 0 < self.rho < math.inf:
-            raise ValueError(f"rho must be finite and strictly positive, got {self.rho}")
-        if not 0 < self.q < math.inf:
-            raise ValueError(f"q must be finite and strictly positive, got {self.q}")
+        for name in ("rho", "q"):
+            if not _is_real(value := getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True, eq=False)

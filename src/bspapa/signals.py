@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gains import _is_integer
+from .gains import _is_integer, _is_real
 
 __all__ = [
     "ImpulseResponse",
@@ -106,6 +106,8 @@ def ar1_filter(driving, pole: float) -> np.ndarray:
     exactly-zero state, so every sample, signed zeros included, has the
     bits of those routines.
     """
+    if not _is_real(pole):
+        raise ValueError(f"AR(1) pole must be a real number, got {pole!r}")
     if not -1.0 < pole < 1.0:
         raise ValueError(f"AR(1) pole must satisfy |pole| < 1, got {pole}")
     samples = np.asarray(driving, dtype=float)
@@ -147,6 +149,8 @@ def scale_noise_for_snr(clean_echo, snr_db: float, seed: int) -> np.ndarray:
     the requested SNR holds exactly for this realization rather than in
     expectation.
     """
+    if not _is_real(snr_db):
+        raise ValueError(f"snr_db must be a real number, got {snr_db!r}")
     clean = np.asarray(clean_echo, dtype=float)
     if clean.size == 0:
         raise ValueError("clean_echo must be nonempty")
@@ -219,6 +223,11 @@ class EchoScenario:
             if not _is_integer(value := getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        for name in ("pole", "snr_db"):
+            if (value := getattr(self, name)) is not None:
+                if not _is_real(value):
+                    raise ValueError(f"{name} must be a real number or None, got {value!r}")
+                object.__setattr__(self, name, float(value))
         entries = tuple((int(s), r) for s, r in self.schedule)
         if not entries:
             raise ValueError("schedule must contain at least one response")

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from bspapa import (
+    AdaptiveFilter,
     BlockPartition,
     FilterConfig,
     GainVector,
@@ -23,6 +24,7 @@ from bspapa import (
     build_weighted_regressor_efficient,
     preset_config,
     run_experiment,
+    synthesize_scenario,
     variant_gains,
 )
 from bspapa.bench import THRESHOLD_DB
@@ -324,6 +326,62 @@ def test_criterion_6_orderings_over_a_seed_ensemble():
         ok,
         f"K={k} seeds {FIG3_ENSEMBLE_SEEDS.start}-{FIG3_ENSEMBLE_SEEDS.stop - 1}, averaged times to -15 dB; "
         f"{leads}; memory steady-state gaps {[round(gap, 3) for gap in gaps]} dB; {elapsed:.0f}s",
+    )
+
+
+# Scenario seeds of the gain-mass check.  Disjoint from every seed above and
+# from every seed in BENCH_*.json.
+GAIN_MASS_SEEDS = range(7001, 7005)
+GAIN_MASS_CHECKPOINTS = (1000, 2000, 3999, 4250, 4500, 6000, 7999)
+NEW_CLUSTER = slice(768, 800)  # taps 769-800, active from the switch on
+
+
+def test_criterion_6m_gain_mass_on_the_true_clusters():
+    """The paper's mechanism: block-proportionate gains concentrate on the active clusters.
+
+    fig3's PAPA, MPAPA, BS-PAPA(P=32) and BS-MPAPA(P=32) stream 8000 samples,
+    the switch at 4000, through ``AdaptiveFilter``.  After each checkpoint
+    sample, the share of the expanded ``variant_gains`` on the active segment's
+    support is averaged over the seeds.  From sample 1000 on in each segment,
+    each block-sparse row must lead each per-tap row by at least 0.1 (before
+    sample 1000 the block-sparse rows still trail).  The share on the new
+    cluster alone is reported after the switch.
+    """
+    per_tap, block = ("PAPA", "MPAPA"), ("BS-PAPA(P=32)", "BS-MPAPA(P=32)")
+    total, switch = 8000, 4000
+    start = time.perf_counter()
+    share = {(label, n): 0.0 for label in per_tap + block for n in GAIN_MASS_CHECKPOINTS}
+    new = dict(share)
+    for seed in GAIN_MASS_SEEDS:
+        config = preset_config("fig3", seed=seed, total_samples=total, switch_sample=switch)
+        x, d = synthesize_scenario(config.scenario)
+        masks = [(end, response.support_mask()) for _, end, response in config.scenario.segments()]
+        configs = dict(config.panel)
+        for label in per_tap + block:
+            filt = AdaptiveFilter(configs[label])
+            for n in range(total):
+                filt.process(x[n], d[n])
+                if n in GAIN_MASS_CHECKPOINTS:
+                    gains = variant_gains(configs[label], filt.weights).expand()
+                    mask = next(mask for end, mask in masks if n < end)
+                    share[label, n] += float(gains[mask].sum() / gains.sum()) / len(GAIN_MASS_SEEDS)
+                    new[label, n] += float(gains[NEW_CLUSTER].sum() / gains.sum()) / len(GAIN_MASS_SEEDS)
+    elapsed = time.perf_counter() - start
+    gaps = {n: min(share[b, n] for b in block) - max(share[p, n] for p in per_tap) for n in GAIN_MASS_CHECKPOINTS}
+    tightest = min(gaps, key=gaps.get)
+    rows = "; ".join(
+        f"{label} {'/'.join(f'{share[label, n]:.2f}' for n in GAIN_MASS_CHECKPOINTS)}, new cluster "
+        f"{'/'.join(f'{new[label, n]:.2f}' for n in GAIN_MASS_CHECKPOINTS if n >= switch)}"
+        for label in per_tap + block
+    )
+    k = len(GAIN_MASS_SEEDS)
+    _report(
+        "6m",
+        "gain mass on the true clusters",
+        all(gap >= 0.1 for gap in gaps.values()),
+        f"K={k} seeds {GAIN_MASS_SEEDS.start}-{GAIN_MASS_SEEDS.stop - 1}, support shares at samples "
+        f"{list(GAIN_MASS_CHECKPOINTS)}: {rows}; smallest lead {gaps[tightest]:.2f} at sample {tightest}; "
+        f"{elapsed:.0f}s",
     )
 
 

@@ -713,6 +713,36 @@ class TestFilterStep:
             assert np.array_equal(filt.weights, state.weights)
         assert np.any(state.weights != 0.0)
 
+    @pytest.mark.parametrize(
+        "variant,M,group",
+        [("apa", 8, None), ("papa", 8, None), ("mpapa", 8, None),
+         ("bs-papa", 8, 8), ("bs-papa", 16, 16), ("bs-mpapa", 8, 8)],
+    )
+    def test_the_six_layers_called_in_turn_are_the_step(self, variant, M, group):
+        """A batch of one stepped through its layer methods, not ``step``, has
+        ``filter_step``'s errors and weights bit for bit, past 3M samples: every
+        ring wraps.  bs-papa weights X(n) in place at P=M=8 and places its
+        products at P=M=16."""
+        L = 64
+        cfg = FilterConfig(variant, L, M, group_size=group, step_size=0.3)
+        batch = filters._Batch([cfg], np.zeros((1, L)), np.zeros((int(cfg.is_memory), 2 * M, L)))
+        assert bool(batch._placed) == (M == 16)
+        state, history, desired = FilterState.initial(cfg), RegressorHistory(L, M), np.zeros(M)
+        rng = np.random.default_rng(32)
+        for x, d in rng.standard_normal((3 * M + 5, 2)):
+            history.push(x)
+            desired[1:] = desired[:-1]
+            desired[0] = d
+            gains = batch._gains()
+            prior = batch._error(history, desired)
+            parts = batch._build(history, gains)
+            batch._gram(history, parts)
+            failed = batch._solve()
+            batch._update(parts, failed)
+            assert not failed and prior == [filter_step(cfg, state, history, desired)]
+            assert np.array_equal(batch.weights[0], state.weights) and batch.head == state.memory_head
+        assert np.any(state.weights != 0.0)
+
     @pytest.mark.parametrize("variant,group", [("bs-papa", 4), ("bs-mpapa", 4)])
     def test_filter_step_reuses_its_batch_while_the_state_arrays_stay(self, variant, group):
         cfg = FilterConfig(variant, 16, 3, group_size=group, step_size=0.3)

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from bspapa import (
     BlockPartition,
+    EchoScenario,
     FilterConfig,
     GainVector,
     StallGuards,
+    ar1_filter,
     make_block_sparse_ir,
+    scale_noise_for_snr,
     variant_gains,
 )
 from bspapa.gains import _block_norms, _floored_gains
@@ -232,3 +235,35 @@ def test_cluster_endpoints_and_filter_sizes_share_one_integer_rule(value, accept
     assert takes(lambda: make_block_sparse_ir(16, [(1, value)], seed=0)) is accepted
     assert takes(lambda: FilterConfig("bs-papa", 16, group_size=value)) is accepted
     assert takes(lambda: FilterConfig("bs-papa", 16, value, group_size=4)) is accepted
+
+
+_IR = make_block_sparse_ir(16, [(3, 4)], seed=0)
+# A call taking a real-valued argument: (the call on a value, the field its error names);
+# a constructor's call returns the value it stores.
+REAL_ARGUMENTS = {
+    "EchoScenario.snr_db": (lambda v: EchoScenario(((0, _IR),), snr_db=v, total_samples=8).snr_db, "snr_db"),
+    "EchoScenario.pole": (lambda v: EchoScenario(((0, _IR),), pole=v, total_samples=8).pole, "pole"),
+    "FilterConfig.step_size": (lambda v: FilterConfig("papa", 16, step_size=v).step_size, "step_size"),
+    "FilterConfig.regularization": (
+        lambda v: FilterConfig("papa", 16, regularization=v).regularization, "regularization"
+    ),
+    "StallGuards.rho": (lambda v: StallGuards(rho=v).rho, "rho"),
+    "StallGuards.q": (lambda v: StallGuards(q=v).q, "q"),
+    "scale_noise_for_snr": (lambda v: scale_noise_for_snr(np.ones(4), v, 0), "snr_db"),
+    "ar1_filter": (lambda v: ar1_filter(np.ones(4), v), r"AR\(1\) pole"),
+}
+
+
+@pytest.mark.parametrize("call", list(REAL_ARGUMENTS))
+@pytest.mark.parametrize("value", [True, False, np.bool_(False), "0.5", 0.5j])
+def test_real_valued_arguments_take_real_numbers_only(call, value):
+    build, field = REAL_ARGUMENTS[call]
+    with pytest.raises(ValueError, match=rf"^{field} must be a real number"):
+        build(value)
+
+
+@pytest.mark.parametrize("call", [name for name in REAL_ARGUMENTS if "." in name])
+@pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), 0.5])
+def test_real_valued_settings_are_stored_as_python_floats(call, value):
+    stored = REAL_ARGUMENTS[call][0](value)
+    assert type(stored) is float and stored == value
