@@ -50,7 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .gains import BlockPartition, GainVector, StallGuards
-from .gains import _block_norms, _floored_gains, _is_integer, _is_real
+from .gains import _as_float, _block_norms, _floored_gains, _is_integer, _is_real
 
 __all__ = [
     "VARIANTS",
@@ -174,7 +174,7 @@ class FilterConfig:
         if not 0.0 <= self.regularization < math.inf:
             raise ValueError(f"regularization must be finite and nonnegative, got {self.regularization}")
         object.__setattr__(self, "step_size", float(self.step_size))
-        object.__setattr__(self, "regularization", float(self.regularization))
+        object.__setattr__(self, "regularization", _as_float(self.regularization, "regularization"))
         if not isinstance(self.guards, StallGuards):
             raise ValueError(f"guards must be a StallGuards, got {self.guards!r}")
         group, _, order = _ALIASES[self.variant]
@@ -528,7 +528,8 @@ def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
         raise ValueError(f"regularization must be finite and nonnegative, got {delta}")
     lu, solution = np.array(a, order="F"), b.copy()
     diagonal = lu.T.reshape(1, -1)[:, :: a.shape[0] + 1]
-    for error in _solve_stack([(lu, solution)], diagonal, np.array([[delta]])).values():
+    delta = np.array([[_as_float(delta, "regularization")]])
+    for error in _solve_stack([(lu, solution)], diagonal, delta).values():
         raise error
     return solution
 
@@ -674,7 +675,9 @@ class _Batch:
     their block gains over their slot and multiply it by X(n), the history's
     :meth:`~RegressorHistory.regressor_rows` view, in place, or place the
     efficient build's products (P and M from ``_PLACE_FROM`` on).  A unit-gain
-    row (one block, of gain exactly one) uses that view itself.  Memory rings
+    row (one block, of gain exactly one) uses that view itself, and its Gram
+    matrix is :func:`_unit_gram`, or :attr:`unit_gram` when a caller has formed
+    it ahead (``bench._stream_batch`` does, in a helper process).  Memory rings
     are stacked as ``(Bm, 2M, L)`` under one head, whose row is weighted by
     x(n) the same way.  Each stacked product equals the per-filter product bit
     for bit.  Only a unit-gain or in-place row reads the row view, so only its
@@ -686,12 +689,14 @@ class _Batch:
         self.configs, self.weights, self.rings, self.head = configs, weights, rings, head
         (count, length), order = weights.shape, configs[0].projection_order
         self.scalar, self.plain = configs[0].is_scalar, count - len(rings)
+        self.unit_gram = None  # X(n).T X(n) for the step to come, when formed ahead
         if self.scalar:  # the rows alone, each with an update row of its own
+            self.units = range(0)
             self._scalar_rows = [_ScalarRow(*row) for row in zip(configs, weights, np.empty(weights.shape))]
             return
         p = self.plain
-        units = sum(c.block_count == 1 for c in configs[:p])
-        built = p - units
+        built = p - sum(c.block_count == 1 for c in configs[:p])
+        self.units = range(built, p)  # the unit-gain rows
         # one step size a tap: a (B, 1) column would make the multiply buffer B*L floats
         self.mu = np.repeat([[c.step_size] for c in configs], length, axis=1)
         self.delta = np.array([[c.regularization] for c in configs])
@@ -717,8 +722,8 @@ class _Batch:
             [(r, _blocks(r, c), m) for r, m in zip(ring, ring[order:])] for c, _, ring in memory]
         # (weighted, gram, error, update): the built rows' part, the unit and ring rows' stacks
         self._parts = [(weighted, gram[:built], error[:built], update[:built])] if built else []
-        self._unit_stacks = (gram[built:p], error[built:p], update[built:p]) if units else None
-        self._reads_rows = bool(units or self._in_place)
+        self._unit_stacks = (gram[built:p], error[built:p], update[built:p]) if self.units else None
+        self._reads_rows = bool(self.units or self._in_place)
         self._ring_stacks = (gram[p:], error[p:], update[p:])
         # Indexed by head: the (Bm, L, M) regressors as in FilterState.
         ring, row, tap = rings.strides
@@ -777,9 +782,16 @@ class _Batch:
         return parts
 
     def _gram(self, history: RegressorHistory, parts: list) -> None:
-        """Each stack's Gram matrix ``X.T W``."""
+        """Each stack's Gram matrix ``X.T W``; the unit-gain rows' is copied from
+        :attr:`unit_gram` when it is set."""
+        units = self._unit_stacks and self._unit_stacks[0]
         for weighted, gram, _, _ in parts:
-            np.matmul(history._xt[history._head], weighted, out=gram)
+            if gram is not units:
+                np.matmul(history._xt[history._head], weighted, out=gram)
+            elif self.unit_gram is None:
+                _unit_gram(history, gram)
+            else:
+                np.copyto(gram, self.unit_gram)
 
     def _solve(self) -> dict:
         """Solve ``(Gram + delta*I) z = e`` in place of the errors; return ``{row: failure}``."""
@@ -794,6 +806,17 @@ class _Batch:
         if failed:
             self._updates[list(failed)] = 0.0
         self.weights += self._updates
+
+
+def _unit_gram(history: RegressorHistory, out: np.ndarray) -> None:
+    """X(n).T X(n), the Gram matrix of every unit-gain row, into ``out``: one, or a stack
+    of them.  A helper forming it ahead makes this same call, so both give the same bits."""
+    np.matmul(history._xt[history._head], history.regressor_rows(), out=out)
+
+
+def _unit_batches(configs) -> int:
+    """How many of the batches :func:`_panel_batches` makes of ``configs`` hold unit-gain rows."""
+    return len({c.projection_order for c in configs if _row_run(c) == 1 and not c.is_scalar})
 
 
 def _row_run(config: FilterConfig) -> int:

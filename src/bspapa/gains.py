@@ -15,6 +15,7 @@ is :func:`bspapa.filters.variant_gains`, keyed by its ``FilterConfig``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,16 @@ def _is_integer(value) -> bool:
 def _is_real(value) -> bool:
     """An int, a float or a numpy integer or float; a bool is not one.  Real-valued settings follow it."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _as_float(value, name: str) -> float:
+    """``value``, a real number by :func:`_is_real`, as a Python float.  An integer past the
+    float range, where ``float`` raises ``OverflowError``, is a ValueError naming ``name``."""
+    try:
+        return float(value)
+    except OverflowError:
+        bound = f"magnitude at most {sys.float_info.max:.6g}"
+        raise ValueError(f"{name} lies beyond the float range ({bound})") from None
 
 
 @dataclass(frozen=True)
@@ -83,7 +94,7 @@ class StallGuards:
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive, got {value}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _as_float(value, name))
 
 
 @dataclass(frozen=True, eq=False)

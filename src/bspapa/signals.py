@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gains import _is_integer, _is_real
+from .gains import _as_float, _is_integer, _is_real
 
 __all__ = [
     "ImpulseResponse",
@@ -227,7 +227,7 @@ class EchoScenario:
             if (value := getattr(self, name)) is not None:
                 if not _is_real(value):
                     raise ValueError(f"{name} must be a real number or None, got {value!r}")
-                object.__setattr__(self, name, float(value))
+                object.__setattr__(self, name, _as_float(value, name))
         entries = tuple((int(s), r) for s, r in self.schedule)
         if not entries:
             raise ValueError("schedule must contain at least one response")

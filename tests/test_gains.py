@@ -14,6 +14,7 @@ from bspapa import (
     ar1_filter,
     make_block_sparse_ir,
     scale_noise_for_snr,
+    solve_regularized,
     variant_gains,
 )
 from bspapa.gains import _block_norms, _floored_gains
@@ -267,3 +268,15 @@ def test_real_valued_arguments_take_real_numbers_only(call, value):
 def test_real_valued_settings_are_stored_as_python_floats(call, value):
     stored = REAL_ARGUMENTS[call][0](value)
     assert type(stored) is float and stored == value
+
+
+@pytest.mark.parametrize("call", [*REAL_ARGUMENTS, "solve_regularized"])
+def test_an_integer_past_the_float_range_is_a_named_error(call):
+    """10**400 is a real number that no float holds: a ValueError naming the field, never an
+    OverflowError from the conversion.  ``step_size`` and ``ar1_filter`` are controls, whose
+    range checks reject it first."""
+    build, field = REAL_ARGUMENTS.get(
+        call, (lambda v: solve_regularized(np.eye(2), v, np.ones(2)), "regularization")
+    )
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        build(10**400)
