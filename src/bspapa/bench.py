@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import mmap
 import os
 import pickle
 import signal
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filters import FilterConfig, RegressorHistory, _panel_batches, _unit_batches, _unit_gram
+from .filters import FilterConfig, RegressorHistory, _panel_batches
 from .gains import StallGuards, _is_integer
 from .signals import (
     EchoScenario,
@@ -159,149 +158,55 @@ def synthesize_scenario(scenario: EchoScenario) -> tuple[np.ndarray, np.ndarray]
     return x, d
 
 
-# A helper hands the stream its Gram matrices a chunk of samples at a time, through a
-# ring that holds this many chunks.
-_CHUNK, _SLOTS = 64, 4
-
-
-class _GramHelper:
-    """A process forked to form X(n).T X(n), the unit-gain rows' Gram matrix, ahead of
-    the stream, on a CPU the run leaves spare; ``entries`` are the rows it serves.
-
-    The helper steps its copy of the stream's ``history``, forked once the row ring
-    exists, so it reads the same addresses, through the input ``x``, and writes every
-    sample's Gram matrix by :func:`~bspapa.filters._unit_gram` into a shared ring of
-    ``_SLOTS`` chunks of ``_CHUNK`` samples.  A byte on the "ready" pipe hands a chunk
-    to the stream; a byte on the "free" pipe hands its slot back, and the stream sends
-    one only while the helper has a chunk left to wait for.  :meth:`close` kills and
-    reaps the helper; by itself it leaves at its next chunk once either pipe shows the
-    stream gone, so it does not outlive a shard child killed by its parent.
-    """
-
-    def __init__(self, history: RegressorHistory, x: np.ndarray, entries: list):
-        order = history.projection_order
-        self.entries, self.chunks = entries, -(-x.size // _CHUNK)
-        ring = mmap.mmap(-1, _SLOTS * _CHUNK * order * order * 8)  # anonymous, shared with the fork
-        self.grams = np.frombuffer(ring).reshape(_SLOTS * _CHUNK, order, order)
-        history.regressor_rows()  # the row ring, before the fork
-        self._ready, ready = os.pipe()  # the helper writes, the stream reads
-        free, self._free = os.pipe()  # the stream writes, the helper reads
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (ready, self._ready, self._free, free):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            os.close(self._ready)
-            os.close(self._free)
-            self._run(history, x, ready, free)
-        os.close(ready)
-        os.close(free)
-
-    def _run(self, history: RegressorHistory, x: np.ndarray, ready: int, free: int) -> None:
-        """In the helper: every chunk in turn, each into a free slot; leaves only through ``os._exit``."""
-        code = 1
-        try:
-            for chunk in range(self.chunks):
-                if chunk >= _SLOTS and not os.read(free, 1):
-                    break  # the stream is gone
-                for n in range(chunk * _CHUNK, min((chunk + 1) * _CHUNK, x.size)):
-                    history.push(x[n])
-                    _unit_gram(history, self.grams[n % len(self.grams)])
-                os.write(ready, b"\0")  # EPIPE once the stream is gone
-            code = 0
-        finally:
-            os._exit(code)
-
-    def gram(self, n: int) -> np.ndarray:
-        """X(n).T X(n), waiting at the start of each chunk for the helper to hand it over."""
-        if not n % _CHUNK:
-            chunk = n // _CHUNK
-            if chunk and chunk - 1 + _SLOTS < self.chunks:  # the helper waits for that slot
-                try:
-                    os.write(self._free, b"\0")
-                except BrokenPipeError:
-                    pass  # the helper is gone, which the read says
-            if not os.read(self._ready, 1):
-                raise RuntimeError(
-                    f"the helper process {self.pid} forming the Gram matrices of panel entries "
-                    f"{self.entries} exited before sample {n}"
-                )
-        return self.grams[n % len(self.grams)]
-
-    def close(self) -> None:
-        """Kill and reap the helper, and close the pipes."""
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        os.close(self._ready)
-        os.close(self._free)
-
-
-def _stream_batch(batch, entries, x, d, segments, failures, helper: bool):
+def _stream_batch(batch, entries, x, d, segments, failures):
     """Stream a zeroed batch of ``filters._panel_batches``, whose row b is panel
     entry ``entries[b]``, over the scenario; return the misalignment per row and
-    sample.  An entry that fails leaves the batch with ``failures[entry]`` set.
-    With ``helper``, a :class:`_GramHelper` forms the unit-gain rows' Gram matrices
-    until none is left; it does not outlive the call."""
+    sample.  An entry that fails leaves the batch with ``failures[entry]`` set."""
     length, order = batch.weights.shape[1], batch.configs[0].projection_order
     history, desired = RegressorHistory(length, order), np.zeros(order)
     mis, diff = np.empty((len(entries), x.size)), np.empty(batch.weights.shape)
     rows = np.arange(len(entries))  # starting row of each filter still in the batch
     target = slice(None)  # indexes ``rows`` faster while no filter has left
-    ahead = _GramHelper(history, x, [entries[b] for b in batch.units]) if helper else None
-    try:
-        for start, end, response in segments:
-            truth, power = response.taps, _power(response.taps)
-            for n in range(start, end):
-                history.push(x[n])
-                if order > 1:
-                    desired[1:] = desired[:-1]
-                desired[0] = d[n]
-                if ahead is not None:
-                    batch.unit_gram = ahead.gram(n)
-                _, singular = batch.step(history, desired)
-                mis[target, n] = values = _misalignment_rows(truth, power, batch.weights, diff)
-                if singular or not all(map(math.isfinite, values)):
-                    # NaN or inf: the weights left the finite range
-                    failed = {b: f"diverged at sample {n}: misalignment is {v} dB"
-                              for b, v in enumerate(values) if not math.isfinite(v)}
-                    failed.update({b: f"aborted at sample {n}: {exc}" for b, exc in singular.items()})
-                    failures.update({entries[rows[b]]: message for b, message in failed.items()})
-                    rows = target = np.delete(rows, list(failed))
-                    if not rows.size:
-                        return mis
-                    batch, diff = batch.without(failed), diff[: rows.size]
-                    if ahead is not None and not batch.units:  # its CPU is free again
-                        ahead.close()
-                        ahead = None
-        return mis
-    finally:
-        if ahead is not None:
-            ahead.close()
+    for start, end, response in segments:
+        truth, power = response.taps, _power(response.taps)
+        for n in range(start, end):
+            history.push(x[n])
+            if order > 1:
+                desired[1:] = desired[:-1]
+            desired[0] = d[n]
+            _, singular = batch.step(history, desired)
+            mis[target, n] = values = _misalignment_rows(truth, power, batch.weights, diff)
+            if singular or not all(map(math.isfinite, values)):
+                # NaN or inf: the weights left the finite range
+                failed = {b: f"diverged at sample {n}: misalignment is {v} dB"
+                          for b, v in enumerate(values) if not math.isfinite(v)}
+                failed.update({b: f"aborted at sample {n}: {exc}" for b, exc in singular.items()})
+                failures.update({entries[rows[b]]: message for b, message in failed.items()})
+                rows = target = np.delete(rows, list(failed))
+                if not rows.size:
+                    return mis
+                batch, diff = batch.without(failed), diff[: rows.size]
+    return mis
 
 
-def _run_shard(configs, shard: slice, x, d, segments, mis, failed, helpers: int) -> None:
+def _run_shard(configs, shard: slice, x, d, segments, mis, failed) -> None:
     """Run the panel entries ``shard`` selects over the scenario in this process: their
-    misalignment into the rows ``mis[shard]``, and ``{entry: message}`` into ``failed``.
-    The first ``helpers`` batches with unit-gain rows each get a :class:`_GramHelper`."""
+    misalignment into the rows ``mis[shard]``, and ``{entry: message}`` into ``failed``."""
     entries, out = range(len(configs))[shard], mis[shard]
     for rows, batch in _panel_batches([configs[k] for k in entries]):
-        helper = helpers > 0 and bool(batch.units)
-        helpers -= helper
-        out[rows] = _stream_batch(batch, [entries[r] for r in rows], x, d, segments, failed, helper)
+        out[rows] = _stream_batch(batch, [entries[r] for r in rows], x, d, segments, failed)
 
 
-def _cpu_count() -> int:
-    """The processes a run may use: one per CPU this process may run on.  One where it
-    cannot fork, or beside a second thread, which could hold a lock that a forked child
-    would then wait on forever."""
+def _shard_count(entries: int) -> int:
+    """The processes a panel of ``entries`` runs in: one per CPU this process may use.
+    One where it cannot fork, or beside a second thread, which could hold a lock that
+    the forked child would then wait on forever."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
         return 1
-    return len(os.sched_getaffinity(0))
+    return min(len(os.sched_getaffinity(0)), entries)
 
 
-def _send_shard(pipe: int, configs, shard: slice, x, d, segments, mis, helpers: int) -> None:
+def _send_shard(pipe: int, configs, shard: slice, x, d, segments, mis) -> None:
     """In a forked child: run ``shard`` and write its rows and failures, or the exception
     it raised, pickled to the ``pipe`` descriptor.  Leaves only through ``os._exit``, with
     code 0 once the whole outcome is written."""
@@ -309,7 +214,7 @@ def _send_shard(pipe: int, configs, shard: slice, x, d, segments, mis, helpers: 
     try:
         try:
             failed = {}
-            _run_shard(configs, shard, x, d, segments, mis, failed, helpers)
+            _run_shard(configs, shard, x, d, segments, mis, failed)
             outcome = mis[shard], failed
         except Exception as exc:  # the parent raises it
             outcome = exc
@@ -323,26 +228,19 @@ def _send_shard(pipe: int, configs, shard: slice, x, d, segments, mis, helpers: 
 def _run_shards(configs, x, d, segments):
     """The misalignment per panel entry and sample, and ``{entry: message}`` failures.
 
-    The entries are dealt over one shard per CPU (:func:`_cpu_count`), at most one
-    per entry: shard s of k runs entries s, s+k, s+2k, ...  Shard 0 runs in this
-    process; every other one runs in a child forked here, which sends its outcome
-    back through a pipe.  The CPUs left spare go, one each and in shard order, to
-    the batches with unit-gain rows, as :class:`_GramHelper` processes.  The
-    children are then collected in shard order, each one drained, reaped and
-    checked, so the first that failed ends the wait.  On any error the children
-    still alive are killed and reaped, so none outlives the call.
+    The entries are dealt over :func:`_shard_count` shards: shard s of k runs
+    entries s, s+k, s+2k, ...  Shard 0 runs in this process; every other one
+    runs in a child forked here, which sends its outcome back through a pipe.
+    The children are then collected in shard order, each one drained, reaped
+    and checked, so the first that failed ends the wait.  On any error the
+    children still alive are killed and reaped, so none outlives the call.
     """
-    cpus = _cpu_count()
-    k = min(cpus, len(configs))
+    k = _shard_count(len(configs))
     shards = [slice(s, None, k) for s in range(k)]
-    spare, helpers = cpus - k, []
-    for shard in shards:
-        helpers.append(min(spare, _unit_batches(configs[shard])))
-        spare -= helpers[-1]
     mis, failed = np.empty((len(configs), x.size)), {}
     pids, pipes = [], []  # children not yet reaped, read ends not yet closed
     try:
-        for shard, count in zip(shards[1:], helpers[1:]):
+        for shard in shards[1:]:
             read, write = os.pipe()
             pipes.append(read)
             try:
@@ -351,10 +249,10 @@ def _run_shards(configs, x, d, segments):
                 os.close(write)
                 raise
             if pid == 0:
-                _send_shard(write, configs, shard, x, d, segments, mis, count)
+                _send_shard(write, configs, shard, x, d, segments, mis)
             os.close(write)
             pids.append(pid)
-        _run_shard(configs, shards[0], x, d, segments, mis, failed, helpers[0])
+        _run_shard(configs, shards[0], x, d, segments, mis, failed)
         for shard, read in zip(shards[1:], pipes):
             with open(read, "rb", closefd=False) as pipe:
                 payload = pipe.read()
@@ -386,17 +284,18 @@ def run_experiment(config: ExperimentConfig):
     """Run every panel entry over the scenario; return ``(traces, summary)``.
 
     The entries are dealt over the CPUs this process may run on, one shard
-    each; a shard beyond the first runs in a forked child.  A CPU left spare
-    goes to a batch with unit-gain rows (``apa``, ``bs-papa`` with P = L): a
-    helper process forms their Gram matrix X(n).T X(n), which depends on the
-    input alone, ahead of the stream, with the same bits.  No child, shard or
-    helper, outlives the call.  Within a shard, entries sharing the projection
-    order and branch (projection or scalar) run as one batch built by
-    ``filters._panel_batches`` over one input history: one stacked error, Gram
-    matrix, pivot test, update and misalignment pass per sample.  Each trace
-    equals the entry's one-entry run bit for bit, so the results do not depend
-    on the CPU count, and ``taskset -c 0`` runs the whole panel in this
-    process.  The children's memory is not in this process's peak RSS.  A solver failure or a
+    each; a shard beyond the first runs in a forked child, and none outlives
+    the call.  Within a shard, entries sharing the projection order and branch
+    (projection or scalar) run as one batch built by ``filters._panel_batches``
+    over one input history: one stacked error, Gram matrix, pivot test, update
+    and misalignment pass per sample.  From projection order
+    ``filters._RECURSE_FROM`` on, a batch forms its a-priori errors and its
+    unit-gain and memory rows' Gram matrices by the fast affine projection
+    recursions (see ``filters._Batch``), so there an entry agrees with
+    ``AdaptiveFilter`` only to rounding.  Each trace equals the entry's
+    one-entry run bit for bit, so the results do not depend on the CPU count,
+    and ``taskset -c 0`` runs the whole panel in this process.  The children's
+    memory is not in this process's peak RSS.  A solver failure or a
     non-finite misalignment (diverged or NaN-fed weights) aborts only the
     offending entry: it leaves the batch and is recorded in
     ``summary.failures`` with its sample index, and the others still run.

@@ -19,6 +19,9 @@ pivot test per step.  A single-projection batch is only its rows, ``_ScalarRow``
 that read x(n) and d(n) themselves.  ``filter_step`` and ``AdaptiveFilter`` run the batch
 of one a ``FilterState`` keeps, a lone ``_ScalarRow`` for ``pnlms``/``bs-pnlms``;
 ``_panel_batches`` builds the zeroed batches of a panel, which ``run_experiment`` streams.
+From ``_RECURSE_FROM`` on, a panel's batch takes the fast affine projection
+recursions: of its M errors only e(n)[0] is a product, and the Gram matrix of
+a unit-gain or memory row is last step's, shifted, with a new row 0 and column 0.
 
 The kernel spends products on W only where that is faster.  A single
 block has gain exactly one, so its W is X(n) itself, which the history
@@ -87,6 +90,9 @@ _UNIT_GAIN.flags.writeable = False
 # A row places (P+M-1)*N products, rather than weighting X(n) in place, where
 # both P and M reach this: only there is placing faster (see the README).
 _PLACE_FROM = 16
+# A panel's batch forms its errors and its unit-gain and memory rows' Gram
+# matrices recursively from this projection order on: only there is it faster.
+_RECURSE_FROM = 16
 
 
 def _load_flapack():
@@ -675,33 +681,42 @@ class _Batch:
     their block gains over their slot and multiply it by X(n), the history's
     :meth:`~RegressorHistory.regressor_rows` view, in place, or place the
     efficient build's products (P and M from ``_PLACE_FROM`` on).  A unit-gain
-    row (one block, of gain exactly one) uses that view itself, and its Gram
-    matrix is :func:`_unit_gram`, or :attr:`unit_gram` when a caller has formed
-    it ahead (``bench._stream_batch`` does, in a helper process).  Memory rings
+    row (one block, of gain exactly one) uses that view itself.  Memory rings
     are stacked as ``(Bm, 2M, L)`` under one head, whose row is weighted by
     x(n) the same way.  Each stacked product equals the per-filter product bit
     for bit.  Only a unit-gain or in-place row reads the row view, so only its
     history makes the row ring; a step that places nothing allocates no array
     of L floats.  A single-projection batch is its :class:`_ScalarRow` steps.  No checks.
+
+    A ``recursive`` batch keeps, per row, the a-posteriori errors
+    ε = (1 - mu)e + mu*delta*z of its last step (e for a row whose system
+    failed) and its Gram matrices, both zero at the start.  Its error layer
+    forms only e(n)[0] = d(n) - x(n).T w, as one dot product a row, and takes
+    e(n)[1:] = ε(n-1)[:M-1].  Its unit-gain and memory rows' Gram matrix is
+    G(n-1)[:-1, :-1] shifted down the diagonal, with column 0, X(n).T W[:, 0],
+    and then row 0, x(n).T W, formed anew: for a unit-gain row, one product
+    X(n).T x(n), so that matrix is symmetric.  Gained memoryless rows form the
+    full product.  :meth:`without` carries the state of the rows it keeps.
     """
 
-    def __init__(self, configs, weights: np.ndarray, rings: np.ndarray, head: int = 0):
+    def __init__(self, configs, weights: np.ndarray, rings: np.ndarray, head: int = 0, recursive=False):
         self.configs, self.weights, self.rings, self.head = configs, weights, rings, head
         (count, length), order = weights.shape, configs[0].projection_order
-        self.scalar, self.plain = configs[0].is_scalar, count - len(rings)
-        self.unit_gram = None  # X(n).T X(n) for the step to come, when formed ahead
+        self.scalar, self.plain, self.recursive = configs[0].is_scalar, count - len(rings), recursive
         if self.scalar:  # the rows alone, each with an update row of its own
-            self.units = range(0)
             self._scalar_rows = [_ScalarRow(*row) for row in zip(configs, weights, np.empty(weights.shape))]
             return
         p = self.plain
-        built = p - sum(c.block_count == 1 for c in configs[:p])
-        self.units = range(built, p)  # the unit-gain rows
+        self.built = built = p - sum(c.block_count == 1 for c in configs[:p])
         # one step size a tap: a (B, 1) column would make the multiply buffer B*L floats
         self.mu = np.repeat([[c.step_size] for c in configs], length, axis=1)
         self.delta = np.array([[c.regularization] for c in configs])
+        if recursive:  # ε(n-1), then e(n) once the error layer has run, then ε(n)
+            self._eps = np.zeros((count, order))
+            self._decay = np.array([[1.0 - c.step_size] for c in configs])
+            self._pull = np.array([[c.step_size * c.regularization] for c in configs])
         error, update = np.empty((count, order, 1)), np.empty((count, length, 1))
-        gram, lu = np.empty((count, order, order)), np.empty((count, order, order))
+        gram, lu = np.zeros((count, order, order)), np.empty((count, order, order))
         self._columns, self._errors, self._updates = weights[:, :, None], error, update[:, :, 0]
         self._grams, self._lu = gram, lu.transpose(0, 2, 1)
         self._diagonal = lu.reshape(count, -1)[:, :: order + 1]
@@ -722,8 +737,8 @@ class _Batch:
             [(r, _blocks(r, c), m) for r, m in zip(ring, ring[order:])] for c, _, ring in memory]
         # (weighted, gram, error, update): the built rows' part, the unit and ring rows' stacks
         self._parts = [(weighted, gram[:built], error[:built], update[:built])] if built else []
-        self._unit_stacks = (gram[built:p], error[built:p], update[built:p]) if self.units else None
-        self._reads_rows = bool(self.units or self._in_place)
+        self._unit_stacks = (gram[built:p], error[built:p], update[built:p]) if p > built else None
+        self._reads_rows = bool(self._unit_stacks or self._in_place)
         self._ring_stacks = (gram[p:], error[p:], update[p:])
         # Indexed by head: the (Bm, L, M) regressors as in FilterState.
         ring, row, tap = rings.strides
@@ -731,11 +746,14 @@ class _Batch:
         self._ring_views = np.ndarray(shape, rings.dtype, rings, 0, (row, ring, tap, row))
 
     def without(self, rows) -> "_Batch":
-        """A new batch of copies of every filter but ``rows``."""
+        """A new batch of copies of every filter but ``rows``, with their recursion state."""
         keep = [b for b in range(len(self.configs)) if b not in rows]
         ring_rows = [b - self.plain for b in keep if b >= self.plain]
         configs = [self.configs[b] for b in keep]
-        return _Batch(configs, self.weights[keep], self.rings[ring_rows], self.head)
+        batch = _Batch(configs, self.weights[keep], self.rings[ring_rows], self.head, self.recursive)
+        if self.recursive:
+            batch._grams[:], batch._eps[:] = self._grams[keep], self._eps[keep]
+        return batch
 
     def step(self, history: RegressorHistory, desired: np.ndarray):
         """Step every filter a sample, layer by layer; return the a-priori errors and ``{row: failure}``."""
@@ -755,10 +773,18 @@ class _Batch:
         return [_block_gains(config, w, gains, squares) for config, w, gains, squares in self._gained]
 
     def _error(self, history: RegressorHistory, desired: np.ndarray) -> list:
-        """The a-priori errors ``d - X.T w``, into the solve's right-hand sides; return each row's e(n)."""
-        np.matmul(history._xt[history._head], self._columns, out=self._errors)
-        np.subtract(desired, self._rhs, out=self._rhs)
-        return self._rhs[:, 0].tolist()
+        """The a-priori errors ``d - X.T w``, into the solve's right-hand sides; return each row's
+        e(n).  A recursive batch forms e(n)[0] alone, and keeps e(n) for the update layer."""
+        xt, rhs = history._xt[history._head], self._rhs
+        if not self.recursive:
+            np.matmul(xt, self._columns, out=self._errors)
+            np.subtract(desired, rhs, out=rhs)
+            return rhs[:, 0].tolist()
+        rhs[:, 1:] = self._eps[:, :-1]
+        np.matmul(xt[:1], self._columns, out=self._errors[:, :1])  # one dot product a row
+        np.subtract(desired[0], rhs[:, 0], out=rhs[:, 0])
+        np.copyto(self._eps, rhs)
+        return rhs[:, 0].tolist()
 
     def _build(self, history: RegressorHistory, gains: list) -> list:
         """Weight the gained rows' regressors by ``gains``; return the (W, Gram, error, update) stacks."""
@@ -782,16 +808,21 @@ class _Batch:
         return parts
 
     def _gram(self, history: RegressorHistory, parts: list) -> None:
-        """Each stack's Gram matrix ``X.T W``; the unit-gain rows' is copied from
-        :attr:`unit_gram` when it is set."""
-        units = self._unit_stacks and self._unit_stacks[0]
-        for weighted, gram, _, _ in parts:
-            if gram is not units:
-                np.matmul(history._xt[history._head], weighted, out=gram)
-            elif self.unit_gram is None:
-                _unit_gram(history, gram)
-            else:
-                np.copyto(gram, self.unit_gram)
+        """Each stack's Gram matrix ``X.T W``; a recursive batch shifts its unit-gain and
+        memory rows' and forms their row and column 0 alone."""
+        xt = history._xt[history._head]
+        for weighted, gram, _, _ in parts[: len(self._parts)] if self.recursive else parts:
+            np.matmul(xt, weighted, out=gram)
+        shifted = self._grams[self.built :] if self.recursive else ()
+        if len(shifted):
+            shifted[:, 1:, 1:] = shifted[:, :-1, :-1]
+            units, memory = np.split(shifted, [self.plain - self.built])
+            if len(units):
+                units[:, :, 0] = units[:, 0] = xt @ xt[0]  # column 0, then the same row 0
+            if len(memory):
+                head, row_zero = self.head, memory[:, :1].transpose(0, 2, 1)
+                np.matmul(xt, self.rings[:, head, :, None], out=memory[:, :, :1])
+                np.matmul(self.rings[:, head : head + len(xt)], xt[0, :, None], out=row_zero)
 
     def _solve(self) -> dict:
         """Solve ``(Gram + delta*I) z = e`` in place of the errors; return ``{row: failure}``."""
@@ -799,24 +830,18 @@ class _Batch:
         return _solve_stack(self._systems, self._diagonal, self.delta)
 
     def _update(self, parts: list, failed: dict) -> None:
-        """``w += mu * W z`` on every row but the failed ones."""
+        """``w += mu * W z`` on every row but the failed ones; a recursive batch keeps ε."""
         for weighted, _, error, out in parts:
             np.matmul(weighted, error, out=out)
         self._updates *= self.mu
         if failed:
             self._updates[list(failed)] = 0.0
         self.weights += self._updates
-
-
-def _unit_gram(history: RegressorHistory, out: np.ndarray) -> None:
-    """X(n).T X(n), the Gram matrix of every unit-gain row, into ``out``: one, or a stack
-    of them.  A helper forming it ahead makes this same call, so both give the same bits."""
-    np.matmul(history._xt[history._head], history.regressor_rows(), out=out)
-
-
-def _unit_batches(configs) -> int:
-    """How many of the batches :func:`_panel_batches` makes of ``configs`` hold unit-gain rows."""
-    return len({c.projection_order for c in configs if _row_run(c) == 1 and not c.is_scalar})
+        if self.recursive:
+            eps = self._decay * self._eps + self._pull * self._rhs
+            if failed:  # a failed row kept its weights, so its errors stand
+                eps[list(failed)] = self._eps[list(failed)]
+            self._eps = eps
 
 
 def _row_run(config: FilterConfig) -> int:
@@ -828,14 +853,15 @@ def _panel_batches(configs):
     """One zeroed :class:`_Batch` per (projection order, branch) of ``configs``,
     which share the filter length, as ``(indices, batch)``: row b of the batch
     is ``configs[indices[b]]``, in the batch's row order (built rows, unit-gain
-    rows, memory rows)."""
+    rows, memory rows).  It is recursive from order ``_RECURSE_FROM`` on."""
     groups = {}
     for k, config in sorted(enumerate(configs), key=lambda e: _row_run(e[1])):
         groups.setdefault((config.projection_order, config.is_scalar), []).append(k)
-    for indices in groups.values():
+    for (order, _), indices in groups.items():
         members = [configs[k] for k in indices]
         rings = np.zeros((sum(c.is_memory for c in members), *_ring_shape(members[0])))
-        yield indices, _Batch(members, np.zeros((len(members), members[0].filter_length)), rings)
+        weights = np.zeros((len(members), members[0].filter_length))
+        yield indices, _Batch(members, weights, rings, recursive=order >= _RECURSE_FROM)
 
 
 class AdaptiveFilter:

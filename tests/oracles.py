@@ -6,7 +6,11 @@ Two kinds live here, both independent of the production hot path:
   with ``sliding_window_view`` and scipy's ``lu_factor``/``lu_solve``, plus a
   ``reference_filter_step`` composed of them.  The production path performs
   the same floating-point operations, so it must agree with these bit for
-  bit.
+  bit.  With ``recursive=True`` the step takes the fast affine projection
+  recursions (Gay & Tavathia, ICASSP 1995) that a recursive panel batch
+  takes: only e(n)[0] is a product, e(n)[1:] is the last a-posteriori error
+  ``(1 - mu)*e + mu*delta*z``, and the Gram matrix of a unit-gain or memory
+  row is last step's, shifted down the diagonal, with a new column and row 0.
 * ``DenseReference``: one adaptation step written straight from the update
   equations (Paleologu, Ciochina & Benesty, "An efficient proportionate
   affine projection algorithm for echo cancellation", IEEE SPL 2010), with
@@ -73,14 +77,17 @@ def reference_block_gains(config, weights) -> np.ndarray:
 
 
 class ReferenceState:
-    """Weights plus a plainly shifted L-by-M memory matrix."""
+    """Weights plus a plainly shifted L-by-M memory matrix, and the recursions'
+    last Gram matrix and a-posteriori errors, zero at the start."""
 
     def __init__(self, config):
-        self.weights = np.zeros(config.filter_length)
-        self.memory = np.zeros((config.filter_length, config.projection_order))
+        L, M = config.filter_length, config.projection_order
+        self.weights = np.zeros(L)
+        self.memory = np.zeros((L, M))
+        self.gram, self.eps = np.zeros((M, M)), np.zeros(M)
 
 
-def reference_filter_step(config, state, history, desired, build="efficient") -> None:
+def reference_filter_step(config, state, history, desired, build="efficient", recursive=False) -> None:
     """One step of ``filter_step`` built from the reference pieces above.
 
     ``state`` is a :class:`ReferenceState`.  The operands of the matrix
@@ -89,7 +96,8 @@ def reference_filter_step(config, state, history, desired, build="efficient") ->
     column-major copy of the shifted one and the efficient build as a
     C-contiguous copy.  With ``build="direct"`` the projection members
     without memory also scale every regressor entry and require that
-    matrix to equal the placed products exactly.
+    matrix to equal the placed products exactly.  With ``recursive`` the
+    projection members take the recursions of the module notes.
     """
     weights = state.weights
     block = reference_block_gains(config, weights)
@@ -102,7 +110,10 @@ def reference_filter_step(config, state, history, desired, build="efficient") ->
         weights += (mu * err / (float(x @ weighted) + delta)) * weighted
         return
     regressor_t = np.ascontiguousarray(reference_regressor_matrix(history).T)
-    err = desired - regressor_t @ weights
+    if recursive:
+        err = np.concatenate(([desired[0] - float(x @ weights)], state.eps[:-1]))
+    else:
+        err = desired - regressor_t @ weights
     if config.variant in _MEMORY:
         mem = state.memory
         mem[:, 1:] = mem[:, :-1]
@@ -114,8 +125,17 @@ def reference_filter_step(config, state, history, desired, build="efficient") ->
             direct = per_tap[:, None] * reference_regressor_matrix(history)
             if not np.array_equal(direct, weighted):
                 raise AssertionError("direct and efficient weighted regressors differ")
-    gram = regressor_t @ weighted
-    weights += mu * (weighted @ reference_solve(gram, delta, err))
+    if recursive and (config.variant in _MEMORY or config.block_count == 1):
+        gram = np.zeros_like(state.gram)
+        gram[1:, 1:] = state.gram[:-1, :-1]
+        gram[:, 0] = regressor_t @ weighted[:, 0]
+        gram[0, :] = np.ascontiguousarray(weighted.T) @ x
+    else:
+        gram = regressor_t @ weighted
+    state.gram, state.eps = gram, err  # a failed solve leaves the weights, so err stands
+    z = reference_solve(gram, delta, err)
+    weights += mu * (weighted @ z)
+    state.eps = (1 - mu) * err + mu * delta * z
 
 
 class DenseReference:

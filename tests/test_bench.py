@@ -7,7 +7,6 @@ import os
 import threading
 import time
 import warnings
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -304,45 +303,20 @@ def os_threads() -> int:
         return 0
 
 
-class Forks:
-    """The forks made by this process, or by a child of it, since ``os.fork`` was patched:
-    after each fork its parent writes ``parent child threads``, with its OS thread count
-    at that moment, as one line down a pipe that every child inherits.  So a helper
-    forked in a shard child is counted too."""
-
-    def __init__(self, monkeypatch):
-        read, write = os.pipe()
-        for fd in (read, write):  # a full pipe raises in the fork wrapper rather than hang
-            os.set_blocking(fd, False)
-        self._read, self._write, self._lines = read, write, b""
-        weakref.finalize(self, os.close, read)
-        weakref.finalize(self, os.close, write)
-
-        def fork():  # holds this object, and so the pipe, while os.fork is patched
-            pid = FORK()
-            if pid:
-                os.write(self._write, f"{os.getpid()} {pid} {os_threads()}\n".encode())
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-
-    def lines(self) -> list:
-        """``(parent, child, threads)`` for every fork so far."""
-        try:
-            while chunk := os.read(self._read, 65536):
-                self._lines += chunk
-        except BlockingIOError:
-            pass
-        return [tuple(map(int, line.split())) for line in self._lines.splitlines()]
-
-    def __len__(self) -> int:
-        return len(self.lines())
-
-
 def see_cpus(monkeypatch, count):
-    """Make ``run_experiment`` see ``count`` CPUs, and return the :class:`Forks` it makes."""
+    """Make ``run_experiment`` see ``count`` CPUs, and return the list each fork made here
+    appends ``(parent, child, threads)`` to, with the parent's OS threads at that moment."""
+    forks = []
+
+    def fork():
+        pid = FORK()
+        if pid:
+            forks.append((os.getpid(), pid, os_threads()))
+        return pid
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    return Forks(monkeypatch)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
 
 def outcome(exp):
@@ -408,8 +382,7 @@ class TestShards:
         for cpus in (2, 3, 64):
             forks = see_cpus(monkeypatch, cpus)
             assert outcome(exp) == serial, cpus
-            # each panel has one batch of unit-gain rows, which a spare CPU gives a helper
-            assert len(forks) == min(cpus, len(exp.panel)) - 1 + (cpus > len(exp.panel))
+            assert len(forks) == min(cpus, len(exp.panel)) - 1
 
     @pytest.mark.parametrize("fault", [nan_at_100, silent_after_120])
     def test_an_entry_failing_in_a_child_reads_as_in_the_serial_run(self, monkeypatch, fault):
@@ -514,170 +487,27 @@ class TestShards:
         assert not thread.is_alive()
         assert [t.label for t in traces] == [label for label, _ in small_panel()] and not summary.failures
 
-
-def running(pid: int) -> bool:
-    """Whether ``pid`` still runs: a zombie no parent has reaped yet does not."""
-    try:
-        os.kill(pid, 0)
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except ProcessLookupError:
-        return False
-    except OSError:  # no /proc: the signal found it
-        return True
-
-
-def unit_entry(length, order, variant="apa", **settings):
-    """A unit-gain projection entry: ``apa``, or ``bs-papa`` with one block of P = L."""
-    group = length if variant == "bs-papa" else None
-    return FilterConfig(variant, length, order, group_size=group, step_size=0.3, **settings)
-
-
-class TestGramHelper:
-    """A CPU the shards leave spare forms the unit-gain rows' Gram matrices ahead, in a
-    helper process; the results are those of the run without one, and the helper never
-    outlives the call, nor the shard child it serves."""
-
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("variant", ["apa", "bs-papa"])
-    @pytest.mark.parametrize("length,order,total", [(32, 3, 600), (1024, 8, 600), (4096, 16, 300)])
-    def test_a_helper_keeps_the_bits(self, monkeypatch, variant, length, order, total):
-        response = make_block_sparse_ir(length, [(9, 24)], seed=3)
-        sc = EchoScenario(schedule=((0, response),), total_samples=total, seed=7)
-        exp = ExperimentConfig(scenario=sc, panel=[(variant, unit_entry(length, order, variant))], trace_decimation=1)
-        forks = see_cpus(monkeypatch, 2)
-        helped = outcome(exp)
-        assert len(forks) == 1 and not helped[1].failures
-        forks = see_cpus(monkeypatch, 1)
-        assert outcome(exp) == helped and not forks
-
-    def test_a_mixed_panel_with_one_unit_row_keeps_the_bits(self, monkeypatch):
-        exp = TestShards.mixed()
-        see_cpus(monkeypatch, 1)
-        serial = outcome(exp)
-        forks = see_cpus(monkeypatch, len(exp.panel) + 1)
-        assert outcome(exp) == serial
-        assert len(forks) == len(exp.panel)  # the shards past the first, and one helper
-
-    def test_a_batch_that_loses_its_unit_rows_keeps_the_bits(self, monkeypatch):
-        """Streamed directly, a batch may hold other rows beside its unit row, and
-        the helper stops once that row has failed."""
-        sc = silent_after_120(monkeypatch)
-        x, d = bench.synthesize_scenario(sc)
-        configs = [unit_entry(32, 1, regularization=0.0), FilterConfig("papa", 32, 1, step_size=0.3)]
-        streams = []
-        for helper in (False, True):
-            failures, forks = {}, see_cpus(monkeypatch, 2)
-            (entries, batch), = _panel_batches(configs)
-            mis = bench._stream_batch(batch, entries, x, d, sc.segments(), failures, helper)
-            assert list(failures) == [0] and failures[0].startswith("aborted at sample 1")
-            failed_at = int(failures[0].split()[3].rstrip(":"))  # the row's later samples are unset
-            unit = entries.index(0)
-            streams.append((mis[unit, :failed_at].tobytes(), mis[1 - unit].tobytes(), failures))
-            assert len(forks) == helper
-        assert streams[0] == streams[1]
-
-    @pytest.mark.parametrize("fault", [nan_at_100, silent_after_120])
-    def test_a_failing_unit_row_fails_as_without_a_helper(self, monkeypatch, fault):
-        sc = fault(monkeypatch)
-        panel = [("doomed", unit_entry(32, 1, regularization=0.0)),  # singular once silent for L samples
-                 ("BS-PAPA(P=4)", FilterConfig("bs-papa", 32, 1, group_size=4, step_size=0.3))]
-        exp = ExperimentConfig(scenario=sc, panel=panel, trace_decimation=1)
-        see_cpus(monkeypatch, 1)
-        serial = outcome(exp)
-        failures = serial[1].failures
-        expected = "diverged at sample 100:" if fault is nan_at_100 else "aborted at sample 1"
-        assert "doomed" in failures and failures["doomed"].startswith(expected)
-        forks = see_cpus(monkeypatch, 3)
-        assert outcome(exp) == serial and len(forks) == 2  # one shard child, one helper
-
-    def test_a_helper_that_exits_early_is_a_named_error(self, monkeypatch):
-        gram, calls = bench._unit_gram, iter(range(bench._CHUNK))
-
-        def exit_after_a_chunk(history, out):  # called only in the helper
-            if next(calls, None) is None:
-                os._exit(0)
-            gram(history, out)
-
-        monkeypatch.setattr(bench, "_unit_gram", exit_after_a_chunk)
-        forks = see_cpus(monkeypatch, 2)
-        exp = ExperimentConfig(scenario=small_scenario(total=300), panel=[("APA", unit_entry(32, 3))])
-        match = rf"helper process \d+ forming the Gram matrices of panel entries \[0\] exited before sample {bench._CHUNK}"
-        with pytest.raises(RuntimeError, match=match):
-            run_experiment(exp)
-        assert len(forks) == 1
-
-    def test_an_exception_in_the_stream_kills_its_helper(self, monkeypatch):
-        rows = bench._misalignment_rows
-
-        def fault_at_100(truth, power, weights, out):
-            if len(calls) == 100:
-                raise ShardFault("at sample 100")
-            calls.append(1)
-            return rows(truth, power, weights, out)
-
-        calls = []
-        monkeypatch.setattr(bench, "_misalignment_rows", fault_at_100)
-        forks = see_cpus(monkeypatch, 2)
-        exp = ExperimentConfig(scenario=small_scenario(total=20000, switch=None), panel=[("APA", unit_entry(32, 3))])
-        with pytest.raises(ShardFault, match="at sample 100"):
-            run_experiment(exp)
-        (_, helper, _), = forks.lines()
-        with pytest.raises(ChildProcessError):  # reaped
-            os.waitpid(helper, os.WNOHANG)
-
-    def test_a_helper_dies_with_its_killed_shard_child(self, monkeypatch):
-        stream = bench._stream_batch
-
-        def fail_once_the_helper_runs(batch, entries, *args):
-            if entries != [0]:  # the shard child, whose batch gets the helper
-                return stream(batch, entries, *args)
-            deadline = time.monotonic() + 30
-            while len(forks) < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            raise ShardFault("here, while the helper runs")
-
-        monkeypatch.setattr(bench, "_stream_batch", fail_once_the_helper_runs)
-        forks = see_cpus(monkeypatch, 3)
-        panel = [("PAPA", FilterConfig("papa", 32, 3, step_size=0.3)), ("APA", unit_entry(32, 3))]
-        exp = ExperimentConfig(scenario=small_scenario(total=20000, switch=None), panel=panel)
-        with pytest.raises(ShardFault, match="while the helper runs"):
-            run_experiment(exp)
-        shard, helper = [child for parent, child, _ in forks.lines()]
-        assert not running(shard)
-        deadline = time.monotonic() + 10
-        while running(helper) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert not running(helper)
-
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
     def test_every_fork_leaves_the_parent_one_thread(self, monkeypatch):
-        """OpenBLAS stops its thread pools at a fork, so the process forks with one OS
-        thread, shard and helper alike, even just after a product woke the pools."""
+        """OpenBLAS stops its thread pools at a fork, so the process forks its shards
+        with one OS thread, even just after a product woke the pools."""
         forks = see_cpus(monkeypatch, 3)
-        panel = [("PAPA", FilterConfig("papa", 32, 3, step_size=0.3)), ("APA", unit_entry(32, 3))]
-        run_experiment(ExperimentConfig(scenario=small_scenario(total=300), panel=panel))
+        panel = small_panel() + [("MPAPA", FilterConfig("mpapa", 32, 4, step_size=0.2))]
+        exp = ExperimentConfig(scenario=small_scenario(total=300), panel=panel)
+        run_experiment(exp)
         np.ones((4096, 16)) @ np.ones((16, 16))  # large enough for OpenBLAS to thread it
-        forks_after_a_product = see_cpus(monkeypatch, 2)
-        response = make_block_sparse_ir(4096, [(9, 24)], seed=3)
-        sc = EchoScenario(schedule=((0, response),), total_samples=70, seed=7)
-        run_experiment(ExperimentConfig(scenario=sc, panel=[("APA", unit_entry(4096, 16))]))
-        lines = forks.lines() + forks_after_a_product.lines()
-        assert [parent == os.getpid() for parent, _, _ in lines] == [True, False, True]
-        assert [threads for _, _, threads in lines] == [1, 1, 1]
+        run_experiment(exp)
+        assert [parent for parent, _, _ in forks] == [os.getpid()] * 4
+        assert [threads for _, _, threads in forks] == [1] * 4
 
 
 @st.composite
 def panel_entries(draw):
-    """One FilterConfig of L=32: any variant, P and M=1..6.  With delta=0 an M>1 system
-    is singular at sample 0, and an M=1 one once the input has been silent for L samples."""
+    """One FilterConfig of L=32: any variant, P and M=1..6, or M=16, 17 or 20, where the
+    batch takes the recursions.  With delta=0 an M>1 system is singular at sample 0, and
+    an M=1 one once the input has been silent for L samples."""
     variant = draw(st.sampled_from(VARIANTS))
-    order = 1 if variant.endswith("pnlms") else draw(st.integers(1, 6))
+    order = 1 if variant.endswith("pnlms") else draw(st.integers(1, 6) | st.sampled_from([16, 17, 20]))
     group = draw(st.sampled_from([1, 2, 4, 8, 16, 32])) if variant.startswith("bs-") else None
     return FilterConfig(
         variant, 32, order, group_size=group,

@@ -5,6 +5,8 @@ sliding-window and ``lu_factor``/``lu_solve`` constructions bit for bit, and
 every variant must follow the paper's dense update equations to rounding.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +16,20 @@ from bspapa import (
     VARIANTS,
     AdaptiveFilter,
     BlockPartition,
+    EchoScenario,
+    ExperimentConfig,
     FilterConfig,
     FilterState,
     GainVector,
     RegressorHistory,
     build_weighted_regressor_efficient,
     filter_step,
+    gen_excitation,
+    make_block_sparse_ir,
+    misalignment_db,
+    run_experiment,
     solve_regularized,
+    synthesize_scenario,
 )
 from bspapa import filters
 from bspapa.gains import _floored_gains
@@ -197,15 +206,24 @@ def test_oracle_comparison_catches_a_squared_one_tap_gain_in_scalar_rows(monkeyp
     assert scalar_gap(cfg)[0] > 1e-6
 
 
+# The rows of the batch tests at M = 16: unit-gain, one-tap and P=4 rows weighted
+# in place, a placed P=64 row, and memory rows, one-tap and P=64.
+BOTH_BUILDS = [("apa", 1024), ("papa", 1), ("bs-papa", 4), ("bs-papa", 64), ("mpapa", 1), ("bs-mpapa", 64)]
+
+
 def test_batch_with_both_builds_equals_solo_runs_and_reference():
     """At M = ``filters._PLACE_FROM`` a row with as many taps a block places
     its products while narrower rows weight X(n) in place: a six-entry batch
-    there equals each solo run and the reference step exactly, past a wrap of
-    the memory rings."""
+    of full products, built as a ``FilterState`` builds its batch of one,
+    equals each solo run and the reference step exactly, past a wrap of the
+    memory rings."""
     L, M, steps = 1024, filters._PLACE_FROM, 120
-    members = [("apa", L), ("papa", 1), ("bs-papa", 4), ("bs-papa", 64), ("mpapa", 1), ("bs-mpapa", 64)]
+    members = BOTH_BUILDS
     configs = [variant_config(v, L, M, P, step_size=0.3) for v, P in members]
-    [(indices, batch)] = filters._panel_batches(configs)
+    [(indices, panel_batch)] = filters._panel_batches(configs)
+    assert panel_batch.recursive  # run_experiment's batch there takes the recursions; see below
+    rows = [configs[k] for k in indices]
+    batch = filters._Batch(rows, np.zeros((len(rows), L)), np.zeros((2, 2 * M, L)))
     assert [c.group_size for c, *_ in batch._in_place] == [1, 4]
     assert [c.group_size for c, *_ in batch._placed] == [64]
     solo = [AdaptiveFilter(cfg) for cfg in configs]
@@ -228,3 +246,134 @@ def test_batch_with_both_builds_equals_solo_runs_and_reference():
         assert np.array_equal(batch.weights[b], solo[k].weights), members[k]
         assert np.array_equal(batch.weights[b], refs[k].weights), members[k]
         assert np.any(batch.weights[b] != 0.0)
+
+
+def test_recursive_panel_batch_equals_the_reference_and_its_one_entry_runs():
+    """From ``filters._RECURSE_FROM`` on, a panel's batch takes the fast affine
+    projection recursions.  Past a wrap of the memory rings, each of its rows
+    equals the recursive reference step and its entry's one-entry
+    ``run_experiment`` bit for bit.  A delta=0 unit-gain row, singular at
+    sample 0, fails there as in its one-entry run, and the batch it leaves
+    carries the others' recursion state on."""
+    L, M, steps = 1024, filters._RECURSE_FROM, 40
+    configs = [variant_config(v, L, M, P, step_size=0.3) for v, P in BOTH_BUILDS]
+    configs.append(variant_config("apa", L, M, L, step_size=0.3, regularization=0.0))
+    [(rows, batch)] = filters._panel_batches(configs)
+    assert batch.recursive and rows == [1, 2, 3, 0, 6, 4, 5]
+    assert [c.group_size for c, *_ in batch._in_place] == [1, 4]
+    assert [c.group_size for c, *_ in batch._placed] == [64]
+    response = make_block_sparse_ir(L, [(1, 24)], seed=5)
+    sc = EchoScenario(schedule=((0, response),), total_samples=steps, seed=9)
+    x, d = synthesize_scenario(sc)
+    solo = [run_experiment(ExperimentConfig(scenario=sc, panel=[(str(k), cfg)], trace_decimation=1))
+            for k, cfg in enumerate(configs)]
+    refs = [ReferenceState(cfg) for cfg in configs]
+    history, desired = RegressorHistory(L, M), np.zeros(M)
+    for n in range(steps):
+        history.push(x[n])
+        desired[1:] = desired[:-1]
+        desired[0] = d[n]
+        _, failed = batch.step(history, desired)
+        for b, k in enumerate(rows):
+            if b in failed:
+                traces, summary = solo[k]
+                assert not traces and summary.failures == {str(k): f"aborted at sample {n}: {failed[b]}"}
+                with pytest.raises(np.linalg.LinAlgError), warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # scipy's lu_factor warns of the exact zero
+                    reference_filter_step(configs[k], refs[k], history, desired, recursive=True)
+                continue
+            reference_filter_step(configs[k], refs[k], history, desired, recursive=True)
+            assert np.array_equal(batch.weights[b], refs[k].weights), (n, k)
+            assert misalignment_db(response.taps, batch.weights[b]) == solo[k][0][0].values[n], (n, k)
+        if failed:
+            rows = [k for b, k in enumerate(rows) if b not in failed]
+            batch = batch.without(failed)
+    assert sorted(rows) == list(range(6))  # only the delta=0 row failed
+    assert all(np.any(w != 0.0) for w in batch.weights)
+
+
+def test_a_failed_recursive_row_keeps_its_errors_and_steps_on():
+    """A row whose system failed keeps its weights, so its a-posteriori errors are
+    its a-priori ones.  Stepped on, a delta=0 unit-gain row fails while its window
+    fills (its Gram matrix has rank n + 1 at sample n), then adapts exactly as the
+    recursive reference step does."""
+    L, M = 32, filters._RECURSE_FROM
+    cfg = FilterConfig("apa", L, M, step_size=0.3, regularization=0.0)
+    [(_, batch)] = filters._panel_batches([cfg])
+    ref_state, rng = ReferenceState(cfg), np.random.default_rng(41)
+    history, desired, failures = RegressorHistory(L, M), np.zeros(M), []
+    for n in range(3 * M):
+        history.push(rng.standard_normal())
+        desired[1:] = desired[:-1]
+        desired[0] = rng.standard_normal()
+        failures.append(bool(batch.step(history, desired)[1]))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # scipy's lu_factor warns of an exact zero
+                reference_filter_step(cfg, ref_state, history, desired, recursive=True)
+        except np.linalg.LinAlgError:
+            assert failures[-1], n
+        assert np.array_equal(batch.weights[0], ref_state.weights), n
+    assert failures == [True] * (M - 1) + [False] * (2 * M + 1)
+    assert np.any(batch.weights != 0.0)
+
+
+@pytest.mark.parametrize("order", [filters._RECURSE_FROM - 1, filters._RECURSE_FROM])
+@pytest.mark.parametrize("variant,group", [("apa", None), ("mpapa", None), ("bs-mpapa", 8)])
+def test_filter_step_keeps_full_products_after_an_in_place_weight_edit(variant, group, order):
+    """``filter_step`` forms every product at every order, so a weight edit made
+    in place between calls, which its batch of one cannot see, leaves it equal
+    to the full-product reference.  ``_panel_batches`` takes the recursions
+    exactly from ``filters._RECURSE_FROM`` on, one order on each side."""
+    L = 32
+    cfg = FilterConfig(variant, L, order, group_size=group, step_size=0.3)
+    [(_, batch)] = filters._panel_batches([cfg])
+    assert batch.recursive == (order >= filters._RECURSE_FROM)
+    rng = np.random.default_rng(order)
+    history, desired = RegressorHistory(L, order), np.zeros(order)
+    state, ref_state = FilterState.initial(cfg), ReferenceState(cfg)
+    for n in range(3 * order):
+        if n % 7 == 6:
+            state.weights[::3] += 0.05  # in place: the same array object
+            ref_state.weights[::3] += 0.05
+        history.push(rng.standard_normal())
+        desired[1:] = desired[:-1]
+        desired[0] = rng.standard_normal()
+        filter_step(cfg, state, history, desired)
+        reference_filter_step(cfg, ref_state, history, desired)
+        assert np.array_equal(state.weights, ref_state.weights), n
+
+
+def test_the_recursions_drift_from_the_full_products_within_their_bound():
+    """The recursions' drift check: a recursive panel batch of apa, mpapa and
+    bs-mpapa at M = ``filters._RECURSE_FROM`` against ``filter_step``, which
+    forms every product, over 60 000 samples of AR(1) input.  Each error and
+    Gram entry the recursions carry lives at most M steps, so nothing may
+    accumulate: the largest weight gap stays within ``BOUND`` times the largest
+    weight, at every sample."""
+    BOUND = 1e-10  # stated before measuring; gaps of 2e-14 to 3e-12 were seen over 1500 steps
+    L, M, steps = 64, filters._RECURSE_FROM, 60000
+    configs = [FilterConfig(v, L, M, group_size=g, step_size=0.2)
+               for v, g in (("apa", None), ("mpapa", None), ("bs-mpapa", 8))]
+    [(rows, batch)] = filters._panel_batches(configs)
+    assert batch.recursive and rows == [0, 1, 2]
+    states = [FilterState.initial(cfg) for cfg in configs]
+    full = np.stack([state.weights for state in states])
+    for k, state in enumerate(states):
+        state.weights = full[k]  # filter_step follows the rebound view
+    response = make_block_sparse_ir(L, [(5, 12)], seed=3)
+    x = gen_excitation(steps, 17, "ar1", 0.8)
+    d = np.convolve(x, response.taps)[:steps] + 1e-3 * np.random.default_rng(19).standard_normal(steps)
+    history, desired = RegressorHistory(L, M), np.zeros(M)
+    worst = 0.0
+    for n in range(steps):
+        history.push(x[n])
+        desired[1:] = desired[:-1]
+        desired[0] = d[n]
+        assert not batch.step(history, desired)[1]
+        for cfg, state in zip(configs, states):
+            filter_step(cfg, state, history, desired)
+        worst = max(worst, float(np.max(np.abs(batch.weights - full))) / float(np.max(np.abs(full))))
+    print(f"[drift] largest relative weight gap over {steps} samples: {worst:.2e}")
+    assert worst <= BOUND
+    assert float(np.max(np.abs(full[0] - response.taps))) < 0.05  # the filters converged
