@@ -34,7 +34,7 @@ from bspapa import (
 )
 from bspapa.bench import RunSummary, SegmentSummary, _substream_seed, with_seed
 from bspapa.cli import main as cli_main
-from bspapa.filters import _panel_batches
+from bspapa.filters import _RECURSE_FROM, _panel_batches
 
 
 def small_scenario(seed=5, total=1200, switch=600, snr_db=30.0, kind="ar1"):
@@ -499,6 +499,122 @@ class TestShards:
         run_experiment(exp)
         assert [parent for parent, _, _ in forks] == [os.getpid()] * 4
         assert [threads for _, _, threads in forks] == [1] * 4
+
+
+def unit_entry(length, order, variant="apa", **settings):
+    """A unit-gain projection entry: ``apa``, or ``bs-papa`` with one block of P = L."""
+    group = length if variant == "bs-papa" else None
+    return FilterConfig(variant, length, order, group_size=group, step_size=0.3, **settings)
+
+
+class TestUnitGainRows:
+    """Unit-gain projection rows, whose Gram matrix a batch of order ``_RECURSE_FROM``
+    or more updates by one matrix-vector product a sample: an entry's bits are those of
+    its one-entry run beside other rows, in a shard, and after a row beside it left."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("variant", ["apa", "bs-papa"])
+    @pytest.mark.parametrize("length,order,total", [(32, 3, 600), (1024, 8, 600), (4096, 16, 300)])
+    def test_a_unit_gain_entry_keeps_its_bits_in_a_batch_and_a_shard(self, monkeypatch, variant, length, order, total):
+        response = make_block_sparse_ir(length, [(9, 24)], seed=3)
+        sc = EchoScenario(schedule=((0, response),), total_samples=total, seed=7)
+        unit = (variant, unit_entry(length, order, variant))
+        papa = ("PAPA", FilterConfig("papa", length, order, step_size=0.3))
+        [(_, batch)] = _panel_batches([papa[1], unit[1]])
+        assert batch.recursive == (order >= _RECURSE_FROM)
+        forks = see_cpus(monkeypatch, 2)
+        solo = outcome(ExperimentConfig(scenario=sc, panel=[unit], trace_decimation=1))
+        assert not forks and not solo[1].failures  # one entry is one shard
+        exp = ExperimentConfig(scenario=sc, panel=[papa, unit], trace_decimation=1)
+        sharded = outcome(exp)
+        assert len(forks) == 1
+        forks = see_cpus(monkeypatch, 1)
+        batched = outcome(exp)
+        assert batched == sharded and not forks
+        assert batched[0][1:] == solo[0]
+        assert [r for r in batched[1].rows if r.label == variant] == solo[1].rows
+
+    def test_a_mixed_recursive_panel_keeps_its_bits_on_any_cpu_count(self, monkeypatch):
+        base = dict(filter_length=32, projection_order=_RECURSE_FROM, step_size=0.3)
+        panel = [
+            ("pnlms", FilterConfig("pnlms", 32, step_size=0.3)),
+            ("apa", FilterConfig("apa", **base)),
+            ("papa", FilterConfig("papa", **base)),
+            ("bs-mpapa", FilterConfig("bs-mpapa", group_size=4, **base)),
+            ("bs-papa", FilterConfig("bs-papa", group_size=32, **base)),
+            ("mpapa", FilterConfig("mpapa", **base)),
+        ]
+        assert sorted(b.recursive for _, b in _panel_batches([cfg for _, cfg in panel])) == [False, True]
+        exp = ExperimentConfig(scenario=small_scenario(total=300, switch=150), panel=panel, trace_decimation=1)
+        forks = see_cpus(monkeypatch, 1)
+        traces, summary = serial = outcome(exp)
+        assert not forks and not summary.failures
+        for label, cfg in panel:
+            solo = outcome(ExperimentConfig(scenario=exp.scenario, panel=[(label, cfg)], trace_decimation=1))
+            assert [t for t in traces if t[0] == label] == solo[0], label
+            assert [r for r in summary.rows if r.label == label] == solo[1].rows, label
+        for cpus in (2, 3, len(panel) + 1):
+            forks = see_cpus(monkeypatch, cpus)
+            assert outcome(exp) == serial, cpus
+            assert len(forks) == min(cpus, len(panel)) - 1
+
+    def test_a_recursive_batch_that_loses_its_unit_row_mid_run_keeps_the_bits(self, monkeypatch):
+        """Streamed directly, a recursive batch whose unit-gain row diverges at sample 100
+        carries the recursion state of the rows it keeps on to the batch without it."""
+        sc = small_scenario(total=300, switch=150)
+        x, d = bench.synthesize_scenario(sc)
+        configs = [FilterConfig("papa", 32, _RECURSE_FROM, step_size=0.3), unit_entry(32, _RECURSE_FROM),
+                   FilterConfig("mpapa", 32, _RECURSE_FROM, step_size=0.3)]
+        [(entries, batch)] = _panel_batches(configs)
+        assert batch.recursive
+        unit, rows, calls = entries.index(1), bench._misalignment_rows, []
+
+        def unit_row_diverges_at_100(truth, power, weights, out):
+            values = rows(truth, power, weights, out)
+            calls.append(len(values))
+            if len(calls) == 101:  # sample 100, while every row is in the batch
+                values[unit] = float("inf")
+            return values
+
+        failures = {}
+        monkeypatch.setattr(bench, "_misalignment_rows", unit_row_diverges_at_100)
+        mis = bench._stream_batch(batch, entries, x, d, sc.segments(), failures)
+        monkeypatch.setattr(bench, "_misalignment_rows", rows)
+        assert failures == {1: "diverged at sample 100: misalignment is inf dB"}
+        assert calls == [3] * 101 + [2] * 199
+        for b, k in enumerate(entries):
+            [(_, alone)] = _panel_batches([configs[k]])
+            solo = bench._stream_batch(alone, [k], x, d, sc.segments(), {})
+            span = slice(100) if k == 1 else slice(None)  # the unit row's later samples are unset
+            assert mis[b, span].tobytes() == solo[0, span].tobytes(), k
+
+    @pytest.mark.parametrize("fault", [nan_at_100, silent_after_120])
+    def test_a_failing_unit_row_fails_as_in_its_one_entry_run(self, monkeypatch, fault):
+        sc = fault(monkeypatch)
+        panel = [("doomed", unit_entry(32, 1, regularization=0.0)),  # singular once silent for L samples
+                 ("BS-PAPA(P=4)", FilterConfig("bs-papa", 32, 1, group_size=4, step_size=0.3)),
+                 ("APA", unit_entry(32, _RECURSE_FROM)),
+                 ("BS-PAPA(P=32)", unit_entry(32, _RECURSE_FROM, "bs-papa"))]
+        exp = ExperimentConfig(scenario=sc, panel=panel, trace_decimation=1)
+        see_cpus(monkeypatch, 1)
+        traces, summary = serial = outcome(exp)
+        if fault is nan_at_100:
+            assert not traces and sorted(summary.failures) == sorted(label for label, _ in panel)
+            assert all(m.startswith("diverged at sample 100:") for m in summary.failures.values())
+        else:
+            assert list(summary.failures) == ["doomed"]
+            assert summary.failures["doomed"].startswith("aborted at sample 1")
+        for label, cfg in panel:
+            solo = outcome(ExperimentConfig(scenario=sc, panel=[(label, cfg)], trace_decimation=1))
+            assert [t for t in traces if t[0] == label] == solo[0], label
+            assert summary.failures.get(label) == solo[1].failures.get(label), label
+        forks = see_cpus(monkeypatch, 3)
+        assert outcome(exp) == serial and len(forks) == 2
 
 
 @st.composite
