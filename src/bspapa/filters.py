@@ -22,15 +22,18 @@ of one a ``FilterState`` keeps, a lone ``_ScalarRow`` for ``pnlms``/``bs-pnlms``
 From ``_RECURSE_FROM`` on, a panel's batch takes the fast affine projection
 recursions: of its M errors only e(n)[0] is a product, and the Gram matrix of
 a unit-gain or memory row is last step's, shifted, with a new row 0 and column 0.
+A row that would place its products there builds no W at all: its Gram matrix
+X.T G X = sum_k g_k R_k reads every block correlation R_k from a ring of lag
+vectors, one fresh P-term product a step, and its update is g * (X(n) z).
 
 The kernel spends products on W only where that is faster.  A single
 block has gain exactly one, so its W is X(n) itself, which the history
 serves as a C-contiguous view (``RegressorHistory.regressor_rows``).  Other
 rows weight that view in place: M*L products, each block gain copied over
 its rows, then one multiply.  Rows with P and M both from ``_PLACE_FROM``
-on place (P+M-1)*N products as the paper does.  All give the public
-builders' bits.  Every row computes its gains in buffers made once per
-batch, through the same gain rule as :func:`variant_gains`.
+on place (P+M-1)*N products as the paper does, outside a recursive batch.
+All give the public builders' bits.  Every row computes its gains in buffers
+made once per batch, through the same gain rule as :func:`variant_gains`.
 
 The projection systems are factored and solved by LAPACK's ``dgetrf`` and
 ``dgetrs``, from scipy's f2py extension ``scipy/linalg/_flapack*.so``.  It
@@ -88,7 +91,8 @@ _EPS = float(np.finfo(float).eps)
 _UNIT_GAIN = np.ones(1)
 _UNIT_GAIN.flags.writeable = False
 # A row places (P+M-1)*N products, rather than weighting X(n) in place, where
-# both P and M reach this: only there is placing faster (see the README).
+# both P and M reach this: only there is placing faster (see the README).  A
+# recursive batch sums such a row's block correlations instead (see _Batch).
 _PLACE_FROM = 16
 # A panel's batch forms its errors and its unit-gain and memory rows' Gram
 # matrices recursively from this projection order on: only there is it faster.
@@ -673,20 +677,23 @@ class _Batch:
     """The step kernel: B filters sharing (L, M) and the branch, stepped as one.
 
     A step is six layers, one method each: gains, error, build, Gram, solve,
-    update.  The weights are the rows of one ``(B, L)`` block, in three runs:
-    built rows, unit-gain rows, memory rows.  The one gain pass fills each
+    update.  The weights are the rows of one ``(B, L)`` block, in four runs:
+    built rows (in place, then placed), summed rows, unit-gain rows, memory
+    rows; ``_panel_batches`` orders them so.  The one gain pass fills each
     other row's own gain buffers, in the order the build reads the rows
-    (in-place, placed, memory), and the build only weights.  Built rows
-    weight their regressor into a C-contiguous ``(Bb, L, M)`` stack: they copy
-    their block gains over their slot and multiply it by X(n), the history's
-    :meth:`~RegressorHistory.regressor_rows` view, in place, or place the
-    efficient build's products (P and M from ``_PLACE_FROM`` on).  A unit-gain
+    (in-place, placed, memory, then summed), and the build only weights.
+    Built rows weight their regressor into a C-contiguous ``(Bb, L, M)``
+    stack: they copy their block gains over their slot and multiply it by
+    X(n), the history's :meth:`~RegressorHistory.regressor_rows` view, in
+    place, or place the efficient build's products (P and M from
+    ``_PLACE_FROM`` on).  A unit-gain
     row (one block, of gain exactly one) uses that view itself.  Memory rings
     are stacked as ``(Bm, 2M, L)`` under one head, whose row is weighted by
     x(n) the same way.  Each stacked product equals the per-filter product bit
-    for bit.  Only a unit-gain or in-place row reads the row view, so only its
-    history makes the row ring; a step that places nothing allocates no array
-    of L floats.  A single-projection batch is its :class:`_ScalarRow` steps.  No checks.
+    for bit.  Only a unit-gain, in-place or summed row reads the row view, so
+    only its history makes the row ring; a step that places nothing allocates
+    no array of L floats.  A single-projection batch is its :class:`_ScalarRow`
+    steps.  No checks.
 
     A ``recursive`` batch keeps, per row, the a-posteriori errors
     ε = (1 - mu)e + mu*delta*z of its last step (e for a row whose system
@@ -695,8 +702,24 @@ class _Batch:
     e(n)[1:] = ε(n-1)[:M-1].  Its unit-gain and memory rows' Gram matrix is
     G(n-1)[:-1, :-1] shifted down the diagonal, with column 0, X(n).T W[:, 0],
     and then row 0, x(n).T W, formed anew: for a unit-gain row, one product
-    X(n).T x(n), so that matrix is symmetric.  Gained memoryless rows form the
-    full product.  :meth:`without` carries the state of the rows it keeps.
+    X(n).T x(n), so that matrix is symmetric.  In-place rows form the full
+    product; summed rows are below.  :meth:`without` carries the state of the
+    rows it keeps.
+
+    In a recursive batch the rows that would place (P and M from
+    ``_PLACE_FROM`` on) are summed rows, with no W.  Row i of X(n) is row i - 1
+    of X(n-1), so block k's correlation is R_k(n)[a, a + j] = r(n - a - kP)[j],
+    where r(m)[j] = sum_{i<P} x(m - i) x(m - i - j) is block 0's row 0 at time
+    m.  Each summed row keeps a ring of L + M - 1 lag vectors r, zero at the
+    start and mirrored like the history's rings under one batch head.  Its
+    build writes r(n), one ``(P,) @ (P, M)`` product on the row view; its Gram
+    layer forms C[a, j] = sum_k g_k r(n - a - kP)[j] as one stacked
+    ``(N,) @ (M, N, M)`` product over a strided view of the ring, and copies
+    G[a, b] = C[min(a, b), |a - b|], so G is exactly symmetric.  Every entry is
+    a fresh P-term sum, so nothing drifts.  Its update is g * (X(n) z): one
+    product on the row view, then the block gains, copied over (N, P) blocks
+    and multiplied as the in-place build does.  That is P*M + N*M^2 Gram
+    products in place of L*M^2, and no build.
     """
 
     def __init__(self, configs, weights: np.ndarray, rings: np.ndarray, head: int = 0, recursive=False):
@@ -707,7 +730,11 @@ class _Batch:
             self._scalar_rows = [_ScalarRow(*row) for row in zip(configs, weights, np.empty(weights.shape))]
             return
         p = self.plain
-        self.built = built = p - sum(c.block_count == 1 for c in configs[:p])
+        gained = p - sum(c.block_count == 1 for c in configs[:p])
+        # a recursive batch sums its placed rows' Gram matrices, which come last of its gained rows
+        summed = sum(recursive and min(c.group_size, order) >= _PLACE_FROM for c in configs[:gained])
+        built = gained - summed
+        self.built, self.gained = built, gained
         # one step size a tap: a (B, 1) column would make the multiply buffer B*L floats
         self.mu = np.repeat([[c.step_size] for c in configs], length, axis=1)
         self.delta = np.array([[c.regularization] for c in configs])
@@ -723,13 +750,14 @@ class _Batch:
         self._rhs = error[:, :, 0]
         self._systems = list(zip(self._lu, self._rhs))  # F-contiguous LU, rhs row
         weighted = np.empty((built, length, order))
-        rows = list(zip(configs, weights, weighted))  # the built rows: zip stops at the unit rows
+        rows = list(zip(configs, weights, weighted))  # the built rows: zip stops at the summed rows
         in_place = [row for row in rows if min(row[0].group_size, order) < _PLACE_FROM]
         placed = [row for row in rows if min(row[0].group_size, order) >= _PLACE_FROM]
         memory = list(zip(configs[p:], weights[p:], rings))
+        summed = list(zip(configs[built:gained], weights[built:], self._updates[built:]))
         # The gain pass's (config, weights, gains, squares) a row, in the order the build reads them.
         self._gained = [(c, w, np.empty(c.block_count), _blocks(np.empty(length), c))
-                        for c, w, _ in in_place + placed + memory]
+                        for c, w, _ in in_place + placed + memory + summed]
         # Built rows weight their slot, as (N, P*M) blocks, in place; see _PLACE_FROM.
         self._in_place = [(c, m, m.reshape(c.block_count, -1)) for c, _, m in in_place]
         self._placed = [(c, _rows_of(m, c.group_size)) for c, _, m in placed]
@@ -737,9 +765,26 @@ class _Batch:
             [(r, _blocks(r, c), m) for r, m in zip(ring, ring[order:])] for c, _, ring in memory]
         # (weighted, gram, error, update): the built rows' part, the unit and ring rows' stacks
         self._parts = [(weighted, gram[:built], error[:built], update[:built])] if built else []
-        self._unit_stacks = (gram[built:p], error[built:p], update[built:p]) if p > built else None
-        self._reads_rows = bool(self._unit_stacks or self._in_place)
+        self._unit_stacks = (gram[gained:p], error[gained:p], update[gained:p]) if p > gained else None
+        self._reads_rows = bool(self._unit_stacks or self._in_place or summed)
         self._ring_stacks = (gram[p:], error[p:], update[p:])
+        # Summed rows (see above): a lag ring each, under one head, read through views by head.
+        span = length + order - 1
+        self._lags, self._lag_head = np.zeros((len(summed), 2 * span, order)), 0
+        products = np.empty((len(summed), length, 1))
+        self._summed_stacks = (gram[built:gained], error[built:gained], products)
+        self._sums = np.empty((len(summed), order, order))  # C[a, j] = sum_k g_k r(n - a - kP)[j]
+        a, b = np.indices((order, order))
+        self._mirror = np.minimum(a, b) * order + abs(a - b)  # G[a, b] = C[min(a, b), |a - b|]
+        row, tap = self._lags.strides[1:]
+        # (P, gains, lag ring, correlation views by head, update row, its (N, P) blocks, X(n)z)
+        self._summed = [
+            (c.group_size, g, lags,
+             as_strided(lags, (span, order, c.block_count, order), (row, row, c.group_size * row, tap),
+                        writeable=False),
+             u, _blocks(u, c), product[:, 0])
+            for (c, _, u), (_, _, g, _), lags, product in zip(
+                summed, self._gained[len(self._gained) - len(summed):], self._lags, products)]
         # Indexed by head: the (Bm, L, M) regressors as in FilterState.
         ring, row, tap = rings.strides
         shape = (order, len(rings), length, order)
@@ -753,6 +798,8 @@ class _Batch:
         batch = _Batch(configs, self.weights[keep], self.rings[ring_rows], self.head, self.recursive)
         if self.recursive:
             batch._grams[:], batch._eps[:] = self._grams[keep], self._eps[keep]
+            summed = [b - self.built for b in keep if 0 <= b - self.built < len(self._lags)]
+            batch._lags[:], batch._lag_head = self._lags[summed], self._lag_head
         return batch
 
     def step(self, history: RegressorHistory, desired: np.ndarray):
@@ -795,6 +842,13 @@ class _Batch:
                 _weigh(g, regressor, out, blocks)
             if self._unit_stacks:
                 parts = [*parts, (regressor, *self._unit_stacks)]
+            if self._summed:  # each summed row's lag vector r(n) = x(n)[:P] @ X(n)[:P], twice
+                self._lag_head = head = (self._lag_head - 1) % (self._lags.shape[1] // 2)
+                x = history._buf[history._head :]
+                for group, _, lags, *_ in self._summed:
+                    np.matmul(x[:group], regressor[:group], out=lags[head])
+                    np.copyto(lags[head + len(lags) // 2], lags[head])
+                parts = [*parts, (regressor, *self._summed_stacks)]
         for (config, out), g in zip(self._placed, gains):
             _place_products(g, history.block_windows(config.group_size), out)
         if self._memory:
@@ -813,10 +867,14 @@ class _Batch:
         xt = history._xt[history._head]
         for weighted, gram, _, _ in parts[: len(self._parts)] if self.recursive else parts:
             np.matmul(xt, weighted, out=gram)
-        shifted = self._grams[self.built :] if self.recursive else ()
+        if self._summed:  # C = g @ the correlation view, mirrored onto G
+            for (_, gains, _, views, *_), sums in zip(self._summed, self._sums):
+                np.matmul(gains, views[self._lag_head], out=sums)
+            self._grams[self.built : self.gained] = self._sums.reshape(len(self._sums), -1)[:, self._mirror]
+        shifted = self._grams[self.gained :] if self.recursive else ()
         if len(shifted):
             shifted[:, 1:, 1:] = shifted[:, :-1, :-1]
-            units, memory = np.split(shifted, [self.plain - self.built])
+            units, memory = np.split(shifted, [self.plain - self.gained])
             if len(units):
                 units[:, :, 0] = units[:, 0] = xt @ xt[0]  # column 0, then the same row 0
             if len(memory):
@@ -833,6 +891,8 @@ class _Batch:
         """``w += mu * W z`` on every row but the failed ones; a recursive batch keeps ε."""
         for weighted, _, error, out in parts:
             np.matmul(weighted, error, out=out)
+        for _, gains, _, _, out, blocks, product in self._summed:  # g * (X(n) z)
+            _weigh(gains, product, out, blocks)
         self._updates *= self.mu
         if failed:
             self._updates[list(failed)] = 0.0
@@ -845,15 +905,21 @@ class _Batch:
 
 
 def _row_run(config: FilterConfig) -> int:
-    """The run of :class:`_Batch` rows ``config`` belongs to: 0 built, 1 unit-gain, 2 memory."""
-    return 2 if config.is_memory else int(config.block_count == 1)
+    """The run of :class:`_Batch` rows ``config`` belongs to: 0 in place, 1 placed (summed in a
+    recursive batch), 2 unit-gain, 3 memory."""
+    if config.is_memory:
+        return 3
+    if config.block_count == 1:
+        return 2
+    return int(min(config.group_size, config.projection_order) >= _PLACE_FROM)
 
 
 def _panel_batches(configs):
     """One zeroed :class:`_Batch` per (projection order, branch) of ``configs``,
     which share the filter length, as ``(indices, batch)``: row b of the batch
-    is ``configs[indices[b]]``, in the batch's row order (built rows, unit-gain
-    rows, memory rows).  It is recursive from order ``_RECURSE_FROM`` on."""
+    is ``configs[indices[b]]``, in the batch's row order (in-place rows, placed
+    or summed rows, unit-gain rows, memory rows).  It is recursive from order
+    ``_RECURSE_FROM`` on, where its placed rows are summed."""
     groups = {}
     for k, config in sorted(enumerate(configs), key=lambda e: _row_run(e[1])):
         groups.setdefault((config.projection_order, config.is_scalar), []).append(k)

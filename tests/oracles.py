@@ -11,6 +11,11 @@ Two kinds live here, both independent of the production hot path:
   takes: only e(n)[0] is a product, e(n)[1:] is the last a-posteriori error
   ``(1 - mu)*e + mu*delta*z``, and the Gram matrix of a unit-gain or memory
   row is last step's, shifted down the diagonal, with a new column and row 0.
+  A gained memoryless row with P and M both from ``_SUMMED_FROM`` on builds no
+  weighted regressor: its Gram matrix is ``sum_k g_k R_k``, each block
+  correlation read from the row's past lag vectors
+  ``r(m)[j] = sum_{i<P} x(m - i) x(m - i - j)``, and its update is
+  ``g * (X z)``.
 * ``DenseReference``: one adaptation step written straight from the update
   equations (Paleologu, Ciochina & Benesty, "An efficient proportionate
   affine projection algorithm for echo cancellation", IEEE SPL 2010), with
@@ -35,6 +40,8 @@ from bspapa.bench import _substream_seed
 _PER_TAP = ("papa", "mpapa", "pnlms")
 _MEMORY = ("mpapa", "bs-mpapa")
 _SCALAR = ("pnlms", "bs-pnlms")
+# min(P, M) from which a recursive step sums a gained memoryless row's block correlations
+_SUMMED_FROM = 16
 
 
 def reference_regressor_matrix(history) -> np.ndarray:
@@ -78,13 +85,15 @@ def reference_block_gains(config, weights) -> np.ndarray:
 
 class ReferenceState:
     """Weights plus a plainly shifted L-by-M memory matrix, and the recursions'
-    last Gram matrix and a-posteriori errors, zero at the start."""
+    last Gram matrix, a-posteriori errors and lag vectors r(n - t), newest
+    first, all zero at the start."""
 
     def __init__(self, config):
         L, M = config.filter_length, config.projection_order
         self.weights = np.zeros(L)
         self.memory = np.zeros((L, M))
         self.gram, self.eps = np.zeros((M, M)), np.zeros(M)
+        self.lags = [np.zeros(M)] * (L - config.group_size + M)
 
 
 def reference_filter_step(config, state, history, desired, build="efficient", recursive=False) -> None:
@@ -114,18 +123,29 @@ def reference_filter_step(config, state, history, desired, build="efficient", re
         err = np.concatenate(([desired[0] - float(x @ weights)], state.eps[:-1]))
     else:
         err = desired - regressor_t @ weights
+    M, P, N = config.projection_order, config.group_size, config.block_count
+    summed = recursive and config.variant not in _MEMORY and N > 1 and min(P, M) >= _SUMMED_FROM
     if config.variant in _MEMORY:
         mem = state.memory
         mem[:, 1:] = mem[:, :-1]
         mem[:, 0] = per_tap * x
         weighted = np.asfortranarray(mem)
+    elif summed:  # no weighted regressor: the update is g * (X z)
+        regressor = np.ascontiguousarray(reference_regressor_matrix(history))
+        state.lags = [x[:P] @ regressor[:P]] + state.lags[:-1]
     else:
         weighted = reference_efficient_build(block, config.group_size, history)
         if build == "direct":
             direct = per_tap[:, None] * reference_regressor_matrix(history)
             if not np.array_equal(direct, weighted):
                 raise AssertionError("direct and efficient weighted regressors differ")
-    if recursive and (config.variant in _MEMORY or config.block_count == 1):
+    if summed:  # G = sum_k g_k R_k, with R_k(n)[a, a + j] = r(n - a - kP)[j]
+        sums = [block @ np.stack([state.lags[a + k * P] for k in range(N)]) for a in range(M)]
+        gram = np.empty((M, M))
+        for a in range(M):
+            for b in range(a, M):
+                gram[a, b] = gram[b, a] = sums[a][b - a]
+    elif recursive and (config.variant in _MEMORY or N == 1):
         gram = np.zeros_like(state.gram)
         gram[1:, 1:] = state.gram[:-1, :-1]
         gram[:, 0] = regressor_t @ weighted[:, 0]
@@ -134,7 +154,7 @@ def reference_filter_step(config, state, history, desired, build="efficient", re
         gram = regressor_t @ weighted
     state.gram, state.eps = gram, err  # a failed solve leaves the weights, so err stands
     z = reference_solve(gram, delta, err)
-    weights += mu * (weighted @ z)
+    weights += mu * (per_tap * (regressor @ z) if summed else weighted @ z)
     state.eps = (1 - mu) * err + mu * delta * z
 
 

@@ -439,17 +439,18 @@ class TestBlasLayout:
             (("bs-papa",), True, (16, 3, 4)),  # P taps a block, weighted in place
             (("bs-papa", "papa"), True, (16, 3, 4)),  # one-tap rows, weighted in place
             (("apa", "mpapa"), True, (16, 3, 4)),  # unit-gain rows are the row view
-            (("bs-papa",), False, (32, 16, 16)),  # P and M from _PLACE_FROM on: placed products
+            (("bs-papa",), True, (32, 16, 16)),  # P and M from _PLACE_FROM on: summed, reading X(n)
         ],
     )
-    def test_only_unit_gain_and_in_place_rows_make_the_row_ring(self, variants, reads_rows, shape):
+    def test_unit_gain_in_place_and_summed_rows_make_the_row_ring(self, variants, reads_rows, shape):
         L, M, P = shape
         configs = [
             FilterConfig(v, L, 1 if v.endswith("pnlms") else M, P if v.startswith("bs-") else None)
             for v in variants
         ]
         [(_, batch)] = filters._panel_batches(configs)
-        assert batch.scalar or bool(batch._placed) == (min(M, P) >= filters._PLACE_FROM)
+        # a panel's batch places nothing: from _PLACE_FROM on it is recursive and sums
+        assert batch.scalar or not batch._placed and bool(batch._summed) == (min(M, P) >= filters._PLACE_FROM)
         order = configs[0].projection_order
         history = RegressorHistory(L, order)
         rng = np.random.default_rng(len(variants))
@@ -458,6 +459,16 @@ class TestBlasLayout:
             batch.step(history, rng.standard_normal(order))
         expected = (2 * (L + order - 1), order) if reads_rows else None  # 2*span rows of M floats
         assert (None if history._rows is None else history._rows.shape) == expected
+
+    def test_a_placed_row_makes_no_row_ring(self):
+        """The batch of one a ``FilterState`` keeps places its products at P = M = 16."""
+        cfg = FilterConfig("bs-papa", 32, 16, 16)
+        state, history, rng = FilterState.initial(cfg), RegressorHistory(32, 16), np.random.default_rng(16)
+        for _ in range(5):
+            history.push(rng.standard_normal())
+            filter_step(cfg, state, history, rng.standard_normal(16))
+        assert state._batch[3]._placed and not state._batch[3]._summed
+        assert history._rows is None
 
     @pytest.mark.parametrize("group", [1, 4, 16])
     @pytest.mark.parametrize("order", [1, 2, 8])

@@ -254,14 +254,16 @@ def test_recursive_panel_batch_equals_the_reference_and_its_one_entry_runs():
     equals the recursive reference step and its entry's one-entry
     ``run_experiment`` bit for bit.  A delta=0 unit-gain row, singular at
     sample 0, fails there as in its one-entry run, and the batch it leaves
-    carries the others' recursion state on."""
+    carries the others' recursion state on.  The bs-papa rows of P=64 and
+    P=16 place nothing: they sum their block correlations."""
     L, M, steps = 1024, filters._RECURSE_FROM, 40
     configs = [variant_config(v, L, M, P, step_size=0.3) for v, P in BOTH_BUILDS]
     configs.append(variant_config("apa", L, M, L, step_size=0.3, regularization=0.0))
+    configs.append(variant_config("bs-papa", L, M, 16, step_size=0.3))
     [(rows, batch)] = filters._panel_batches(configs)
-    assert batch.recursive and rows == [1, 2, 3, 0, 6, 4, 5]
+    assert batch.recursive and rows == [1, 2, 3, 7, 0, 6, 4, 5]
     assert [c.group_size for c, *_ in batch._in_place] == [1, 4]
-    assert [c.group_size for c, *_ in batch._placed] == [64]
+    assert not batch._placed and [group for group, *_ in batch._summed] == [64, 16]
     response = make_block_sparse_ir(L, [(1, 24)], seed=5)
     sc = EchoScenario(schedule=((0, response),), total_samples=steps, seed=9)
     x, d = synthesize_scenario(sc)
@@ -288,7 +290,36 @@ def test_recursive_panel_batch_equals_the_reference_and_its_one_entry_runs():
         if failed:
             rows = [k for b, k in enumerate(rows) if b not in failed]
             batch = batch.without(failed)
-    assert sorted(rows) == list(range(6))  # only the delta=0 row failed
+    assert sorted(rows) == [0, 1, 2, 3, 4, 5, 7]  # only the delta=0 row failed
+    assert all(np.any(w != 0.0) for w in batch.weights)
+
+
+@pytest.mark.parametrize("M", [filters._RECURSE_FROM, 20])
+def test_summed_rows_equal_the_reference_past_wraps_of_their_lag_rings(M):
+    """A recursive batch's bs-papa rows with P and M from ``filters._PLACE_FROM``
+    on keep a ring of L + M - 1 lag vectors.  Past three wraps of it, beside an
+    in-place and a unit-gain row, each row equals the recursive reference step
+    bit for bit."""
+    L = 64
+    configs = [variant_config(v, L, M, P, step_size=0.3) for v, P in
+               (("bs-papa", 16), ("papa", 1), ("bs-papa", 32), ("apa", L))]
+    [(rows, batch)] = filters._panel_batches(configs)
+    assert batch.recursive and rows == [1, 0, 2, 3]
+    assert [group for group, *_ in batch._summed] == [16, 32]
+    refs = [ReferenceState(cfg) for cfg in configs]
+    rng = np.random.default_rng(M)
+    target = rng.standard_normal(L) * (rng.uniform(size=L) < 0.2)
+    x = gen_excitation(3 * (L + M), 23, "ar1", 0.8)
+    d = np.convolve(x, target)[: x.size]
+    history, desired = RegressorHistory(L, M), np.zeros(M)
+    for n in range(x.size):
+        history.push(x[n])
+        desired[1:] = desired[:-1]
+        desired[0] = d[n]
+        assert not batch.step(history, desired)[1]
+        for b, k in enumerate(rows):
+            reference_filter_step(configs[k], refs[k], history, desired, recursive=True)
+            assert np.array_equal(batch.weights[b], refs[k].weights), (n, k)
     assert all(np.any(w != 0.0) for w in batch.weights)
 
 
@@ -345,18 +376,19 @@ def test_filter_step_keeps_full_products_after_an_in_place_weight_edit(variant, 
 
 
 def test_the_recursions_drift_from_the_full_products_within_their_bound():
-    """The recursions' drift check: a recursive panel batch of apa, mpapa and
-    bs-mpapa at M = ``filters._RECURSE_FROM`` against ``filter_step``, which
-    forms every product, over 60 000 samples of AR(1) input.  Each error and
-    Gram entry the recursions carry lives at most M steps, so nothing may
-    accumulate: the largest weight gap stays within ``BOUND`` times the largest
-    weight, at every sample."""
+    """The recursions' drift check: a recursive panel batch of bs-papa (P=16,
+    summed), apa, mpapa and bs-mpapa at M = ``filters._RECURSE_FROM`` against
+    ``filter_step``, which forms every product, over 60 000 samples of AR(1)
+    input.  Each error and Gram entry the recursions carry lives at most M
+    steps, and each summed Gram entry is a fresh sum of lag products, so nothing
+    may accumulate: the largest weight gap stays within ``BOUND`` times the
+    largest weight, at every sample."""
     BOUND = 1e-10  # stated before measuring; gaps of 2e-14 to 3e-12 were seen over 1500 steps
     L, M, steps = 64, filters._RECURSE_FROM, 60000
     configs = [FilterConfig(v, L, M, group_size=g, step_size=0.2)
-               for v, g in (("apa", None), ("mpapa", None), ("bs-mpapa", 8))]
+               for v, g in (("bs-papa", 16), ("apa", None), ("mpapa", None), ("bs-mpapa", 8))]
     [(rows, batch)] = filters._panel_batches(configs)
-    assert batch.recursive and rows == [0, 1, 2]
+    assert batch.recursive and rows == [0, 1, 2, 3] and len(batch._summed) == 1
     states = [FilterState.initial(cfg) for cfg in configs]
     full = np.stack([state.weights for state in states])
     for k, state in enumerate(states):
