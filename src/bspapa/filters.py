@@ -25,6 +25,9 @@ a unit-gain or memory row is last step's, shifted, with a new row 0 and column 0
 A row that would place its products there builds no W at all: its Gram matrix
 X.T G X = sum_k g_k R_k reads every block correlation R_k from a ring of lag
 vectors, one fresh P-term product a step, and its update is g * (X(n) z).
+The same ring, one per group size in the batch, gives a unit-gain or memory
+row its new row and column 0 as sums over N lag vectors, where that takes
+fewer products than the L*M products over X(n) it replaces.
 
 The kernel spends products on W only where that is faster.  A single
 block has gain exactly one, so its W is X(n) itself, which the history
@@ -506,6 +509,12 @@ def update_memory_regressor(state: FilterState, gains: GainVector, newest_input)
     return state.memory_regressor
 
 
+def _mirrored(ring: np.ndarray) -> np.ndarray:
+    """By head h, the rows h and h + half of a ``ring`` mirrored at half its length: the two a push writes."""
+    half, row = len(ring) // 2, ring.strides[0]
+    return as_strided(ring, (half, 2, *ring.shape[1:]), (row, half * row, *ring.strides[1:]))
+
+
 def _weigh(gains: np.ndarray, x: np.ndarray, out: np.ndarray, blocks) -> None:
     """``out = gains * x``, in place; no checks.  ``blocks`` is ``out`` as one row per
     block, whose gain is copied over it first (a broadcast would buffer), or None."""
@@ -539,7 +548,7 @@ def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
     lu, solution = np.array(a, order="F"), b.copy()
     diagonal = lu.T.reshape(1, -1)[:, :: a.shape[0] + 1]
     delta = np.array([[_as_float(delta, "regularization")]])
-    for error in _solve_stack([(lu, solution)], diagonal, delta).values():
+    for error in _solve_stack([(lu, solution[:, None])], diagonal, delta).values():
         raise error
     return solution
 
@@ -547,7 +556,8 @@ def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
 def _solve_stack(systems, diagonal: np.ndarray, delta: np.ndarray) -> dict:
     """Solve ``(lu + delta[b]*I) z = rhs`` in place for the b-th ``(lu, rhs)``; no checks.
 
-    Each ``lu`` is F-contiguous, so LAPACK factors it in place; ``diagonal``
+    Each ``lu`` is F-contiguous, so LAPACK factors it in place, and each ``rhs``
+    is best an ``(M, 1)`` column, which the wrapper takes as it is; ``diagonal``
     is their ``(B, M)`` diagonal view and ``delta`` a ``(B, 1)`` column (off
     the diagonal ``x + 0.0`` is ``x``).  The pivot test is per system,
     ``smallest <= bound`` with NaN-propagating reductions, so a NaN pivot is
@@ -558,7 +568,7 @@ def _solve_stack(systems, diagonal: np.ndarray, delta: np.ndarray) -> dict:
     Returns ``{b: SingularSystemError}``; those ``rhs`` stay unsolved.
     """
     diagonal += delta
-    factors = [dgetrf(lu, overwrite_a=True) for lu, _ in systems]
+    factors = [dgetrf(lu, 1) for lu, _ in systems]  # overwrite_a, positional: keywords cost more
     magnitudes, scale = np.abs(diagonal), diagonal.shape[1] * _EPS
     pivots, failed = magnitudes.ravel().tolist(), {}
     if not min(pivots) > scale * max(pivots):
@@ -572,7 +582,7 @@ def _solve_stack(systems, diagonal: np.ndarray, delta: np.ndarray) -> dict:
     for b, ((lu, rhs), (_, piv, info)) in enumerate(zip(systems, factors)):
         if info < 0:
             raise ValueError(f"dgetrf rejected argument {-info}")
-        if b not in failed and dgetrs(lu, piv, rhs, overwrite_b=True)[1] < 0:
+        if b not in failed and dgetrs(lu, piv, rhs, 0, 1)[1] < 0:  # trans, overwrite_b
             raise ValueError("dgetrs rejected an argument")
     return failed
 
@@ -679,7 +689,8 @@ class _Batch:
     A step is six layers, one method each: gains, error, build, Gram, solve,
     update.  The weights are the rows of one ``(B, L)`` block, in four runs:
     built rows (in place, then placed), summed rows, unit-gain rows, memory
-    rows; ``_panel_batches`` orders them so.  The one gain pass fills each
+    rows (those that keep their products first, then those that sum);
+    ``_panel_batches`` orders them so.  The one gain pass fills each
     other row's own gain buffers, in the order the build reads the rows
     (in-place, placed, memory, then summed), and the build only weights.
     Built rows weight their regressor into a C-contiguous ``(Bb, L, M)``
@@ -687,11 +698,12 @@ class _Batch:
     X(n), the history's :meth:`~RegressorHistory.regressor_rows` view, in
     place, or place the efficient build's products (P and M from
     ``_PLACE_FROM`` on).  A unit-gain
-    row (one block, of gain exactly one) uses that view itself.  Memory rings
+    row (one block, of gain exactly one) uses that view itself, one row at a
+    time: its X(n) z is an ``(L, M) @ (M,)`` product.  Memory rings
     are stacked as ``(Bm, 2M, L)`` under one head, whose row is weighted by
     x(n) the same way.  Each stacked product equals the per-filter product bit
-    for bit.  Only a unit-gain, in-place or summed row reads the row view, so
-    only its history makes the row ring; a step that places nothing allocates
+    for bit.  Only a unit-gain, in-place or lag-reading row reads the row view,
+    so only its history makes the row ring; a step that places nothing allocates
     no array of L floats.  A single-projection batch is its :class:`_ScalarRow`
     steps.  No checks.
 
@@ -701,25 +713,34 @@ class _Batch:
     forms only e(n)[0] = d(n) - x(n).T w, as one dot product a row, and takes
     e(n)[1:] = ε(n-1)[:M-1].  Its unit-gain and memory rows' Gram matrix is
     G(n-1)[:-1, :-1] shifted down the diagonal, with column 0, X(n).T W[:, 0],
-    and then row 0, x(n).T W, formed anew: for a unit-gain row, one product
+    and then row 0, x(n).T W, formed anew; for a unit-gain row both are
     X(n).T x(n), so that matrix is symmetric.  In-place rows form the full
-    product; summed rows are below.  :meth:`without` carries the state of the
-    rows it keeps.
+    product.  :meth:`without` carries the state of the rows it keeps.
 
-    In a recursive batch the rows that would place (P and M from
-    ``_PLACE_FROM`` on) are summed rows, with no W.  Row i of X(n) is row i - 1
-    of X(n-1), so block k's correlation is R_k(n)[a, a + j] = r(n - a - kP)[j],
-    where r(m)[j] = sum_{i<P} x(m - i) x(m - i - j) is block 0's row 0 at time
-    m.  Each summed row keeps a ring of L + M - 1 lag vectors r, zero at the
-    start and mirrored like the history's rings under one batch head.  Its
-    build writes r(n), one ``(P,) @ (P, M)`` product on the row view; its Gram
-    layer forms C[a, j] = sum_k g_k r(n - a - kP)[j] as one stacked
-    ``(N,) @ (M, N, M)`` product over a strided view of the ring, and copies
-    G[a, b] = C[min(a, b), |a - b|], so G is exactly symmetric.  Every entry is
-    a fresh P-term sum, so nothing drifts.  Its update is g * (X(n) z): one
-    product on the row view, then the block gains, copied over (N, P) blocks
-    and multiplied as the in-place build does.  That is P*M + N*M^2 Gram
-    products in place of L*M^2, and no build.
+    Row i of X(n) is row i - 1 of X(n-1), so the correlation of the k-th block
+    of P taps is R_k(n)[a, a + j] = r_P(n - a - kP)[j], where the lag vector
+    r_P(m)[j] = sum_{i<P} x(m - i) x(m - i - j) is block 0's row 0 at time m.
+    A recursive batch keeps one ring of L + M - 1 lag vectors per group size
+    P its rows read (see :func:`_lag_group`), zero at the start and mirrored
+    like the history's rings under one head.  Its build writes each r_P(n),
+    one ``x(n)[:P] @ X(n)[:P]`` product on the row view, whichever rows read
+    it.  The rows that would place (P and M from ``_PLACE_FROM`` on) are
+    summed rows, with no W: the Gram layer forms C[a, j] = sum_k g_k
+    r_P(n - a - kP)[j] as one stacked ``(N,) @ (M, N, M)`` product over a
+    strided view of the ring, and copies G[a, b] = C[min(a, b), |a - b|], so G
+    is exactly symmetric; the update is g * (X(n) z), the block gains copied
+    over (N, P) blocks and multiplied as the in-place build does.  A unit-gain
+    row's column 0 is sum_k r_P(n - kP), with P from L alone; a memory row's
+    is sum_k g_k(n) r_P(n - kP), row 0 of its C, and its row 0 is
+    sum_k g_k(n - j) r_P(n - kP)[j], from a mirrored ring of its last M block
+    gains under the memory rings' head.  Every entry is a fresh P-term sum,
+    so nothing drifts.  One rule says which unit-gain and memory rows sum:
+    those whose sums take fewer products than the gemvs over X(n) they
+    replace (:func:`_lag_group`).  Per step,
+    the build and Gram products are 0 + (P*M + N*M^2) for a summed row
+    (against L*M^2 and a build), 0 + (P*M + N*M) for a unit-gain row (against
+    L*M) and L + (P*M + 2*N*M) for a memory row (against L + 2*L*M); with P = 1
+    (``mpapa``) a memory row keeps its two gemvs.
     """
 
     def __init__(self, configs, weights: np.ndarray, rings: np.ndarray, head: int = 0, recursive=False):
@@ -731,10 +752,12 @@ class _Batch:
             return
         p = self.plain
         gained = p - sum(c.block_count == 1 for c in configs[:p])
-        # a recursive batch sums its placed rows' Gram matrices, which come last of its gained rows
-        summed = sum(recursive and min(c.group_size, order) >= _PLACE_FROM for c in configs[:gained])
-        built = gained - summed
+        # a recursive batch's lag group of each row (see _lag_group); the summed rows come last of its
+        # gained rows, and the memory rows that sum last of all
+        groups = [_lag_group(c) if recursive else None for c in configs]
+        built = gained - sum(g is not None for g in groups[:gained])
         self.built, self.gained = built, gained
+        self.summing = count - sum(g is not None for g in groups[p:])
         # one step size a tap: a (B, 1) column would make the multiply buffer B*L floats
         self.mu = np.repeat([[c.step_size] for c in configs], length, axis=1)
         self.delta = np.array([[c.regularization] for c in configs])
@@ -748,7 +771,7 @@ class _Batch:
         self._grams, self._lu = gram, lu.transpose(0, 2, 1)
         self._diagonal = lu.reshape(count, -1)[:, :: order + 1]
         self._rhs = error[:, :, 0]
-        self._systems = list(zip(self._lu, self._rhs))  # F-contiguous LU, rhs row
+        self._systems = list(zip(self._lu, error))  # F-contiguous LU, (M, 1) rhs
         weighted = np.empty((built, length, order))
         rows = list(zip(configs, weights, weighted))  # the built rows: zip stops at the summed rows
         in_place = [row for row in rows if min(row[0].group_size, order) < _PLACE_FROM]
@@ -761,30 +784,46 @@ class _Batch:
         # Built rows weight their slot, as (N, P*M) blocks, in place; see _PLACE_FROM.
         self._in_place = [(c, m, m.reshape(c.block_count, -1)) for c, _, m in in_place]
         self._placed = [(c, _rows_of(m, c.group_size)) for c, _, m in placed]
-        self._memory = [  # per head: the ring row a push weights, as (N, P) blocks, and its mirror
-            [(r, _blocks(r, c), m) for r, m in zip(ring, ring[order:])] for c, _, ring in memory]
-        # (weighted, gram, error, update): the built rows' part, the unit and ring rows' stacks
+        # A summing memory row's block gains g(n - j), j < M, mirrored under the memory rings' head.
+        self._gain_rings = [np.zeros((2 * order, c.block_count)) for c in configs[self.summing :]]
+        slots = [()] * (self.summing - p) + [(_mirrored(g),) for g in self._gain_rings]
+        self._memory = [  # per head: the ring row a push weights, as (N, P) blocks, its mirror[, gain slots]
+            [(r, _blocks(r, c), m, *gains) for r, m, *gains in zip(ring, ring[order:], *s)]
+            for (c, _, ring), s in zip(memory, slots)]
+        # (weighted, gram, error, update): the built rows' stacks, then the unit-gain and summed rows
+        # one at a time, as (gram, z, update) over X(n), the row view: X(n) z is an (L, M) @ (M,) gemv
         self._parts = [(weighted, gram[:built], error[:built], update[:built])] if built else []
-        self._unit_stacks = (gram[gained:p], error[gained:p], update[gained:p]) if p > gained else None
-        self._reads_rows = bool(self._unit_stacks or self._in_place or summed)
+        products = np.empty((len(summed), length))
+        outs = [*products, *self._updates[gained:p]]
+        self._row_parts = [(gram[b], self._rhs[b], out) for b, out in zip(range(built, p), outs)]
         self._ring_stacks = (gram[p:], error[p:], update[p:])
-        # Summed rows (see above): a lag ring each, under one head, read through views by head.
+        # One lag ring per group size P the rows read (see above), under one head, with the two rows
+        # a push writes by head, and a view by head that reads r(n - a - kP)[j] at [a, k, j].
         span = length + order - 1
-        self._lags, self._lag_head = np.zeros((len(summed), 2 * span, order)), 0
-        products = np.empty((len(summed), length, 1))
-        self._summed_stacks = (gram[built:gained], error[built:gained], products)
+        self._lag_groups = sorted({g for g in groups if g is not None})
+        self._lags, self._lag_head = np.zeros((len(self._lag_groups), 2 * span, order)), 0
+        self._lag = np.empty(order)  # r(n), before a push copies it to both rows
+        self._lag_slots = [(group, _mirrored(lags)) for group, lags in zip(self._lag_groups, self._lags)]
+        row, tap = self._lags.strides[1:]
+        views = {group: as_strided(lags, (span, order, length // group, order),
+                                   (row, row, group * row, tap), writeable=False)
+                 for group, lags in zip(self._lag_groups, self._lags)}
+        self._reads_rows = bool(self._row_parts or self._in_place or self._lag_slots)
         self._sums = np.empty((len(summed), order, order))  # C[a, j] = sum_k g_k r(n - a - kP)[j]
         a, b = np.indices((order, order))
         self._mirror = np.minimum(a, b) * order + abs(a - b)  # G[a, b] = C[min(a, b), |a - b|]
-        row, tap = self._lags.strides[1:]
-        # (P, gains, lag ring, correlation views by head, update row, its (N, P) blocks, X(n)z)
+        # (P, gains, correlation views, update row, its (N, P) blocks, X(n)z)
         self._summed = [
-            (c.group_size, g, lags,
-             as_strided(lags, (span, order, c.block_count, order), (row, row, c.group_size * row, tap),
-                        writeable=False),
-             u, _blocks(u, c), product[:, 0])
-            for (c, _, u), (_, _, g, _), lags, product in zip(
-                summed, self._gained[len(self._gained) - len(summed):], self._lags, products)]
+            (c.group_size, g, views[c.group_size], u, _blocks(u, c), product)
+            for (c, _, u), (_, _, g, _), product in zip(
+                summed, self._gained[len(self._gained) - len(summed):], products)]
+        # Summing unit-gain rows' column 0 sums N lag vectors: (ones, views, column 0), or None.
+        unit = groups[gained] if p > gained else None
+        self._unit_sum = unit and (np.ones(length // unit), views[unit], np.empty(order))
+        # (gram, gain ring, views, the (M, N) products of row 0, column 0) a summing memory row
+        self._memory_sums = [
+            (gram[b], gains, views[groups[b]], np.empty(gains[:order].shape), np.empty(order))
+            for b, gains in zip(range(self.summing, count), self._gain_rings)]
         # Indexed by head: the (Bm, L, M) regressors as in FilterState.
         ring, row, tap = rings.strides
         shape = (order, len(rings), length, order)
@@ -798,8 +837,11 @@ class _Batch:
         batch = _Batch(configs, self.weights[keep], self.rings[ring_rows], self.head, self.recursive)
         if self.recursive:
             batch._grams[:], batch._eps[:] = self._grams[keep], self._eps[keep]
-            summed = [b - self.built for b in keep if 0 <= b - self.built < len(self._lags)]
-            batch._lags[:], batch._lag_head = self._lags[summed], self._lag_head
+            batch._lags[:] = self._lags[[self._lag_groups.index(g) for g in batch._lag_groups]]
+            batch._lag_head = self._lag_head
+            gains = [self._gain_rings[b - self.summing] for b in keep if b >= self.summing]
+            for new, old in zip(batch._gain_rings, gains):
+                new[:] = old
         return batch
 
     def step(self, history: RegressorHistory, desired: np.ndarray):
@@ -834,53 +876,65 @@ class _Batch:
         return rhs[:, 0].tolist()
 
     def _build(self, history: RegressorHistory, gains: list) -> list:
-        """Weight the gained rows' regressors by ``gains``; return the (W, Gram, error, update) stacks."""
+        """Weight the gained rows' regressors by ``gains``, push the lag and gain rings; return
+        the (W, Gram, error, update) stacks and rows."""
         gains, parts = iter(gains), self._parts
         if self._reads_rows:
             regressor = history.regressor_rows()
             for (_, out, blocks), g in zip(self._in_place, gains):
                 _weigh(g, regressor, out, blocks)
-            if self._unit_stacks:
-                parts = [*parts, (regressor, *self._unit_stacks)]
-            if self._summed:  # each summed row's lag vector r(n) = x(n)[:P] @ X(n)[:P], twice
+            parts = parts + [(regressor, *row) for row in self._row_parts]
+            if self._lag_slots:  # each lag vector r(n) = x(n)[:P] @ X(n)[:P], twice
                 self._lag_head = head = (self._lag_head - 1) % (self._lags.shape[1] // 2)
-                x = history._buf[history._head :]
-                for group, _, lags, *_ in self._summed:
-                    np.matmul(x[:group], regressor[:group], out=lags[head])
-                    np.copyto(lags[head + len(lags) // 2], lags[head])
-                parts = [*parts, (regressor, *self._summed_stacks)]
+                x, lag = history._buf[history._head :], self._lag
+                for group, slots in self._lag_slots:
+                    np.matmul(x[:group], regressor[:group], out=lag)
+                    np.copyto(slots[head], lag)
         for (config, out), g in zip(self._placed, gains):
             _place_products(g, history.block_windows(config.group_size), out)
         if self._memory:
             self.head = head = (self.head - 1) % history.projection_order
             x = history._buf[history._head : history._head + self.weights.shape[1]]
             for heads, g in zip(self._memory, gains):
-                row, blocks, mirror = heads[head]
+                row, blocks, mirror, *pushed = heads[head]
                 _weigh(g, x, row, blocks)
                 np.copyto(mirror, row)
+                for slots in pushed:  # a summing row's block gains g(n), twice
+                    np.copyto(slots, g)
             parts = [*parts, (self._ring_views[head], *self._ring_stacks)]
         return parts
 
     def _gram(self, history: RegressorHistory, parts: list) -> None:
-        """Each stack's Gram matrix ``X.T W``; a recursive batch shifts its unit-gain and
-        memory rows' and forms their row and column 0 alone."""
+        """Each stack's Gram matrix ``X.T W``; a recursive batch sums its summed rows', and
+        shifts its unit-gain and memory rows' and forms their row and column 0 alone."""
         xt = history._xt[history._head]
         for weighted, gram, _, _ in parts[: len(self._parts)] if self.recursive else parts:
             np.matmul(xt, weighted, out=gram)
+        lag = self._lag_head
         if self._summed:  # C = g @ the correlation view, mirrored onto G
-            for (_, gains, _, views, *_), sums in zip(self._summed, self._sums):
-                np.matmul(gains, views[self._lag_head], out=sums)
+            for (_, gains, views, *_), sums in zip(self._summed, self._sums):
+                np.matmul(gains, views[lag], out=sums)
             self._grams[self.built : self.gained] = self._sums.reshape(len(self._sums), -1)[:, self._mirror]
-        shifted = self._grams[self.gained :] if self.recursive else ()
-        if len(shifted):
-            shifted[:, 1:, 1:] = shifted[:, :-1, :-1]
-            units, memory = np.split(shifted, [self.plain - self.gained])
-            if len(units):
-                units[:, :, 0] = units[:, 0] = xt @ xt[0]  # column 0, then the same row 0
-            if len(memory):
-                head, row_zero = self.head, memory[:, :1].transpose(0, 2, 1)
-                np.matmul(xt, self.rings[:, head, :, None], out=memory[:, :, :1])
-                np.matmul(self.rings[:, head : head + len(xt)], xt[0, :, None], out=row_zero)
+        if not self.recursive or self.gained == len(self.configs):
+            return
+        shifted, head, order = self._grams[self.gained :], self.head, len(xt)
+        shifted[:, 1:, 1:] = shifted[:, :-1, :-1]
+        units = shifted[: self.plain - self.gained]
+        if len(units) and self._unit_sum:  # column 0, then the same row 0: sum_k r(n - kP)
+            ones, views, column = self._unit_sum
+            units[:, :, 0] = units[:, 0] = np.matmul(ones, views[lag, 0], out=column)
+        elif len(units):  # or X(n).T x(n)
+            units[:, :, 0] = units[:, 0] = xt @ xt[0]
+        if self.summing > self.plain:  # memory rows' column 0 and row 0 from X(n)
+            memory, rings = self._grams[self.plain : self.summing], self.rings[: self.summing - self.plain]
+            np.matmul(xt, rings[:, head, :, None], out=memory[:, :, :1])
+            np.matmul(rings[:, head : head + order], xt[0, :, None], out=memory[:, :1].transpose(0, 2, 1))
+        for gram, gains, views, products, column in self._memory_sums:
+            # column 0 = sum_k g_k(n) r(n - kP), then row 0 = sum_k g_k(n - j) r(n - kP)[j]
+            lags = views[lag, 0]
+            gram[:, 0] = np.matmul(gains[head], lags, out=column)
+            np.multiply(gains[head : head + order], lags.T, out=products)
+            np.add.reduce(products, 1, out=gram[0])
 
     def _solve(self) -> dict:
         """Solve ``(Gram + delta*I) z = e`` in place of the errors; return ``{row: failure}``."""
@@ -891,7 +945,7 @@ class _Batch:
         """``w += mu * W z`` on every row but the failed ones; a recursive batch keeps ε."""
         for weighted, _, error, out in parts:
             np.matmul(weighted, error, out=out)
-        for _, gains, _, _, out, blocks, product in self._summed:  # g * (X(n) z)
+        for _, gains, _, out, blocks, product in self._summed:  # g * (X(n) z)
             _weigh(gains, product, out, blocks)
         self._updates *= self.mu
         if failed:
@@ -904,11 +958,29 @@ class _Batch:
             self._eps = eps
 
 
+def _lag_group(config: FilterConfig) -> int | None:
+    """The group size P of the lag ring a row of a recursive :class:`_Batch` reads, or None for a
+    row that forms its products over X(n).  A gained memoryless row sums where it would place.  A
+    unit-gain or memory row sums where its lag products are fewer than those of the s gemvs over
+    X(n) they replace, P*M + s*N*M < s*L*M: s = 1 for a unit-gain row (column 0, which is row 0)
+    and 2 for a memory row, with its own P.  A unit-gain row takes the divisor of L nearest
+    sqrt(L), the smaller on a tie, which minimizes P + N from L alone: its bits never depend on
+    the rows beside it."""
+    length, order, group = config.filter_length, config.projection_order, config.group_size
+    if config.is_memory:
+        return group if group + 2 * (length // group) < 2 * length else None
+    if config.block_count > 1:
+        return group if min(group, order) >= _PLACE_FROM else None
+    small = max(d for d in range(1, math.isqrt(length) + 1) if length % d == 0)
+    group = min((small, length // small), key=lambda d: abs(d - math.sqrt(length)))
+    return group if group + length // group < length else None
+
+
 def _row_run(config: FilterConfig) -> int:
     """The run of :class:`_Batch` rows ``config`` belongs to: 0 in place, 1 placed (summed in a
-    recursive batch), 2 unit-gain, 3 memory."""
+    recursive batch), 2 unit-gain, 3 memory, 4 memory that sums in a recursive batch."""
     if config.is_memory:
-        return 3
+        return 3 + (_lag_group(config) is not None)
     if config.block_count == 1:
         return 2
     return int(min(config.group_size, config.projection_order) >= _PLACE_FROM)

@@ -15,7 +15,12 @@ Two kinds live here, both independent of the production hot path:
   weighted regressor: its Gram matrix is ``sum_k g_k R_k``, each block
   correlation read from the row's past lag vectors
   ``r(m)[j] = sum_{i<P} x(m - i) x(m - i - j)``, and its update is
-  ``g * (X z)``.
+  ``g * (X z)``.  A unit-gain row, with P the divisor of L nearest sqrt(L),
+  and a memory row, with its own P, read their new column 0 from the same
+  lag vectors, ``sum_k g_k(n) r(n - kP)``, and a memory row its row 0 too,
+  ``sum_k g_k(n - j) r(n - kP)[j]`` from its last M block gains, wherever
+  that takes fewer products than the L*M products it replaces, once per sum
+  (see :func:`lag_group`).
 * ``DenseReference``: one adaptation step written straight from the update
   equations (Paleologu, Ciochina & Benesty, "An efficient proportionate
   affine projection algorithm for echo cancellation", IEEE SPL 2010), with
@@ -83,17 +88,32 @@ def reference_block_gains(config, weights) -> np.ndarray:
     return gamma / gamma.mean()
 
 
+def lag_group(config):
+    """The group size P whose lag vectors a recursive step reads for ``config``'s
+    Gram matrix, or None where it forms the matrix from products over X(n)."""
+    L, M, P, N = config.filter_length, config.projection_order, config.group_size, config.block_count
+    if config.variant in _SCALAR:
+        return None
+    if config.variant in _MEMORY:  # column 0 and row 0: two sums in place of two L*M products
+        return P if P * M + 2 * N * M < 2 * L * M else None
+    if N > 1:
+        return P if min(P, M) >= _SUMMED_FROM else None
+    P = min((d for d in range(1, L + 1) if L % d == 0), key=lambda d: (abs(d - L**0.5), d))
+    return P if P * M + (L // P) * M < L * M else None
+
+
 class ReferenceState:
     """Weights plus a plainly shifted L-by-M memory matrix, and the recursions'
-    last Gram matrix, a-posteriori errors and lag vectors r(n - t), newest
-    first, all zero at the start."""
+    last Gram matrix, a-posteriori errors, lag vectors r(n - t) and block gains
+    g(n - t), newest first, all zero at the start."""
 
     def __init__(self, config):
         L, M = config.filter_length, config.projection_order
         self.weights = np.zeros(L)
         self.memory = np.zeros((L, M))
         self.gram, self.eps = np.zeros((M, M)), np.zeros(M)
-        self.lags = [np.zeros(M)] * (L - config.group_size + M)
+        self.lags = [np.zeros(M)] * (L - (lag_group(config) or config.group_size) + M)
+        self.gains = [np.zeros(config.block_count)] * M
 
 
 def reference_filter_step(config, state, history, desired, build="efficient", recursive=False) -> None:
@@ -124,16 +144,18 @@ def reference_filter_step(config, state, history, desired, build="efficient", re
     else:
         err = desired - regressor_t @ weights
     M, P, N = config.projection_order, config.group_size, config.block_count
-    summed = recursive and config.variant not in _MEMORY and N > 1 and min(P, M) >= _SUMMED_FROM
+    lagged = recursive and lag_group(config)
+    summed = lagged and config.variant not in _MEMORY and N > 1
+    if lagged:  # r(n) = x(n)[:P] @ X(n)[:P] for the row's lag group P
+        regressor = np.ascontiguousarray(reference_regressor_matrix(history))
+        state.lags = [x[:lagged] @ regressor[:lagged]] + state.lags[:-1]
+        state.gains = [block] + state.gains[:-1]
     if config.variant in _MEMORY:
         mem = state.memory
         mem[:, 1:] = mem[:, :-1]
         mem[:, 0] = per_tap * x
         weighted = np.asfortranarray(mem)
-    elif summed:  # no weighted regressor: the update is g * (X z)
-        regressor = np.ascontiguousarray(reference_regressor_matrix(history))
-        state.lags = [x[:P] @ regressor[:P]] + state.lags[:-1]
-    else:
+    elif not summed:  # a summed row builds no weighted regressor: its update is g * (X z)
         weighted = reference_efficient_build(block, config.group_size, history)
         if build == "direct":
             direct = per_tap[:, None] * reference_regressor_matrix(history)
@@ -148,8 +170,16 @@ def reference_filter_step(config, state, history, desired, build="efficient", re
     elif recursive and (config.variant in _MEMORY or N == 1):
         gram = np.zeros_like(state.gram)
         gram[1:, 1:] = state.gram[:-1, :-1]
-        gram[:, 0] = regressor_t @ weighted[:, 0]
-        gram[0, :] = np.ascontiguousarray(weighted.T) @ x
+        if lagged:  # column 0 = sum_k g_k(n) r(n - kP), row 0 = sum_k g_k(n - j) r(n - kP)[j]
+            lags = np.stack([state.lags[k * lagged] for k in range(config.filter_length // lagged)])
+            if config.variant in _MEMORY:
+                gram[:, 0] = block @ lags
+                gram[0, :] = np.multiply(np.stack(state.gains), lags.T, out=np.empty((M, len(lags)))).sum(axis=1)
+            else:
+                gram[:, 0] = gram[0, :] = np.ones(len(lags)) @ lags
+        else:
+            gram[:, 0] = regressor_t @ weighted[:, 0]
+            gram[0, :] = np.ascontiguousarray(weighted.T) @ x
     else:
         gram = regressor_t @ weighted
     state.gram, state.eps = gram, err  # a failed solve leaves the weights, so err stands

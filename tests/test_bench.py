@@ -624,6 +624,39 @@ class TestUnitGainRows:
             span = slice(100) if k == 1 else slice(None)  # the papa row's later samples are unset
             assert mis[b, span].tobytes() == solo[0, span].tobytes(), k
 
+    def test_a_recursive_batch_that_loses_a_row_mid_run_keeps_its_memory_row_bits(self, monkeypatch):
+        """Streamed directly, a recursive batch whose in-place row diverges at sample 100
+        carries the lag ring that its summed bs-papa row and its bs-mpapa row share (P = 16),
+        and the memory row's ring of block gains, on to the batch without it."""
+        sc = small_scenario(total=300, switch=150)
+        x, d = bench.synthesize_scenario(sc)
+        configs = [FilterConfig("bs-mpapa", 32, _RECURSE_FROM, group_size=16, step_size=0.3),
+                   FilterConfig("papa", 32, _RECURSE_FROM, step_size=0.3),
+                   FilterConfig("bs-papa", 32, _RECURSE_FROM, group_size=16, step_size=0.3)]
+        [(entries, batch)] = _panel_batches(configs)
+        assert batch.recursive and entries == [1, 2, 0] and batch._lag_groups == [16]
+        assert len(batch._summed) == len(batch._memory_sums) == 1
+        rows, calls = bench._misalignment_rows, []
+
+        def papa_row_diverges_at_100(truth, power, weights, out):
+            values = rows(truth, power, weights, out)
+            calls.append(len(values))
+            if len(calls) == 101:  # sample 100, while every row is in the batch
+                values[0] = float("inf")
+            return values
+
+        failures = {}
+        monkeypatch.setattr(bench, "_misalignment_rows", papa_row_diverges_at_100)
+        mis = bench._stream_batch(batch, entries, x, d, sc.segments(), failures)
+        monkeypatch.setattr(bench, "_misalignment_rows", rows)
+        assert failures == {1: "diverged at sample 100: misalignment is inf dB"}
+        assert calls == [3] * 101 + [2] * 199
+        for b, k in enumerate(entries):
+            [(_, alone)] = _panel_batches([configs[k]])
+            solo = bench._stream_batch(alone, [k], x, d, sc.segments(), {})
+            span = slice(100) if k == 1 else slice(None)  # the papa row's later samples are unset
+            assert mis[b, span].tobytes() == solo[0, span].tobytes(), k
+
     @pytest.mark.parametrize("fault", [nan_at_100, silent_after_120])
     def test_a_failing_unit_row_fails_as_in_its_one_entry_run(self, monkeypatch, fault):
         sc = fault(monkeypatch)

@@ -470,6 +470,25 @@ class TestBlasLayout:
         assert state._batch[3]._placed and not state._batch[3]._summed
         assert history._rows is None
 
+    def test_a_recursive_batch_makes_one_lag_ring_per_group_size(self):
+        """apa (P = 16, the divisor of L = 256 nearest its root), bs-papa and bs-mpapa
+        with P = 16 read one lag ring; a memory row's lag write reads X(n), so its history
+        makes the row ring.  mpapa (P = 1) keeps its products over X(n): no lag ring, and
+        no row ring."""
+        L, M = 256, filters._RECURSE_FROM
+        configs = [FilterConfig("apa", L, M), FilterConfig("bs-papa", L, M, 16), FilterConfig("bs-mpapa", L, M, 16)]
+        rng = np.random.default_rng(256)
+        for members, groups, reads_rows in ((configs, [16], True), (configs[2:], [16], True),
+                                            ([FilterConfig("mpapa", L, M)], [], False)):
+            [(_, batch)] = filters._panel_batches(members)
+            assert batch.recursive and batch._lag_groups == groups
+            assert batch._lags.shape == (len(groups), 2 * (L + M - 1), M)
+            history = RegressorHistory(L, M)
+            for _ in range(5):
+                history.push(rng.standard_normal())
+                batch.step(history, rng.standard_normal(M))
+            assert (history._rows is not None) == reads_rows
+
     @pytest.mark.parametrize("group", [1, 4, 16])
     @pytest.mark.parametrize("order", [1, 2, 8])
     def test_every_efficient_build(self, group, order):

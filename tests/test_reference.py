@@ -264,6 +264,7 @@ def test_recursive_panel_batch_equals_the_reference_and_its_one_entry_runs():
     assert batch.recursive and rows == [1, 2, 3, 7, 0, 6, 4, 5]
     assert [c.group_size for c, *_ in batch._in_place] == [1, 4]
     assert not batch._placed and [group for group, *_ in batch._summed] == [64, 16]
+    assert batch._lag_groups == [16, 32, 64] and len(batch._memory_sums) == 1  # apa: P = 32
     response = make_block_sparse_ir(L, [(1, 24)], seed=5)
     sc = EchoScenario(schedule=((0, response),), total_samples=steps, seed=9)
     x, d = synthesize_scenario(sc)
@@ -297,15 +298,16 @@ def test_recursive_panel_batch_equals_the_reference_and_its_one_entry_runs():
 @pytest.mark.parametrize("M", [filters._RECURSE_FROM, 20])
 def test_summed_rows_equal_the_reference_past_wraps_of_their_lag_rings(M):
     """A recursive batch's bs-papa rows with P and M from ``filters._PLACE_FROM``
-    on keep a ring of L + M - 1 lag vectors.  Past three wraps of it, beside an
-    in-place and a unit-gain row, each row equals the recursive reference step
-    bit for bit."""
+    on read a ring of L + M - 1 lag vectors, one per group size, which the
+    unit-gain row (P = 8) and the bs-mpapa row (P = 16) read too.  Past three
+    wraps of it, beside an in-place row, each row equals the recursive
+    reference step bit for bit."""
     L = 64
     configs = [variant_config(v, L, M, P, step_size=0.3) for v, P in
-               (("bs-papa", 16), ("papa", 1), ("bs-papa", 32), ("apa", L))]
+               (("bs-papa", 16), ("papa", 1), ("bs-papa", 32), ("apa", L), ("bs-mpapa", 16))]
     [(rows, batch)] = filters._panel_batches(configs)
-    assert batch.recursive and rows == [1, 0, 2, 3]
-    assert [group for group, *_ in batch._summed] == [16, 32]
+    assert batch.recursive and rows == [1, 0, 2, 3, 4]
+    assert [group for group, *_ in batch._summed] == [16, 32] and batch._lag_groups == [8, 16, 32]
     refs = [ReferenceState(cfg) for cfg in configs]
     rng = np.random.default_rng(M)
     target = rng.standard_normal(L) * (rng.uniform(size=L) < 0.2)
@@ -389,6 +391,7 @@ def test_the_recursions_drift_from_the_full_products_within_their_bound():
                for v, g in (("bs-papa", 16), ("apa", None), ("mpapa", None), ("bs-mpapa", 8))]
     [(rows, batch)] = filters._panel_batches(configs)
     assert batch.recursive and rows == [0, 1, 2, 3] and len(batch._summed) == 1
+    assert batch._lag_groups == [8, 16] and len(batch._memory_sums) == 1  # mpapa keeps its products
     states = [FilterState.initial(cfg) for cfg in configs]
     full = np.stack([state.weights for state in states])
     for k, state in enumerate(states):
