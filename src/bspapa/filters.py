@@ -401,9 +401,7 @@ class RegressorHistory:
             rows = np.empty((2 * span, order))
             # ring row r holds the M samples from window slot r mod span on
             rows[:span] = rows[span:] = as_strided(self._buf, (span, order), (step, step))
-            row = rows.strides[0]
-            # entry h is ring rows h and h + span, the two copies a push at head h writes
-            self._row_slots = as_strided(rows, (span, 2, order), (row, span * row, step))
+            self._row_slots = _mirrored(rows)  # entry h: the two copies a push at head h writes
             self._rows = rows.view()
             self._rows.flags.writeable = False
         return self._rows[self._head : self._head + self.filter_length]
@@ -717,30 +715,24 @@ class _Batch:
     X(n).T x(n), so that matrix is symmetric.  In-place rows form the full
     product.  :meth:`without` carries the state of the rows it keeps.
 
-    Row i of X(n) is row i - 1 of X(n-1), so the correlation of the k-th block
-    of P taps is R_k(n)[a, a + j] = r_P(n - a - kP)[j], where the lag vector
-    r_P(m)[j] = sum_{i<P} x(m - i) x(m - i - j) is block 0's row 0 at time m.
-    A recursive batch keeps one ring of L + M - 1 lag vectors per group size
-    P its rows read (see :func:`_lag_group`), zero at the start and mirrored
-    like the history's rings under one head.  Its build writes each r_P(n),
-    one ``x(n)[:P] @ X(n)[:P]`` product on the row view, whichever rows read
-    it.  The rows that would place (P and M from ``_PLACE_FROM`` on) are
-    summed rows, with no W: the Gram layer forms C[a, j] = sum_k g_k
-    r_P(n - a - kP)[j] as one stacked ``(N,) @ (M, N, M)`` product over a
-    strided view of the ring, and copies G[a, b] = C[min(a, b), |a - b|], so G
-    is exactly symmetric; the update is g * (X(n) z), the block gains copied
-    over (N, P) blocks and multiplied as the in-place build does.  A unit-gain
-    row's column 0 is sum_k r_P(n - kP), with P from L alone; a memory row's
-    is sum_k g_k(n) r_P(n - kP), row 0 of its C, and its row 0 is
+    Row i of X(n) is row i - 1 of X(n-1), so block k's correlation is
+    R_k(n)[a, a + j] = r_P(n - a - kP)[j], where r_P(m)[j] = sum_{i<P} x(m - i)
+    x(m - i - j) is block 0's row 0 at time m.  A recursive batch keeps one
+    ring of L + M - 1 lag vectors r_P per group size P its rows read, zero at
+    the start and mirrored under one head; its build writes each r_P(n) once,
+    ``x(n)[:P] @ X(n)[:P]`` on the row view.  The rows that would place (P and
+    M from ``_PLACE_FROM`` on) are summed rows, with no W: C[a, j] = sum_k g_k
+    r_P(n - a - kP)[j] is one stacked ``(N,) @ (M, N, M)`` product over a
+    strided view of the ring, G[a, b] = C[min(a, b), |a - b|] is exactly
+    symmetric, and the update is g * (X(n) z), the gains applied as the
+    in-place build does.  A unit-gain row's column 0 is sum_k r_P(n - kP); a
+    memory row's is sum_k g_k(n) r_P(n - kP), row 0 of its C, and its row 0
     sum_k g_k(n - j) r_P(n - kP)[j], from a mirrored ring of its last M block
-    gains under the memory rings' head.  Every entry is a fresh P-term sum,
-    so nothing drifts.  One rule says which unit-gain and memory rows sum:
-    those whose sums take fewer products than the gemvs over X(n) they
-    replace (:func:`_lag_group`).  Per step,
-    the build and Gram products are 0 + (P*M + N*M^2) for a summed row
-    (against L*M^2 and a build), 0 + (P*M + N*M) for a unit-gain row (against
-    L*M) and L + (P*M + 2*N*M) for a memory row (against L + 2*L*M); with P = 1
-    (``mpapa``) a memory row keeps its two gemvs.
+    gains.  The rule for these two (:func:`_lag_group`): a row sums where the
+    sums take fewer products than the gemvs over X(n) they replace, so
+    ``mpapa`` (P = 1) keeps its two.  Build + Gram products a step: summed
+    0 + (P*M + N*M^2), unit-gain 0 + (P*M + N*M), memory L + (P*M + 2*N*M).
+    Every entry is a fresh P-term sum, so nothing drifts.
     """
 
     def __init__(self, configs, weights: np.ndarray, rings: np.ndarray, head: int = 0, recursive=False):
@@ -839,9 +831,8 @@ class _Batch:
             batch._grams[:], batch._eps[:] = self._grams[keep], self._eps[keep]
             batch._lags[:] = self._lags[[self._lag_groups.index(g) for g in batch._lag_groups]]
             batch._lag_head = self._lag_head
-            gains = [self._gain_rings[b - self.summing] for b in keep if b >= self.summing]
-            for new, old in zip(batch._gain_rings, gains):
-                new[:] = old
+            for new, b in zip(batch._gain_rings, [b for b in keep if b >= self.summing]):
+                new[:] = self._gain_rings[b - self.summing]
         return batch
 
     def step(self, history: RegressorHistory, desired: np.ndarray):
@@ -959,13 +950,11 @@ class _Batch:
 
 
 def _lag_group(config: FilterConfig) -> int | None:
-    """The group size P of the lag ring a row of a recursive :class:`_Batch` reads, or None for a
-    row that forms its products over X(n).  A gained memoryless row sums where it would place.  A
-    unit-gain or memory row sums where its lag products are fewer than those of the s gemvs over
-    X(n) they replace, P*M + s*N*M < s*L*M: s = 1 for a unit-gain row (column 0, which is row 0)
-    and 2 for a memory row, with its own P.  A unit-gain row takes the divisor of L nearest
-    sqrt(L), the smaller on a tie, which minimizes P + N from L alone: its bits never depend on
-    the rows beside it."""
+    """The group size P of the lag ring a row of a recursive :class:`_Batch` reads, or None.  A
+    gained memoryless row sums where it would place; a unit-gain or memory row where P*M + s*N*M
+    < s*L*M, its s sums against the s gemvs they replace (s = 1 and 2).  A unit-gain row's P is
+    the divisor of L nearest sqrt(L), the smaller on a tie: from L alone, so that its bits never
+    depend on the rows beside it."""
     length, order, group = config.filter_length, config.projection_order, config.group_size
     if config.is_memory:
         return group if group + 2 * (length // group) < 2 * length else None
@@ -990,8 +979,8 @@ def _panel_batches(configs):
     """One zeroed :class:`_Batch` per (projection order, branch) of ``configs``,
     which share the filter length, as ``(indices, batch)``: row b of the batch
     is ``configs[indices[b]]``, in the batch's row order (in-place rows, placed
-    or summed rows, unit-gain rows, memory rows).  It is recursive from order
-    ``_RECURSE_FROM`` on, where its placed rows are summed."""
+    or summed rows, unit-gain rows, memory rows, those that sum last).  It is
+    recursive from order ``_RECURSE_FROM`` on, where its placed rows are summed."""
     groups = {}
     for k, config in sorted(enumerate(configs), key=lambda e: _row_run(e[1])):
         groups.setdefault((config.projection_order, config.is_scalar), []).append(k)
