@@ -325,14 +325,17 @@ def test_summed_rows_equal_the_reference_past_wraps_of_their_lag_rings(M):
     assert all(np.any(w != 0.0) for w in batch.weights)
 
 
-def test_a_failed_recursive_row_keeps_its_errors_and_steps_on():
+@pytest.mark.parametrize("L", [32, 31])
+def test_a_failed_recursive_row_keeps_its_errors_and_steps_on(L):
     """A row whose system failed keeps its weights, so its a-posteriori errors are
     its a-priori ones.  Stepped on, a delta=0 unit-gain row fails while its window
     fills (its Gram matrix has rank n + 1 at sample n), then adapts exactly as the
-    recursive reference step does."""
-    L, M = 32, filters._RECURSE_FROM
+    recursive reference step does.  At L = 32 it sums lag vectors (P = 4); at the
+    prime L = 31 no sum takes fewer products, so it forms X(n).T x(n)."""
+    M = filters._RECURSE_FROM
     cfg = FilterConfig("apa", L, M, step_size=0.3, regularization=0.0)
     [(_, batch)] = filters._panel_batches([cfg])
+    assert batch._lag_groups == ([4] if L == 32 else [])
     ref_state, rng = ReferenceState(cfg), np.random.default_rng(41)
     history, desired, failures = RegressorHistory(L, M), np.zeros(M), []
     for n in range(3 * M):
