@@ -25,9 +25,8 @@ a unit-gain or memory row is last step's, shifted, with a new row 0 and column 0
 A row that would place its products there builds no W at all: its Gram matrix
 X.T G X = sum_k g_k R_k reads every block correlation R_k from a ring of lag
 vectors, one fresh P-term product a step, and its update is g * (X(n) z).
-The same ring, one per group size in the batch, gives a unit-gain or memory
-row its new row and column 0 as sums over N lag vectors, where that takes
-fewer products than the L*M products over X(n) it replaces.
+The same ring, one per group size, gives a unit-gain row, and a memory row
+that would place, its new row and column 0 as sums of N lag vectors.
 
 The kernel spends products on W only where that is faster.  A single
 block has gain exactly one, so its W is X(n) itself, which the history
@@ -728,10 +727,11 @@ class _Batch:
     in-place build does.  A unit-gain row's column 0 is sum_k r_P(n - kP); a
     memory row's is sum_k g_k(n) r_P(n - kP), row 0 of its C, and its row 0
     sum_k g_k(n - j) r_P(n - kP)[j], from a mirrored ring of its last M block
-    gains.  The rule for these two (:func:`_lag_group`): a row sums where the
-    sums take fewer products than the gemvs over X(n) they replace, so
-    ``mpapa`` (P = 1) keeps its two.  Build + Gram products a step: summed
-    0 + (P*M + N*M^2), unit-gain 0 + (P*M + N*M), memory L + (P*M + 2*N*M).
+    gains.  The rule (:func:`_lag_group`): a unit-gain row always sums, and a
+    gained row, memory or not, where it would place; below that, a memory row's
+    row 0 sum, an elementwise (M, N) pass, is slower than its gemv, so ``mpapa``
+    keeps its two.  Build + Gram products a step: summed 0 + (P*M + N*M^2),
+    unit-gain 0 + (P*M + N*M), memory L + (P*M + 2*N*M).
     Every entry is a fresh P-term sum, so nothing drifts.
     """
 
@@ -794,7 +794,6 @@ class _Batch:
         span = length + order - 1
         self._lag_groups = sorted({g for g in groups if g is not None})
         self._lags, self._lag_head = np.zeros((len(self._lag_groups), 2 * span, order)), 0
-        self._lag = np.empty(order)  # r(n), before a push copies it to both rows
         self._lag_slots = [(group, _mirrored(lags)) for group, lags in zip(self._lag_groups, self._lags)]
         row, tap = self._lags.strides[1:]
         views = {group: as_strided(lags, (span, order, length // group, order),
@@ -809,13 +808,12 @@ class _Batch:
             (c.group_size, g, views[c.group_size], u, _blocks(u, c), product)
             for (c, _, u), (_, _, g, _), product in zip(
                 summed, self._gained[len(self._gained) - len(summed):], products)]
-        # Summing unit-gain rows' column 0 sums N lag vectors: (ones, views, column 0), or None.
+        # Unit-gain rows' column 0 sums N lag vectors: (ones, views), or None; (gram, gain ring,
+        # views) a summing memory row.
         unit = groups[gained] if p > gained else None
-        self._unit_sum = unit and (np.ones(length // unit), views[unit], np.empty(order))
-        # (gram, gain ring, views, the (M, N) products of row 0, column 0) a summing memory row
-        self._memory_sums = [
-            (gram[b], gains, views[groups[b]], np.empty(gains[:order].shape), np.empty(order))
-            for b, gains in zip(range(self.summing, count), self._gain_rings)]
+        self._unit_sum = unit and (np.ones(length // unit), views[unit])
+        self._memory_sums = [(gram[b], gains, views[groups[b]])
+                             for b, gains in zip(range(self.summing, count), self._gain_rings)]
         # Indexed by head: the (Bm, L, M) regressors as in FilterState.
         ring, row, tap = rings.strides
         shape = (order, len(rings), length, order)
@@ -877,10 +875,10 @@ class _Batch:
             parts = parts + [(regressor, *row) for row in self._row_parts]
             if self._lag_slots:  # each lag vector r(n) = x(n)[:P] @ X(n)[:P], twice
                 self._lag_head = head = (self._lag_head - 1) % (self._lags.shape[1] // 2)
-                x, lag = history._buf[history._head :], self._lag
+                x = history._buf[history._head :]
                 for group, slots in self._lag_slots:
-                    np.matmul(x[:group], regressor[:group], out=lag)
-                    np.copyto(slots[head], lag)
+                    np.matmul(x[:group], regressor[:group], out=slots[head, 0])
+                    slots[head, 1] = slots[head, 0]
         for (config, out), g in zip(self._placed, gains):
             _place_products(g, history.block_windows(config.group_size), out)
         if self._memory:
@@ -911,21 +909,18 @@ class _Batch:
         shifted, head, order = self._grams[self.gained :], self.head, len(xt)
         shifted[:, 1:, 1:] = shifted[:, :-1, :-1]
         units = shifted[: self.plain - self.gained]
-        if len(units) and self._unit_sum:  # column 0, then the same row 0: sum_k r(n - kP)
-            ones, views, column = self._unit_sum
-            units[:, :, 0] = units[:, 0] = np.matmul(ones, views[lag, 0], out=column)
-        elif len(units):  # or X(n).T x(n)
-            units[:, :, 0] = units[:, 0] = xt @ xt[0]
+        if len(units):  # column 0, then the same row 0: sum_k r(n - kP)
+            ones, views = self._unit_sum
+            units[:, :, 0] = units[:, 0] = ones @ views[lag, 0]
         if self.summing > self.plain:  # memory rows' column 0 and row 0 from X(n)
             memory, rings = self._grams[self.plain : self.summing], self.rings[: self.summing - self.plain]
             np.matmul(xt, rings[:, head, :, None], out=memory[:, :, :1])
             np.matmul(rings[:, head : head + order], xt[0, :, None], out=memory[:, :1].transpose(0, 2, 1))
-        for gram, gains, views, products, column in self._memory_sums:
+        for gram, gains, views in self._memory_sums:
             # column 0 = sum_k g_k(n) r(n - kP), then row 0 = sum_k g_k(n - j) r(n - kP)[j]
             lags = views[lag, 0]
-            gram[:, 0] = np.matmul(gains[head], lags, out=column)
-            np.multiply(gains[head : head + order], lags.T, out=products)
-            np.add.reduce(products, 1, out=gram[0])
+            gram[:, 0] = gains[head] @ lags
+            gram[0] = (gains[head : head + order] * lags.T).sum(1)
 
     def _solve(self) -> dict:
         """Solve ``(Gram + delta*I) z = e`` in place of the errors; return ``{row: failure}``."""
@@ -950,19 +945,14 @@ class _Batch:
 
 
 def _lag_group(config: FilterConfig) -> int | None:
-    """The group size P of the lag ring a row of a recursive :class:`_Batch` reads, or None.  A
-    gained memoryless row sums where it would place; a unit-gain or memory row where P*M + s*N*M
-    < s*L*M, its s sums against the s gemvs they replace (s = 1 and 2).  A unit-gain row's P is
-    the divisor of L nearest sqrt(L), the smaller on a tie: from L alone, so that its bits never
-    depend on the rows beside it."""
-    length, order, group = config.filter_length, config.projection_order, config.group_size
-    if config.is_memory:
-        return group if group + 2 * (length // group) < 2 * length else None
-    if config.block_count > 1:
-        return group if min(group, order) >= _PLACE_FROM else None
-    small = max(d for d in range(1, math.isqrt(length) + 1) if length % d == 0)
-    group = min((small, length // small), key=lambda d: abs(d - math.sqrt(length)))
-    return group if group + length // group < length else None
+    """The group size P of the lag ring a row of a recursive :class:`_Batch` reads, or None (the
+    rule is in its docstring).  A unit-gain row's P is the divisor of L nearest sqrt(L), P = 1 at
+    a prime L: from L alone, so that its bits never depend on the rows beside it."""
+    length, group = config.filter_length, config.group_size
+    if config.block_count == 1 and not config.is_memory:
+        small = max(d for d in range(1, math.isqrt(length) + 1) if length % d == 0)
+        return min((small, length // small), key=lambda d: abs(d - math.sqrt(length)))
+    return group if min(group, config.projection_order) >= _PLACE_FROM else None
 
 
 def _row_run(config: FilterConfig) -> int:

@@ -15,12 +15,11 @@ Two kinds live here, both independent of the production hot path:
   weighted regressor: its Gram matrix is ``sum_k g_k R_k``, each block
   correlation read from the row's past lag vectors
   ``r(m)[j] = sum_{i<P} x(m - i) x(m - i - j)``, and its update is
-  ``g * (X z)``.  A unit-gain row, with P the divisor of L nearest sqrt(L),
-  and a memory row, with its own P, read their new column 0 from the same
-  lag vectors, ``sum_k g_k(n) r(n - kP)``, and a memory row its row 0 too,
-  ``sum_k g_k(n - j) r(n - kP)[j]`` from its last M block gains, wherever
-  that takes fewer products than the L*M products it replaces, once per sum
-  (see :func:`lag_group`).
+  ``g * (X z)``.  A unit-gain row, always, with P the divisor of L nearest
+  sqrt(L), and a memory row with P and M from ``_SUMMED_FROM`` on read their
+  new column 0 from the same lag vectors, ``sum_k g_k(n) r(n - kP)``, and a
+  memory row its row 0 too, ``sum_k g_k(n - j) r(n - kP)[j]`` from its last
+  M block gains (see :func:`lag_group`).
 * ``DenseReference``: one adaptation step written straight from the update
   equations (Paleologu, Ciochina & Benesty, "An efficient proportionate
   affine projection algorithm for echo cancellation", IEEE SPL 2010), with
@@ -94,12 +93,9 @@ def lag_group(config):
     L, M, P, N = config.filter_length, config.projection_order, config.group_size, config.block_count
     if config.variant in _SCALAR:
         return None
-    if config.variant in _MEMORY:  # column 0 and row 0: two sums in place of two L*M products
-        return P if P * M + 2 * N * M < 2 * L * M else None
-    if N > 1:
-        return P if min(P, M) >= _SUMMED_FROM else None
-    P = min((d for d in range(1, L + 1) if L % d == 0), key=lambda d: (abs(d - L**0.5), d))
-    return P if P * M + (L // P) * M < L * M else None
+    if N == 1 and config.variant not in _MEMORY:
+        return min((d for d in range(1, L + 1) if L % d == 0), key=lambda d: abs(d - L**0.5))
+    return P if min(P, M) >= _SUMMED_FROM else None
 
 
 class ReferenceState:

@@ -330,12 +330,12 @@ def test_a_failed_recursive_row_keeps_its_errors_and_steps_on(L):
     """A row whose system failed keeps its weights, so its a-posteriori errors are
     its a-priori ones.  Stepped on, a delta=0 unit-gain row fails while its window
     fills (its Gram matrix has rank n + 1 at sample n), then adapts exactly as the
-    recursive reference step does.  At L = 32 it sums lag vectors (P = 4); at the
-    prime L = 31 no sum takes fewer products, so it forms X(n).T x(n)."""
+    recursive reference step does.  It sums lag vectors, P = 4 at L = 32 and
+    P = 1 at the prime L = 31."""
     M = filters._RECURSE_FROM
     cfg = FilterConfig("apa", L, M, step_size=0.3, regularization=0.0)
     [(_, batch)] = filters._panel_batches([cfg])
-    assert batch._lag_groups == ([4] if L == 32 else [])
+    assert batch._lag_groups == ([4] if L == 32 else [1])
     ref_state, rng = ReferenceState(cfg), np.random.default_rng(41)
     history, desired, failures = RegressorHistory(L, M), np.zeros(M), []
     for n in range(3 * M):
@@ -394,7 +394,7 @@ def test_the_recursions_drift_from_the_full_products_within_their_bound():
                for v, g in (("bs-papa", 16), ("apa", None), ("mpapa", None), ("bs-mpapa", 8))]
     [(rows, batch)] = filters._panel_batches(configs)
     assert batch.recursive and rows == [0, 1, 2, 3] and len(batch._summed) == 1
-    assert batch._lag_groups == [8, 16] and len(batch._memory_sums) == 1  # mpapa keeps its products
+    assert batch._lag_groups == [8, 16] and not batch._memory_sums  # mpapa, bs-mpapa P=8 keep their gemvs
     states = [FilterState.initial(cfg) for cfg in configs]
     full = np.stack([state.weights for state in states])
     for k, state in enumerate(states):
