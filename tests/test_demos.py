@@ -1,5 +1,5 @@
 """The demo scripts and the README quickstart run as written; the demos reproduce
-their recorded CSV output."""
+their recorded CSV output, and demo 03 its printed table."""
 
 import hashlib
 import math
@@ -25,6 +25,10 @@ WRITTEN = {
         "memory_tracking.csv.summary.csv": "213bc31d595459702c787395019170ed441c7fc2a7061232cba99aa8aa014b78",
     },
 }
+# sha256 of the stdout of the demos whose printed table is their output
+PRINTED = {
+    "03_efficient_regressor.py": "36b9388a1c04a1ec2531c938ef79ba24fe590e8d0a954946619e7e80d831e65e",
+}
 
 
 def run_script(script: Path) -> subprocess.CompletedProcess:
@@ -48,6 +52,8 @@ def test_demo_runs_and_reproduces_its_csv(demo, tmp_path):
     assert result.returncode == 0, result.stderr
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
     assert written == WRITTEN.get(demo.name, {})
+    if demo.name in PRINTED:
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == PRINTED[demo.name], result.stdout
 
 
 def test_readme_quickstart_runs_as_written(tmp_path):
