@@ -22,20 +22,19 @@ of one a ``FilterState`` keeps, a lone ``_ScalarRow`` for ``pnlms``/``bs-pnlms``
 From ``_RECURSE_FROM`` on, a panel's batch takes the fast affine projection
 recursions: of its M errors only e(n)[0] is a product, and the Gram matrix of
 a unit-gain or memory row is last step's, shifted, with a new row 0 and column 0.
-A row that would place its products there builds no W at all: its Gram matrix
-X.T G X = sum_k g_k R_k reads every block correlation R_k from a ring of lag
-vectors, one fresh P-term product a step, and its update is g * (X(n) z).
-The same ring, one per group size, gives a unit-gain row, and a memory row
-that would place, its new row and column 0 as sums of N lag vectors.
+A gained row with P and M from ``_PLACE_FROM`` on builds no W there: its Gram
+matrix X.T G X = sum_k g_k R_k reads every block correlation R_k from a ring of
+lag vectors, one fresh P-term product a step, and its update is g * (X(n) z).
+The same ring, one per group size, gives a unit-gain row, and a memory row of
+such P, its new row and column 0 as sums of N lag vectors.
 
-The kernel spends products on W only where that is faster.  A single
-block has gain exactly one, so its W is X(n) itself, which the history
-serves as a C-contiguous view (``RegressorHistory.regressor_rows``).  Other
-rows weight that view in place: M*L products, each block gain copied over
-its rows, then one multiply.  Rows with P and M both from ``_PLACE_FROM``
-on place (P+M-1)*N products as the paper does, outside a recursive batch.
-All give the public builders' bits.  Every row computes its gains in buffers
-made once per batch, through the same gain rule as :func:`variant_gains`.
+A single block has gain exactly one, so its W is X(n) itself, which the history
+serves as a C-contiguous view (``RegressorHistory.regressor_rows``).  Every
+other row that builds W weights that view in place: M*L products, each block
+gain copied over its rows, then one multiply.  That gives the bits of the
+paper's (P+M-1)*N-product build, :func:`build_weighted_regressor_efficient`.
+Every row computes its gains in buffers made once per batch, through the same
+gain rule as :func:`variant_gains`.
 
 The projection systems are factored and solved by LAPACK's ``dgetrf`` and
 ``dgetrs``, from scipy's f2py extension ``scipy/linalg/_flapack*.so``.  It
@@ -92,9 +91,10 @@ _EPS = float(np.finfo(float).eps)
 # The gain of a single block spanning the filter: its floored norm over itself.
 _UNIT_GAIN = np.ones(1)
 _UNIT_GAIN.flags.writeable = False
-# A row places (P+M-1)*N products, rather than weighting X(n) in place, where
-# both P and M reach this: only there is placing faster (see the README).  A
-# recursive batch sums such a row's block correlations instead (see _Batch).
+# A recursive batch sums a gained row's block correlations from a lag ring,
+# rather than weighting X(n), where both P and M reach this (see _lag_group):
+# the cut from which the paper's build beat in-place weighting, and below
+# which a memory row's sums are slower than its gemvs (see the README).
 _PLACE_FROM = 16
 # A panel's batch forms its errors and its unit-gain and memory rows' Gram
 # matrices recursively from this projection order on: only there is it faster.
@@ -322,8 +322,8 @@ class RegressorHistory:
     ring of ``2*span`` rows of M floats, mirrored like the first: row i of
     X(n) is ring row ``head + i``, the M samples x(n - i) .. x(n - i - M + 1).
     The ring exists only once :meth:`regressor_rows` has been called (the
-    step kernel calls it only for a batch with a unit-gain or in-place
-    projection row), and from then on each push writes one row twice; it
+    step kernel calls it for a projection batch with any row but a memory row
+    that keeps its gemvs), and from then on each push writes one row twice; it
     costs ``2*span*M`` floats (0.13 MiB at L=1024, M=8; 1.05 MiB at
     L=4096, M=16).
     """
@@ -464,22 +464,12 @@ def build_weighted_regressor_efficient(gains: GainVector, history: RegressorHist
     group = gains.partition.group_size
     windows = history.block_windows(group)
     matrix = np.empty((history.filter_length, history.projection_order))
-    _place_products(gains.block_gains, windows, _rows_of(matrix, group))
+    products = gains.block_gains[:, None] * windows  # (N, P+M-1)
+    # Row i of block k is the M products from (k, i) on, so the copy moves whole
+    # rows: the matrix as (N, P) items of M floats, one per row.
+    rows = matrix.view(np.dtype((np.void, matrix.strides[0]))).reshape(-1, group)
+    np.copyto(rows, np.ndarray(rows.shape, rows.dtype, products, 0, (products.strides[0], products.itemsize)))
     return WeightedRegressor(matrix, windows.size)
-
-
-def _rows_of(matrix: np.ndarray, group_size: int) -> np.ndarray:
-    """A C-contiguous L-by-M ``matrix`` as ``(N, P)`` items of M floats, one per row."""
-    return matrix.view(np.dtype((np.void, matrix.strides[0]))).reshape(-1, group_size)
-
-
-def _place_products(block_gains: np.ndarray, windows: np.ndarray, rows: np.ndarray) -> None:
-    """The efficient build from block gains and ``block_windows`` output, into
-    the :func:`_rows_of` view of its L-by-M matrix; no checks.  Row i of block
-    k is the M products from (k, i) on, so the copy moves whole rows."""
-    products = block_gains[:, None] * windows  # (N, P+M-1)
-    placed = np.ndarray(rows.shape, rows.dtype, products, 0, (products.strides[0], products.itemsize))
-    np.copyto(rows, placed)
 
 
 def update_memory_regressor(state: FilterState, gains: GainVector, newest_input) -> np.ndarray:
@@ -540,6 +530,8 @@ def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if b.shape != (a.shape[0],):
         raise ValueError(f"rhs length {b.shape} does not match matrix order {a.shape[0]}")
+    if not _is_real(delta):
+        raise ValueError(f"regularization must be a real number, got {delta!r}")
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"regularization must be finite and nonnegative, got {delta}")
     lu, solution = np.array(a, order="F"), b.copy()
@@ -685,24 +677,22 @@ class _Batch:
 
     A step is six layers, one method each: gains, error, build, Gram, solve,
     update.  The weights are the rows of one ``(B, L)`` block, in four runs:
-    built rows (in place, then placed), summed rows, unit-gain rows, memory
-    rows (those that keep their products first, then those that sum);
-    ``_panel_batches`` orders them so.  The one gain pass fills each
-    other row's own gain buffers, in the order the build reads the rows
-    (in-place, placed, memory, then summed), and the build only weights.
-    Built rows weight their regressor into a C-contiguous ``(Bb, L, M)``
-    stack: they copy their block gains over their slot and multiply it by
-    X(n), the history's :meth:`~RegressorHistory.regressor_rows` view, in
-    place, or place the efficient build's products (P and M from
-    ``_PLACE_FROM`` on).  A unit-gain
+    built rows, summed rows, unit-gain rows, memory rows (those that keep
+    their products first, then those that sum); ``_panel_batches`` orders
+    them so.  The one gain pass fills each other row's own gain buffers, in
+    the order the build reads the rows (built, memory, then summed), and the
+    build only weights.  Built rows weight their regressor into a
+    C-contiguous ``(Bb, L, M)`` stack: they copy their block gains over their
+    slot and multiply it by X(n), the history's
+    :meth:`~RegressorHistory.regressor_rows` view, in place.  A unit-gain
     row (one block, of gain exactly one) uses that view itself, one row at a
     time: its X(n) z is an ``(L, M) @ (M,)`` product.  Memory rings
     are stacked as ``(Bm, 2M, L)`` under one head, whose row is weighted by
     x(n) the same way.  Each stacked product equals the per-filter product bit
-    for bit.  Only a unit-gain, in-place or lag-reading row reads the row view,
-    so only its history makes the row ring; a step that places nothing allocates
-    no array of L floats.  A single-projection batch is its :class:`_ScalarRow`
-    steps.  No checks.
+    for bit.  Only a built, unit-gain or lag-reading row reads the row view,
+    so only its history makes the row ring; a step allocates no array of L
+    floats.  A single-projection batch is its :class:`_ScalarRow` steps.  No
+    checks.
 
     A ``recursive`` batch keeps, per row, the a-posteriori errors
     ε = (1 - mu)e + mu*delta*z of its last step (e for a row whose system
@@ -711,7 +701,7 @@ class _Batch:
     e(n)[1:] = ε(n-1)[:M-1].  Its unit-gain and memory rows' Gram matrix is
     G(n-1)[:-1, :-1] shifted down the diagonal, with column 0, X(n).T W[:, 0],
     and then row 0, x(n).T W, formed anew; for a unit-gain row both are
-    X(n).T x(n), so that matrix is symmetric.  In-place rows form the full
+    X(n).T x(n), so that matrix is symmetric.  Built rows form the full
     product.  :meth:`without` carries the state of the rows it keeps.
 
     Row i of X(n) is row i - 1 of X(n-1), so block k's correlation is
@@ -719,16 +709,16 @@ class _Batch:
     x(m - i - j) is block 0's row 0 at time m.  A recursive batch keeps one
     ring of L + M - 1 lag vectors r_P per group size P its rows read, zero at
     the start and mirrored under one head; its build writes each r_P(n) once,
-    ``x(n)[:P] @ X(n)[:P]`` on the row view.  The rows that would place (P and
-    M from ``_PLACE_FROM`` on) are summed rows, with no W: C[a, j] = sum_k g_k
+    ``x(n)[:P] @ X(n)[:P]`` on the row view.  Gained rows with P and M from
+    ``_PLACE_FROM`` on are summed rows, with no W: C[a, j] = sum_k g_k
     r_P(n - a - kP)[j] is one stacked ``(N,) @ (M, N, M)`` product over a
     strided view of the ring, G[a, b] = C[min(a, b), |a - b|] is exactly
     symmetric, and the update is g * (X(n) z), the gains applied as the
-    in-place build does.  A unit-gain row's column 0 is sum_k r_P(n - kP); a
+    build does.  A unit-gain row's column 0 is sum_k r_P(n - kP); a
     memory row's is sum_k g_k(n) r_P(n - kP), row 0 of its C, and its row 0
     sum_k g_k(n - j) r_P(n - kP)[j], from a mirrored ring of its last M block
     gains.  The rule (:func:`_lag_group`): a unit-gain row always sums, and a
-    gained row, memory or not, where it would place; below that, a memory row's
+    gained row, memory or not, from ``_PLACE_FROM`` on; below that, a memory row's
     row 0 sum, an elementwise (M, N) pass, is slower than its gemv, so ``mpapa``
     keeps its two.  Build + Gram products a step: summed 0 + (P*M + N*M^2),
     unit-gain 0 + (P*M + N*M), memory L + (P*M + 2*N*M).
@@ -765,17 +755,14 @@ class _Batch:
         self._rhs = error[:, :, 0]
         self._systems = list(zip(self._lu, error))  # F-contiguous LU, (M, 1) rhs
         weighted = np.empty((built, length, order))
-        rows = list(zip(configs, weights, weighted))  # the built rows: zip stops at the summed rows
-        in_place = [row for row in rows if min(row[0].group_size, order) < _PLACE_FROM]
-        placed = [row for row in rows if min(row[0].group_size, order) >= _PLACE_FROM]
+        built_rows = list(zip(configs, weights, weighted))  # zip stops at the summed rows
         memory = list(zip(configs[p:], weights[p:], rings))
         summed = list(zip(configs[built:gained], weights[built:], self._updates[built:]))
         # The gain pass's (config, weights, gains, squares) a row, in the order the build reads them.
         self._gained = [(c, w, np.empty(c.block_count), _blocks(np.empty(length), c))
-                        for c, w, _ in in_place + placed + memory + summed]
-        # Built rows weight their slot, as (N, P*M) blocks, in place; see _PLACE_FROM.
-        self._in_place = [(c, m, m.reshape(c.block_count, -1)) for c, _, m in in_place]
-        self._placed = [(c, _rows_of(m, c.group_size)) for c, _, m in placed]
+                        for c, w, _ in built_rows + memory + summed]
+        # Built rows weight their slot, as (N, P*M) blocks, in place.
+        self._in_place = [(c, m, m.reshape(c.block_count, -1)) for c, _, m in built_rows]
         # A summing memory row's block gains g(n - j), j < M, mirrored under the memory rings' head.
         self._gain_rings = [np.zeros((2 * order, c.block_count)) for c in configs[self.summing :]]
         slots = [()] * (self.summing - p) + [(_mirrored(g),) for g in self._gain_rings]
@@ -879,8 +866,6 @@ class _Batch:
                 for group, slots in self._lag_slots:
                     np.matmul(x[:group], regressor[:group], out=slots[head, 0])
                     slots[head, 1] = slots[head, 0]
-        for (config, out), g in zip(self._placed, gains):
-            _place_products(g, history.block_windows(config.group_size), out)
         if self._memory:
             self.head = head = (self.head - 1) % history.projection_order
             x = history._buf[history._head : history._head + self.weights.shape[1]]
@@ -956,21 +941,19 @@ def _lag_group(config: FilterConfig) -> int | None:
 
 
 def _row_run(config: FilterConfig) -> int:
-    """The run of :class:`_Batch` rows ``config`` belongs to: 0 in place, 1 placed (summed in a
-    recursive batch), 2 unit-gain, 3 memory, 4 memory that sums in a recursive batch."""
-    if config.is_memory:
-        return 3 + (_lag_group(config) is not None)
-    if config.block_count == 1:
+    """The run of :class:`_Batch` rows ``config`` belongs to: 0 built, 1 summed in a recursive
+    batch (built in any other), 2 unit-gain, 3 memory, 4 memory that sums in a recursive batch."""
+    if config.block_count == 1 and not config.is_memory:
         return 2
-    return int(min(config.group_size, config.projection_order) >= _PLACE_FROM)
+    return 3 * config.is_memory + (_lag_group(config) is not None)
 
 
 def _panel_batches(configs):
     """One zeroed :class:`_Batch` per (projection order, branch) of ``configs``,
     which share the filter length, as ``(indices, batch)``: row b of the batch
-    is ``configs[indices[b]]``, in the batch's row order (in-place rows, placed
-    or summed rows, unit-gain rows, memory rows, those that sum last).  It is
-    recursive from order ``_RECURSE_FROM`` on, where its placed rows are summed."""
+    is ``configs[indices[b]]``, in the batch's row order (built rows, summed
+    rows, unit-gain rows, memory rows, those that sum last).  It is recursive
+    from order ``_RECURSE_FROM`` on, the only batch with summed rows."""
     groups = {}
     for k, config in sorted(enumerate(configs), key=lambda e: _row_run(e[1])):
         groups.setdefault((config.projection_order, config.is_scalar), []).append(k)

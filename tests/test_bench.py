@@ -190,8 +190,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("order", [3, 8])
     def test_row_view_entries_equal_their_solo_runs(self, order):
-        # unit-gain rows (apa, bs-papa P=L), one-tap rows (papa), placed
-        # products (bs-papa P=4) and memory rows in one batch
+        # unit-gain rows (apa, bs-papa P=L), one-tap rows (papa), in-place
+        # rows (bs-papa P=4) and memory rows in one batch
         sc = small_scenario(total=300, switch=150)
         base = dict(filter_length=32, projection_order=order)
         panel = [

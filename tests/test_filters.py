@@ -449,8 +449,8 @@ class TestBlasLayout:
             for v in variants
         ]
         [(_, batch)] = filters._panel_batches(configs)
-        # a panel's batch places nothing: from _PLACE_FROM on it is recursive and sums
-        assert batch.scalar or not batch._placed and bool(batch._summed) == (min(M, P) >= filters._PLACE_FROM)
+        # from _PLACE_FROM on a panel's batch is recursive and sums
+        assert batch.scalar or bool(batch._summed) == (min(M, P) >= filters._PLACE_FROM)
         order = configs[0].projection_order
         history = RegressorHistory(L, order)
         rng = np.random.default_rng(len(variants))
@@ -459,16 +459,6 @@ class TestBlasLayout:
             batch.step(history, rng.standard_normal(order))
         expected = (2 * (L + order - 1), order) if reads_rows else None  # 2*span rows of M floats
         assert (None if history._rows is None else history._rows.shape) == expected
-
-    def test_a_placed_row_makes_no_row_ring(self):
-        """The batch of one a ``FilterState`` keeps places its products at P = M = 16."""
-        cfg = FilterConfig("bs-papa", 32, 16, 16)
-        state, history, rng = FilterState.initial(cfg), RegressorHistory(32, 16), np.random.default_rng(16)
-        for _ in range(5):
-            history.push(rng.standard_normal())
-            filter_step(cfg, state, history, rng.standard_normal(16))
-        assert state._batch[3]._placed and not state._batch[3]._summed
-        assert history._rows is None
 
     def test_a_recursive_batch_makes_one_lag_ring_per_group_size(self):
         """apa (P = 16, the divisor of L = 256 nearest its root), bs-papa and bs-mpapa
@@ -619,6 +609,12 @@ class TestSolveRegularized:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             solve_regularized(np.eye(2), delta, np.zeros(2))
 
+    @pytest.mark.parametrize("delta", ["x", True, None])
+    def test_non_real_delta_rejected(self, delta):
+        """As ``FilterConfig.regularization``: a bool is no real number, so True is no delta of one."""
+        with pytest.raises(ValueError, match="^regularization must be a real number"):
+            solve_regularized(np.eye(2), delta, np.zeros(2))
+
     def test_shape_checks(self):
         with pytest.raises(ValueError):
             solve_regularized(np.zeros((2, 3)), 0.1, np.zeros(2))
@@ -751,12 +747,11 @@ class TestFilterStep:
     def test_the_six_layers_called_in_turn_are_the_step(self, variant, M, group):
         """A batch of one stepped through its layer methods, not ``step``, has
         ``filter_step``'s errors and weights bit for bit, past 3M samples: every
-        ring wraps.  bs-papa weights X(n) in place at P=M=8 and places its
-        products at P=M=16."""
+        ring wraps.  bs-papa weights X(n) in place at P=M=8 and at P=M=16, where
+        only a recursive batch sums it."""
         L = 64
         cfg = FilterConfig(variant, L, M, group_size=group, step_size=0.3)
         batch = filters._Batch([cfg], np.zeros((1, L)), np.zeros((int(cfg.is_memory), 2 * M, L)))
-        assert bool(batch._placed) == (M == 16)
         state, history, desired = FilterState.initial(cfg), RegressorHistory(L, M), np.zeros(M)
         rng = np.random.default_rng(32)
         for x, d in rng.standard_normal((3 * M + 5, 2)):
@@ -963,29 +958,49 @@ class TestFilterStep:
             tracemalloc.stop()
         assert batch.scalar and size < 72 * 1024, size
 
-    @pytest.mark.parametrize("preset", ["fig2", "fig3"])
-    def test_projection_batch_step_allocates_no_filter_length_array(self, preset):
-        """Every fig2/fig3 row weights X(n) in place, with its gains in buffers of its own."""
-        configs = [cfg for _, cfg in preset_config(preset).panel]
-        [(_, batch)] = filters._panel_batches(configs)
-        assert not batch._placed
+    @pytest.mark.parametrize(
+        "case,via_filter_step",
+        [("fig2", False), ("fig3", False), ("apa", False), ("bs-papa", False), ("bs-mpapa", False),
+         ("bs-papa", True)],
+    )
+    def test_projection_batch_step_allocates_no_filter_length_array(self, case, via_filter_step):
+        """Every fig2/fig3 row weights X(n) in place, with its gains in buffers of its own,
+        and a step's temporaries stay under 8 KiB.  Long-echo's entries at (L, M) =
+        (4096, 16), P=64, each as its own panel batch, and the batch of one ``filter_step``
+        keeps for bs-papa, stay under one array of L floats."""
+        if case in ("fig2", "fig3"):
+            configs, bound = [cfg for _, cfg in preset_config(case).panel], 8 * 1024
+        else:
+            configs, bound = [FilterConfig(case, 4096, 16, None if case == "apa" else 64)], 8 * 4096
+        L, M = configs[0].filter_length, configs[0].projection_order
+        if via_filter_step:
+            state = FilterState.initial(configs[0])
+
+            def step(history, desired):
+                filter_step(configs[0], state, history, desired)
+        else:
+            [(_, batch)] = filters._panel_batches(configs)
+
+            def step(history, desired):
+                assert not batch.step(history, desired)[1]
+
         rng = np.random.default_rng(29)
-        history = RegressorHistory(1024, 8)
-        samples, desired = rng.standard_normal(70), rng.standard_normal((70, 8))
+        history = RegressorHistory(L, M)
+        samples, desired = rng.standard_normal(70), rng.standard_normal((70, M))
         for x, d in zip(samples[:20], desired[:20]):  # warm-up: the row ring is made
             history.push(x)
-            batch.step(history, d)
+            step(history, d)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             for x, d in zip(samples[20:], desired[20:]):
                 history.push(x)
-                assert not batch.step(history, d)[1]
+                step(history, d)
             growth = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert growth < 8 * 1024, growth
+        assert growth < bound, growth
 
     def test_process_on_silent_input_raises_singular_with_pivot(self):
         cfg = FilterConfig("bs-papa", 8, 2, group_size=4, regularization=0.0)

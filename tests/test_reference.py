@@ -206,17 +206,18 @@ def test_oracle_comparison_catches_a_squared_one_tap_gain_in_scalar_rows(monkeyp
     assert scalar_gap(cfg)[0] > 1e-6
 
 
-# The rows of the batch tests at M = 16: unit-gain, one-tap and P=4 rows weighted
-# in place, a placed P=64 row, and memory rows, one-tap and P=64.
+# The rows of the batch tests at M = 16: a unit-gain row, which is X(n) itself, one-tap,
+# P=4 and P=64 rows weighted in place (P=64 sums in a recursive batch), and memory rows,
+# one-tap and P=64.
 BOTH_BUILDS = [("apa", 1024), ("papa", 1), ("bs-papa", 4), ("bs-papa", 64), ("mpapa", 1), ("bs-mpapa", 64)]
 
 
 def test_batch_with_both_builds_equals_solo_runs_and_reference():
-    """At M = ``filters._PLACE_FROM`` a row with as many taps a block places
-    its products while narrower rows weight X(n) in place: a six-entry batch
-    of full products, built as a ``FilterState`` builds its batch of one,
-    equals each solo run and the reference step exactly, past a wrap of the
-    memory rings."""
+    """At M = ``filters._PLACE_FROM`` a six-entry batch of full products, built
+    as a ``FilterState`` builds its batch of one, weights X(n) in place for
+    every gained row, the P=64 row too, and reads X(n) itself for the
+    unit-gain row.  It equals each solo run and the reference step exactly,
+    past a wrap of the memory rings."""
     L, M, steps = 1024, filters._PLACE_FROM, 120
     members = BOTH_BUILDS
     configs = [variant_config(v, L, M, P, step_size=0.3) for v, P in members]
@@ -224,8 +225,7 @@ def test_batch_with_both_builds_equals_solo_runs_and_reference():
     assert panel_batch.recursive  # run_experiment's batch there takes the recursions; see below
     rows = [configs[k] for k in indices]
     batch = filters._Batch(rows, np.zeros((len(rows), L)), np.zeros((2, 2 * M, L)))
-    assert [c.group_size for c, *_ in batch._in_place] == [1, 4]
-    assert [c.group_size for c, *_ in batch._placed] == [64]
+    assert [c.group_size for c, *_ in batch._in_place] == [1, 4, 64]
     solo = [AdaptiveFilter(cfg) for cfg in configs]
     refs = [ReferenceState(cfg) for cfg in configs]
     rng = np.random.default_rng(31)
@@ -255,7 +255,7 @@ def test_recursive_panel_batch_equals_the_reference_and_its_one_entry_runs():
     ``run_experiment`` bit for bit.  A delta=0 unit-gain row, singular at
     sample 0, fails there as in its one-entry run, and the batch it leaves
     carries the others' recursion state on.  The bs-papa rows of P=64 and
-    P=16 place nothing: they sum their block correlations."""
+    P=16 sum their block correlations."""
     L, M, steps = 1024, filters._RECURSE_FROM, 40
     configs = [variant_config(v, L, M, P, step_size=0.3) for v, P in BOTH_BUILDS]
     configs.append(variant_config("apa", L, M, L, step_size=0.3, regularization=0.0))
@@ -263,7 +263,7 @@ def test_recursive_panel_batch_equals_the_reference_and_its_one_entry_runs():
     [(rows, batch)] = filters._panel_batches(configs)
     assert batch.recursive and rows == [1, 2, 3, 7, 0, 6, 4, 5]
     assert [c.group_size for c, *_ in batch._in_place] == [1, 4]
-    assert not batch._placed and [group for group, *_ in batch._summed] == [64, 16]
+    assert [group for group, *_ in batch._summed] == [64, 16]
     assert batch._lag_groups == [16, 32, 64] and len(batch._memory_sums) == 1  # apa: P = 32
     response = make_block_sparse_ir(L, [(1, 24)], seed=5)
     sc = EchoScenario(schedule=((0, response),), total_samples=steps, seed=9)
