@@ -22,7 +22,7 @@ of one a ``FilterState`` keeps, a lone ``_ScalarRow`` for ``pnlms``/``bs-pnlms``
 From ``_RECURSE_FROM`` on, a panel's batch takes the fast affine projection
 recursions: of its M errors only e(n)[0] is a product, and the Gram matrix of
 a unit-gain or memory row is last step's, shifted, with a new row 0 and column 0.
-A gained row with P and M from ``_PLACE_FROM`` on builds no W there: its Gram
+A gained row with P and M from ``_SUM_FROM`` on builds no W there: its Gram
 matrix X.T G X = sum_k g_k R_k reads every block correlation R_k from a ring of
 lag vectors, one fresh P-term product a step, and its update is g * (X(n) z).
 The same ring, one per group size, gives a unit-gain row, and a memory row of
@@ -95,7 +95,7 @@ _UNIT_GAIN.flags.writeable = False
 # rather than weighting X(n), where both P and M reach this (see _lag_group):
 # the cut from which the paper's build beat in-place weighting, and below
 # which a memory row's sums are slower than its gemvs (see the README).
-_PLACE_FROM = 16
+_SUM_FROM = 16
 # A panel's batch forms its errors and its unit-gain and memory rows' Gram
 # matrices recursively from this projection order on: only there is it faster.
 _RECURSE_FROM = 16
@@ -306,26 +306,33 @@ class RegressorHistory:
     always one contiguous slice.  Samples earlier than the stream start read
     as zero.
 
-    The ring is stored M times, as the rows of one ``(M, 2*span)`` array,
-    and row j is read starting j columns later.  Row j of ``X(n).T`` then
-    sits ``2*span + 1`` floats after row j - 1, so :meth:`regressor_matrix`
-    is a view with unit stride along the taps, which BLAS accepts for the
-    error and Gram products.  The price is M copies of the ring (about
-    1 MiB at L=4096, M=16) and 2M writes per push.
+    X(n).T is read from the ring stored M times, as the rows of one
+    ``(M, 2*span)`` array, where row j is read starting j columns later.
+    Row j of ``X(n).T`` then sits ``2*span + 1`` floats after row j - 1, so
+    :meth:`regressor_matrix` is a view with unit stride along the taps,
+    which BLAS accepts for the error and Gram products.  Rows 1..M-1 cost
+    M - 1 more copies of the ring (about 1 MiB at L=4096, M=16) and 2(M-1)
+    more writes a push, so the history keeps row 0 alone until X(n).T is
+    first read whole (:meth:`regressor_matrix`, or the step kernel's
+    :meth:`_transposed`), and makes the others then from the stored samples.
+    Row 0 as a one-row X(n).T with the same strides is always there.
 
     Every array handed out is a view of the ring buffer, valid until the
     next push.  :meth:`regressor_matrix` and :meth:`block_windows` index
-    read-only strided views built once per history (the block views once
+    read-only strided views built once per ring (the block views once
     per group size), so they cost one integer index per call.
 
     :meth:`regressor_rows` serves X(n) itself C-contiguous, from a second
-    ring of ``2*span`` rows of M floats, mirrored like the first: row i of
-    X(n) is ring row ``head + i``, the M samples x(n - i) .. x(n - i - M + 1).
-    The ring exists only once :meth:`regressor_rows` has been called (the
-    step kernel calls it for a projection batch with any row but a memory row
-    that keeps its gemvs), and from then on each push writes one row twice; it
-    costs ``2*span*M`` floats (0.13 MiB at L=1024, M=8; 1.05 MiB at
-    L=4096, M=16).
+    ring of 2R rows of M floats, mirrored like the first under a head of
+    its own: ring row ``head + i`` is row i of X(n), the M samples
+    x(n - i) .. x(n - i - M + 1), for i < R.  The ring exists only once a
+    caller has asked for R rows (:meth:`_first_rows`; the step kernel asks
+    for all L where it multiplies by X(n), and for the P rows of its largest
+    lag group where only a memory row's lag write reads them); a later call
+    for more rows makes it again, from the stored samples.  From then on
+    each push writes one row twice.  It costs ``2*R*M`` floats (0.13 MiB
+    for R=L=1024, M=8; 1.0 MiB for R=L=4096, M=16; 16 KiB for R=P=64,
+    M=16).
     """
 
     def __init__(self, filter_length: int, projection_order: int):
@@ -337,37 +344,42 @@ class RegressorHistory:
         self.projection_order = projection_order
         span = filter_length + projection_order - 1
         self._span = span
-        rows = np.zeros((projection_order, 2 * span))
-        self._buf = rows[0]
         self._head = 0
-        step = rows.strides[1]
-        # Entry h is the 2M slots a push at head position h writes: slot
-        # 2j + k is column h + k*span of row j.
-        self._slots = as_strided(rows, (span, 2 * projection_order), (step, span * step))
-        # Entry h is X(n).T for head position h: row j is x(n - j).
-        self._xt = as_strided(
-            rows,
-            (span, projection_order, filter_length),
-            (step, (2 * span + 1) * step, step),
-            writeable=False,
-        )
         self._block_views: dict[int, np.ndarray] = {}
-        self._rows = self._row_slots = None  # the row ring, made by regressor_rows()
+        self._ring(np.zeros((1, 2 * span)))
+        # the row ring, made by _first_rows(): its 2R rows, the two a push writes by head, its head, R
+        self._rows = self._row_slots = None
+        self._row_head = self._row_count = 0
+
+    def _ring(self, rows: np.ndarray) -> None:
+        """Serve every view from ``rows``, the ``(1, 2*span)`` or ``(M, 2*span)`` ring copies."""
+        span, length, order = self._span, self.filter_length, self.projection_order
+        step = rows.strides[1]
+        self._buf = rows[0]
+        self._block_views.clear()
+        # Entry h is the 2K slots a push at head position h writes, K rows: slot
+        # 2j + k is column h + k*span of row j.
+        self._slots = as_strided(rows, (span, 2 * len(rows)), (step, span * step))
+        # Entry h is X(n).T for head position h: row j is x(n - j); _x0 is its row 0.
+        skew = (step, (2 * span + 1) * step, step)
+        self._x0 = as_strided(rows, (span, 1, length), skew, writeable=False)
+        self._xt = as_strided(rows, (span, order, length), skew, writeable=False) if len(rows) == order else None
 
     def __getstate__(self) -> tuple:
-        """(L, M, head, one ring row): the M rows are equal, and every view is rebuilt."""
+        """(L, M, head, one ring row): the ring copies are equal, and every view is rebuilt."""
         return self.filter_length, self.projection_order, self._head, self._buf.copy()
 
     def __setstate__(self, state: tuple) -> None:
         self.__init__(*state[:2])
-        self._head, self._buf.base[:] = state[2:]  # base: the (M, 2*span) rows
+        self._head, self._buf[:] = state[2:]
 
     def push(self, sample: float) -> None:
         """Append ``sample`` as the newest input x(n)."""
         self._head = head = (self._head - 1) % self._span
         self._slots[head] = sample
         if self._rows is not None:
-            self._row_slots[head] = self._buf[head : head + self.projection_order]
+            self._row_head = row = (self._row_head - 1) % self._row_count
+            self._row_slots[row] = self._buf[head : head + self.projection_order]
 
     def extend(self, samples) -> None:
         """Push a batch of samples, oldest first."""
@@ -386,24 +398,36 @@ class RegressorHistory:
 
     def regressor_matrix(self) -> np.ndarray:
         """The L-by-M matrix whose column j is the input vector delayed j samples."""
-        return self._xt[self._head].T
+        return self._transposed().T
+
+    def _transposed(self) -> np.ndarray:
+        """X(n).T, unit stride along the taps; the first call makes ring rows 1..M-1."""
+        if self._xt is None:
+            rows = np.empty((self.projection_order, 2 * self._span))
+            rows[:] = self._buf
+            self._ring(rows)
+        return self._xt[self._head]
 
     def regressor_rows(self) -> np.ndarray:
-        """:meth:`regressor_matrix` as a C-contiguous view of the row ring.
+        """:meth:`regressor_matrix` as a C-contiguous view of the row ring."""
+        return self._first_rows(self.filter_length)
 
-        The first call allocates the ring and fills it from the stored
-        samples; every later push keeps it current.
-        """
-        if self._rows is None:
-            span, order = self._span, self.projection_order
+    def _first_rows(self, count: int) -> np.ndarray:
+        """X(n)[:count] as a C-contiguous read-only view of the row ring, for ``count`` in
+        [1, L].  A call for more rows than the ring holds makes it again from the stored
+        samples; every later push keeps it current."""
+        if count > self._row_count:
+            if not (_is_integer(count) and 1 <= count <= self.filter_length):
+                raise ValueError(f"count must be an integer in [1, {self.filter_length}], got {count!r}")
             step = self._buf.strides[0]
-            rows = np.empty((2 * span, order))
-            # ring row r holds the M samples from window slot r mod span on
-            rows[:span] = rows[span:] = as_strided(self._buf, (span, order), (step, step))
+            rows = np.empty((2 * count, self.projection_order))
+            # ring row i holds the M samples from window slot i on
+            rows[:count] = rows[count:] = as_strided(self._buf[self._head :], rows[:count].shape, (step, step))
             self._row_slots = _mirrored(rows)  # entry h: the two copies a push at head h writes
             self._rows = rows.view()
             self._rows.flags.writeable = False
-        return self._rows[self._head : self._head + self.filter_length]
+            self._row_head, self._row_count = 0, count
+        return self._rows[self._row_head : self._row_head + count]
 
     def block_windows(self, group_size: int) -> np.ndarray:
         """The N-by-(P+M-1) samples each block of ``group_size`` taps reads.
@@ -689,10 +713,15 @@ class _Batch:
     time: its X(n) z is an ``(L, M) @ (M,)`` product.  Memory rings
     are stacked as ``(Bm, 2M, L)`` under one head, whose row is weighted by
     x(n) the same way.  Each stacked product equals the per-filter product bit
-    for bit.  Only a built, unit-gain or lag-reading row reads the row view,
-    so only its history makes the row ring; a step allocates no array of L
-    floats.  A single-projection batch is its :class:`_ScalarRow` steps.  No
-    checks.
+    for bit.  The history's copies of its input are made as the batch reads
+    them: a batch with a built, unit-gain or summed row reads all of X(n) from
+    the row view; one whose only reader is a summing memory row's lag write
+    reads X(n)[:P], P its largest lag group, so its history's row ring holds
+    2P rows (16 KiB at P=64, M=16, not 1 MiB); other batches read none.  Only
+    a full-product error or Gram, that of a batch that is not recursive, of
+    its built rows, or of a memory row's gemvs, reads X(n).T whole and makes
+    the history's M-fold ring.  A step allocates no array of L floats.  A
+    single-projection batch is its :class:`_ScalarRow` steps.  No checks.
 
     A ``recursive`` batch keeps, per row, the a-posteriori errors
     ε = (1 - mu)e + mu*delta*z of its last step (e for a row whose system
@@ -710,7 +739,7 @@ class _Batch:
     ring of L + M - 1 lag vectors r_P per group size P its rows read, zero at
     the start and mirrored under one head; its build writes each r_P(n) once,
     ``x(n)[:P] @ X(n)[:P]`` on the row view.  Gained rows with P and M from
-    ``_PLACE_FROM`` on are summed rows, with no W: C[a, j] = sum_k g_k
+    ``_SUM_FROM`` on are summed rows, with no W: C[a, j] = sum_k g_k
     r_P(n - a - kP)[j] is one stacked ``(N,) @ (M, N, M)`` product over a
     strided view of the ring, G[a, b] = C[min(a, b), |a - b|] is exactly
     symmetric, and the update is g * (X(n) z), the gains applied as the
@@ -718,7 +747,7 @@ class _Batch:
     memory row's is sum_k g_k(n) r_P(n - kP), row 0 of its C, and its row 0
     sum_k g_k(n - j) r_P(n - kP)[j], from a mirrored ring of its last M block
     gains.  The rule (:func:`_lag_group`): a unit-gain row always sums, and a
-    gained row, memory or not, from ``_PLACE_FROM`` on; below that, a memory row's
+    gained row, memory or not, from ``_SUM_FROM`` on; below that, a memory row's
     row 0 sum, an elementwise (M, N) pass, is slower than its gemv, so ``mpapa``
     keeps its two.  Build + Gram products a step: summed 0 + (P*M + N*M^2),
     unit-gain 0 + (P*M + N*M), memory L + (P*M + 2*N*M).
@@ -786,7 +815,8 @@ class _Batch:
         views = {group: as_strided(lags, (span, order, length // group, order),
                                    (row, row, group * row, tap), writeable=False)
                  for group, lags in zip(self._lag_groups, self._lags)}
-        self._reads_rows = bool(self._row_parts or self._in_place or self._lag_slots)
+        # the rows of X(n) the build reads: all of them to multiply by it, else the largest lag group's
+        self._row_count = length if self._row_parts or self._in_place else max(self._lag_groups, default=0)
         self._sums = np.empty((len(summed), order, order))  # C[a, j] = sum_k g_k r(n - a - kP)[j]
         a, b = np.indices((order, order))
         self._mirror = np.minimum(a, b) * order + abs(a - b)  # G[a, b] = C[min(a, b), |a - b|]
@@ -799,8 +829,13 @@ class _Batch:
         # views) a summing memory row.
         unit = groups[gained] if p > gained else None
         self._unit_sum = unit and (np.ones(length // unit), views[unit])
-        self._memory_sums = [(gram[b], gains, views[groups[b]])
+        self._memory_sums = [(gram[b], gains, views[groups[b]], np.empty((order, length // groups[b])))
                              for b, gains in zip(range(self.summing, count), self._gain_rings)]
+        # The shift of the unit-gain and memory rows' Gram stack down its diagonal, as one copy
+        # along the flat stack: its overlap runs backwards unbuffered, and what it writes to row
+        # and column 0 is formed anew.
+        flat = gram[gained:].reshape(-1)
+        self._shift = (flat[order + 1 :], flat[: len(flat) - order - 1])
         # Indexed by head: the (Bm, L, M) regressors as in FilterState.
         ring, row, tap = rings.strides
         shape = (order, len(rings), length, order)
@@ -840,13 +875,13 @@ class _Batch:
     def _error(self, history: RegressorHistory, desired: np.ndarray) -> list:
         """The a-priori errors ``d - X.T w``, into the solve's right-hand sides; return each row's
         e(n).  A recursive batch forms e(n)[0] alone, and keeps e(n) for the update layer."""
-        xt, rhs = history._xt[history._head], self._rhs
+        rhs = self._rhs
         if not self.recursive:
-            np.matmul(xt, self._columns, out=self._errors)
+            np.matmul(history._transposed(), self._columns, out=self._errors)
             np.subtract(desired, rhs, out=rhs)
             return rhs[:, 0].tolist()
         rhs[:, 1:] = self._eps[:, :-1]
-        np.matmul(xt[:1], self._columns, out=self._errors[:, :1])  # one dot product a row
+        np.matmul(history._x0[history._head], self._columns, out=self._errors[:, :1])  # one dot product a row
         np.subtract(desired[0], rhs[:, 0], out=rhs[:, 0])
         np.copyto(self._eps, rhs)
         return rhs[:, 0].tolist()
@@ -855,8 +890,8 @@ class _Batch:
         """Weight the gained rows' regressors by ``gains``, push the lag and gain rings; return
         the (W, Gram, error, update) stacks and rows."""
         gains, parts = iter(gains), self._parts
-        if self._reads_rows:
-            regressor = history.regressor_rows()
+        if self._row_count:
+            regressor = history._first_rows(self._row_count)
             for (_, out, blocks), g in zip(self._in_place, gains):
                 _weigh(g, regressor, out, blocks)
             parts = parts + [(regressor, *row) for row in self._row_parts]
@@ -881,8 +916,10 @@ class _Batch:
     def _gram(self, history: RegressorHistory, parts: list) -> None:
         """Each stack's Gram matrix ``X.T W``; a recursive batch sums its summed rows', and
         shifts its unit-gain and memory rows' and forms their row and column 0 alone."""
-        xt = history._xt[history._head]
-        for weighted, gram, _, _ in parts[: len(self._parts)] if self.recursive else parts:
+        products = parts[: len(self._parts)] if self.recursive else parts
+        if products or self.summing > self.plain:  # only these multiply by X(n).T whole
+            xt = history._transposed()
+        for weighted, gram, _, _ in products:
             np.matmul(xt, weighted, out=gram)
         lag = self._lag_head
         if self._summed:  # C = g @ the correlation view, mirrored onto G
@@ -891,9 +928,9 @@ class _Batch:
             self._grams[self.built : self.gained] = self._sums.reshape(len(self._sums), -1)[:, self._mirror]
         if not self.recursive or self.gained == len(self.configs):
             return
-        shifted, head, order = self._grams[self.gained :], self.head, len(xt)
-        shifted[:, 1:, 1:] = shifted[:, :-1, :-1]
-        units = shifted[: self.plain - self.gained]
+        head, order = self.head, history.projection_order
+        np.copyto(*self._shift)
+        units = self._grams[self.gained : self.plain]
         if len(units):  # column 0, then the same row 0: sum_k r(n - kP)
             ones, views = self._unit_sum
             units[:, :, 0] = units[:, 0] = ones @ views[lag, 0]
@@ -901,11 +938,12 @@ class _Batch:
             memory, rings = self._grams[self.plain : self.summing], self.rings[: self.summing - self.plain]
             np.matmul(xt, rings[:, head, :, None], out=memory[:, :, :1])
             np.matmul(rings[:, head : head + order], xt[0, :, None], out=memory[:, :1].transpose(0, 2, 1))
-        for gram, gains, views in self._memory_sums:
+        for gram, gains, views, terms in self._memory_sums:
             # column 0 = sum_k g_k(n) r(n - kP), then row 0 = sum_k g_k(n - j) r(n - kP)[j]
             lags = views[lag, 0]
             gram[:, 0] = gains[head] @ lags
-            gram[0] = (gains[head : head + order] * lags.T).sum(1)
+            np.copyto(terms, lags.T)  # then multiplied in place: a multiply reading lags.T would buffer it
+            np.add.reduce(np.multiply(terms, gains[head : head + order], out=terms), 1, out=gram[0])
 
     def _solve(self) -> dict:
         """Solve ``(Gram + delta*I) z = e`` in place of the errors; return ``{row: failure}``."""
@@ -937,7 +975,7 @@ def _lag_group(config: FilterConfig) -> int | None:
     if config.block_count == 1 and not config.is_memory:
         small = max(d for d in range(1, math.isqrt(length) + 1) if length % d == 0)
         return min((small, length // small), key=lambda d: abs(d - math.sqrt(length)))
-    return group if min(group, config.projection_order) >= _PLACE_FROM else None
+    return group if min(group, config.projection_order) >= _SUM_FROM else None
 
 
 def _row_run(config: FilterConfig) -> int:

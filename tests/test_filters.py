@@ -28,6 +28,7 @@ from bspapa import (
     update_memory_regressor,
     variant_gains,
 )
+from oracles import reference_regressor_matrix
 
 
 def make_history(samples, filter_length, projection_order):
@@ -229,6 +230,47 @@ class TestRegressorHistory:
             assert np.array_equal(twin.regressor_matrix(), history.regressor_matrix())
             assert np.array_equal(twin.regressor_rows(), history.regressor_rows())
             assert np.array_equal(twin.block_windows(4), history.block_windows(4))
+
+    @pytest.mark.parametrize("L,M,P", [(16, 3, 4), (64, 8, 16)])
+    def test_a_ring_of_first_rows_grows_to_the_whole_regressor(self, L, M, P):
+        rng = np.random.default_rng(L + M + P)
+        history = make_history(rng.standard_normal(5), L, M)
+        for _ in range(2 * P + 3):  # past 2P pushes: the P-row ring wraps
+            rows = history._first_rows(P)
+            assert rows.flags.c_contiguous and history._rows.shape == (2 * P, M)
+            assert np.array_equal(rows, reference_regressor_matrix(history)[:P])
+            history.push(rng.standard_normal())
+        assert history._xt is None  # nothing above read X(n).T whole
+        for _ in range(2 * (L + M) + 3):  # past 2L pushes and the window's wrap
+            rows = history.regressor_rows()
+            assert rows.flags.c_contiguous and history._rows.shape == (2 * L, M)
+            assert np.array_equal(rows, np.ascontiguousarray(history.regressor_matrix()))
+            assert np.array_equal(history._first_rows(P), rows[:P])
+            history.push(rng.standard_normal())
+        with pytest.raises(ValueError):
+            history._first_rows(L + 1)
+
+    @pytest.mark.parametrize("reads", ["none", "first rows", "all rows", "transposed"])
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda h: pickle.loads(pickle.dumps(h))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_round_trips_before_and_after_its_rings_are_made(self, reads, clone):
+        L, M, P = 16, 3, 4
+        rng = np.random.default_rng(31)
+        history = make_history(rng.standard_normal(2 * L), L, M)
+        read = {"none": lambda h: None, "first rows": lambda h: h._first_rows(P),
+                "all rows": RegressorHistory.regressor_rows, "transposed": RegressorHistory.regressor_matrix}[reads]
+        read(history)
+        twin = clone(history)
+        assert twin._xt is None and twin._rows is None  # a copy holds one ring row
+        for _ in range(2 * (L + M) + 3):
+            sample = rng.standard_normal()
+            history.push(sample)
+            twin.push(sample)
+            read(twin)
+            assert np.array_equal(twin.window(), history.window())
+            assert np.array_equal(twin._first_rows(P), history._first_rows(P))
+            assert np.array_equal(twin.regressor_matrix(), history.regressor_matrix())
+            assert np.array_equal(twin.regressor_rows(), history.regressor_rows())
 
     def test_a_pickle_holds_one_ring_row(self):
         history = make_history(np.random.default_rng(30).standard_normal(3000), 1024, 8)
@@ -439,7 +481,7 @@ class TestBlasLayout:
             (("bs-papa",), True, (16, 3, 4)),  # P taps a block, weighted in place
             (("bs-papa", "papa"), True, (16, 3, 4)),  # one-tap rows, weighted in place
             (("apa", "mpapa"), True, (16, 3, 4)),  # unit-gain rows are the row view
-            (("bs-papa",), True, (32, 16, 16)),  # P and M from _PLACE_FROM on: summed, reading X(n)
+            (("bs-papa",), True, (32, 16, 16)),  # P and M from _SUM_FROM on: summed, reading X(n)
         ],
     )
     def test_unit_gain_in_place_and_summed_rows_make_the_row_ring(self, variants, reads_rows, shape):
@@ -449,27 +491,27 @@ class TestBlasLayout:
             for v in variants
         ]
         [(_, batch)] = filters._panel_batches(configs)
-        # from _PLACE_FROM on a panel's batch is recursive and sums
-        assert batch.scalar or bool(batch._summed) == (min(M, P) >= filters._PLACE_FROM)
+        # from _SUM_FROM on a panel's batch is recursive and sums
+        assert batch.scalar or bool(batch._summed) == (min(M, P) >= filters._SUM_FROM)
         order = configs[0].projection_order
         history = RegressorHistory(L, order)
         rng = np.random.default_rng(len(variants))
         for _ in range(5):
             history.push(rng.standard_normal())
             batch.step(history, rng.standard_normal(order))
-        expected = (2 * (L + order - 1), order) if reads_rows else None  # 2*span rows of M floats
+        expected = (2 * L, order) if reads_rows else None  # 2L rows of M floats: X(n) mirrored
         assert (None if history._rows is None else history._rows.shape) == expected
 
     def test_a_recursive_batch_makes_one_lag_ring_per_group_size(self):
         """apa (P = 16, the divisor of L = 256 nearest its root), bs-papa and bs-mpapa
-        with P = 16 read one lag ring; a memory row's lag write reads X(n), so its history
-        makes the row ring.  mpapa (P = 1) keeps its products over X(n): no lag ring, and
-        no row ring."""
+        with P = 16 read one lag ring; a memory row's lag write reads X(n)[:P], so alone
+        its history makes a row ring of 2P rows.  mpapa (P = 1) keeps its products over
+        X(n): no lag ring, and no row ring."""
         L, M = 256, filters._RECURSE_FROM
         configs = [FilterConfig("apa", L, M), FilterConfig("bs-papa", L, M, 16), FilterConfig("bs-mpapa", L, M, 16)]
         rng = np.random.default_rng(256)
-        for members, groups, reads_rows in ((configs, [16], True), (configs[2:], [16], True),
-                                            ([FilterConfig("mpapa", L, M)], [], False)):
+        for members, groups, rows in ((configs, [16], (2 * L, M)), (configs[2:], [16], (2 * 16, M)),
+                                      ([FilterConfig("mpapa", L, M)], [], None)):
             [(_, batch)] = filters._panel_batches(members)
             assert batch.recursive and batch._lag_groups == groups
             assert batch._lags.shape == (len(groups), 2 * (L + M - 1), M)
@@ -477,7 +519,38 @@ class TestBlasLayout:
             for _ in range(5):
                 history.push(rng.standard_normal())
                 batch.step(history, rng.standard_normal(M))
-            assert (history._rows is not None) == reads_rows
+            assert (None if history._rows is None else history._rows.shape) == rows
+
+    @pytest.mark.parametrize("variant,group,rows", [("apa", None, 4096), ("bs-papa", 64, 4096), ("bs-mpapa", 64, 64)])
+    def test_long_echo_entries_never_make_the_m_fold_ring(self, variant, group, rows):
+        """Long-echo's entries, each as its own panel batch at (4096, 16), read X(n).T only
+        by its row 0: past a wrap of the window their history still holds one ring row, so a
+        push writes two slots.  The row ring holds the rows of X(n) the batch reads."""
+        L, M = 4096, 16
+        [(_, batch)] = filters._panel_batches([FilterConfig(variant, L, M, group)])
+        history = RegressorHistory(L, M)
+        rng = np.random.default_rng(4096)
+        samples, desired = rng.standard_normal(L + M + 8), rng.standard_normal((L + M + 8, M))
+        for x, d in zip(samples, desired):  # past span = L + M - 1 pushes: the window wraps
+            history.push(x)
+            assert not batch.step(history, d)[1]
+        assert history._xt is None and history._buf.base.shape == (1, 2 * (L + M - 1))
+        assert history._slots.shape == (L + M - 1, 2)
+        assert history._rows.shape == (2 * rows, M)
+
+    def test_a_fig2_batch_makes_both_rings(self):
+        """fig2's batch at M=8 is not recursive: its error and Gram read X(n).T whole, and its
+        rows weight all of X(n), so its history makes the M-fold ring and the full row ring."""
+        configs = [cfg for _, cfg in preset_config("fig2").panel]
+        L, M = configs[0].filter_length, configs[0].projection_order
+        [(_, batch)] = filters._panel_batches(configs)
+        history = RegressorHistory(L, M)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            history.push(rng.standard_normal())
+            batch.step(history, rng.standard_normal(M))
+        assert not batch.recursive and history._buf.base.shape == (M, 2 * (L + M - 1))
+        assert history._xt is not None and history._rows.shape == (2 * L, M)
 
     @pytest.mark.parametrize("group", [1, 4, 16])
     @pytest.mark.parametrize("order", [1, 2, 8])

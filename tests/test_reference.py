@@ -213,12 +213,12 @@ BOTH_BUILDS = [("apa", 1024), ("papa", 1), ("bs-papa", 4), ("bs-papa", 64), ("mp
 
 
 def test_batch_with_both_builds_equals_solo_runs_and_reference():
-    """At M = ``filters._PLACE_FROM`` a six-entry batch of full products, built
+    """At M = ``filters._SUM_FROM`` a six-entry batch of full products, built
     as a ``FilterState`` builds its batch of one, weights X(n) in place for
     every gained row, the P=64 row too, and reads X(n) itself for the
     unit-gain row.  It equals each solo run and the reference step exactly,
     past a wrap of the memory rings."""
-    L, M, steps = 1024, filters._PLACE_FROM, 120
+    L, M, steps = 1024, filters._SUM_FROM, 120
     members = BOTH_BUILDS
     configs = [variant_config(v, L, M, P, step_size=0.3) for v, P in members]
     [(indices, panel_batch)] = filters._panel_batches(configs)
@@ -297,7 +297,7 @@ def test_recursive_panel_batch_equals_the_reference_and_its_one_entry_runs():
 
 @pytest.mark.parametrize("M", [filters._RECURSE_FROM, 20])
 def test_summed_rows_equal_the_reference_past_wraps_of_their_lag_rings(M):
-    """A recursive batch's bs-papa rows with P and M from ``filters._PLACE_FROM``
+    """A recursive batch's bs-papa rows with P and M from ``filters._SUM_FROM``
     on read a ring of L + M - 1 lag vectors, one per group size, which the
     unit-gain row (P = 8) and the bs-mpapa row (P = 16) read too.  Past three
     wraps of it, beside an in-place row, each row equals the recursive
