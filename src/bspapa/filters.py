@@ -560,19 +560,19 @@ def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
         raise ValueError(f"regularization must be finite and nonnegative, got {delta}")
     lu, solution = np.array(a, order="F"), b.copy()
     diagonal = lu.T.reshape(1, -1)[:, :: a.shape[0] + 1]
-    delta = np.array([[_as_float(delta, "regularization")]])
-    for error in _solve_stack([(lu, solution[:, None])], diagonal, delta).values():
+    diagonal += _as_float(delta, "regularization")
+    for error in _solve_stack([(lu, solution[:, None])], diagonal).values():
         raise error
     return solution
 
 
-def _solve_stack(systems, diagonal: np.ndarray, delta: np.ndarray) -> dict:
-    """Solve ``(lu + delta[b]*I) z = rhs`` in place for the b-th ``(lu, rhs)``; no checks.
+def _solve_stack(systems, diagonal: np.ndarray) -> dict:
+    """Solve ``lu z = rhs`` in place for each ``(lu, rhs)``, whose ``lu`` already holds
+    its delta on the diagonal; no checks.
 
     Each ``lu`` is F-contiguous, so LAPACK factors it in place, and each ``rhs``
     is best an ``(M, 1)`` column, which the wrapper takes as it is; ``diagonal``
-    is their ``(B, M)`` diagonal view and ``delta`` a ``(B, 1)`` column (off
-    the diagonal ``x + 0.0`` is ``x``).  The pivot test is per system,
+    is their ``(B, M)`` diagonal view.  The pivot test is per system,
     ``smallest <= bound`` with NaN-propagating reductions, so a NaN pivot is
     no collapse.  It is skipped when ``min > scale * max`` over the whole
     stack in Python floats passes every system at once: Python's ``min`` and
@@ -580,7 +580,6 @@ def _solve_stack(systems, diagonal: np.ndarray, delta: np.ndarray) -> dict:
     every other system's pivots lie between the two.
     Returns ``{b: SingularSystemError}``; those ``rhs`` stay unsolved.
     """
-    diagonal += delta
     factors = [dgetrf(lu, 1) for lu, _ in systems]  # overwrite_a, positional: keywords cost more
     magnitudes, scale = np.abs(diagonal), diagonal.shape[1] * _EPS
     pivots, failed = magnitudes.ravel().tolist(), {}
@@ -699,7 +698,7 @@ class _ScalarRow:
 class _Batch:
     """The step kernel: B filters sharing (L, M) and the branch, stepped as one.
 
-    A step is six layers, one method each: gains, error, build, Gram, solve,
+    A step is six layers, one method each: gains, build, Gram, error, solve,
     update.  The weights are the rows of one ``(B, L)`` block, in four runs:
     built rows, summed rows, unit-gain rows, memory rows (those that keep
     their products first, then those that sum); ``_panel_batches`` orders
@@ -714,24 +713,36 @@ class _Batch:
     are stacked as ``(Bm, 2M, L)`` under one head, whose row is weighted by
     x(n) the same way.  Each stacked product equals the per-filter product bit
     for bit.  The history's copies of its input are made as the batch reads
-    them: a batch with a built, unit-gain or summed row reads all of X(n) from
-    the row view; one whose only reader is a summing memory row's lag write
-    reads X(n)[:P], P its largest lag group, so its history's row ring holds
-    2P rows (16 KiB at P=64, M=16, not 1 MiB); other batches read none.  Only
-    a full-product error or Gram, that of a batch that is not recursive, of
-    its built rows, or of a memory row's gemvs, reads X(n).T whole and makes
-    the history's M-fold ring.  A step allocates no array of L floats.  A
+    them: a batch with a built or summed row, or a unit-gain row that is not
+    recursive, reads all of X(n) from the row view; one whose only readers are
+    its lag writes reads X(n)[:P], P its largest lag group, so its history's
+    row ring holds 2P rows (16 KiB at P=64, M=16, not 1 MiB); other batches
+    read none.  Only a full-product error or Gram, that of a batch that is not
+    recursive, of its built rows, or of a memory row's gemvs, reads X(n).T
+    whole and makes the history's M-fold ring.  A step allocates no array of L floats.  A
     single-projection batch is its :class:`_ScalarRow` steps.  No checks.
 
     A ``recursive`` batch keeps, per row, the a-posteriori errors
     ε = (1 - mu)e + mu*delta*z of its last step (e for a row whose system
     failed) and its Gram matrices, both zero at the start.  Its error layer
     forms only e(n)[0] = d(n) - x(n).T w, as one dot product a row, and takes
-    e(n)[1:] = ε(n-1)[:M-1].  Its unit-gain and memory rows' Gram matrix is
-    G(n-1)[:-1, :-1] shifted down the diagonal, with column 0, X(n).T W[:, 0],
-    and then row 0, x(n).T W, formed anew; for a unit-gain row both are
-    X(n).T x(n), so that matrix is symmetric.  Built rows form the full
-    product.  :meth:`without` carries the state of the rows it keeps.
+    e(n)[1:] = ε(n-1)[:M-1]; it keeps e(n) beside the z its solve writes
+    (``_solved`` holds [z; e(n)] a row).  Its unit-gain and memory rows' Gram
+    matrix is G(n-1)[:-1, :-1] shifted down the diagonal, with column 0,
+    X(n).T W[:, 0], and then row 0, x(n).T W, formed anew; for a unit-gain row
+    both are X(n).T x(n), so that matrix is symmetric.  Built rows form the
+    full product.  :meth:`without` carries the state of the rows it keeps.
+
+    A recursive batch's unit-gain rows (``units``, a run of rows) hold
+    fictitious weights (Gay & Tavathia): the weights row is ŵ, and the row
+    keeps E, M floats, zero at the start, with w(n) = ŵ(n) + mu * X̄(n) Ē(n),
+    X̄ the first M - 1 columns of X and Ē = E[:M-1] (:meth:`formed`).  Its
+    update is E(n) = [0; Ē(n-1)] + z(n), z = 0 for a failed row, then
+    ŵ += (mu * E(n)[M-1]) * x(n-M+1), one multiply-add of L floats from the
+    history's single input ring, where w would take an (L, M) @ (M,)
+    product.  Its error is e(n)[0] = d(n) - x(n).T ŵ(n-1) - mu *
+    G(n)[0, 1:] Ē(n-1), so the Gram layer, which forms that row, runs before
+    the error layer.
 
     Row i of X(n) is row i - 1 of X(n-1), so block k's correlation is
     R_k(n)[a, a + j] = r_P(n - a - kP)[j], where r_P(m)[j] = sum_{i<P} x(m - i)
@@ -760,6 +771,7 @@ class _Batch:
         self.scalar, self.plain, self.recursive = configs[0].is_scalar, count - len(rings), recursive
         if self.scalar:  # the rows alone, each with an update row of its own
             self._scalar_rows = [_ScalarRow(*row) for row in zip(configs, weights, np.empty(weights.shape))]
+            self.units, self._unit_rows = (count, count), []
             return
         p = self.plain
         gained = p - sum(c.block_count == 1 for c in configs[:p])
@@ -771,17 +783,29 @@ class _Batch:
         self.summing = count - sum(g is not None for g in groups[p:])
         # one step size a tap: a (B, 1) column would make the multiply buffer B*L floats
         self.mu = np.repeat([[c.step_size] for c in configs], length, axis=1)
-        self.delta = np.array([[c.regularization] for c in configs])
-        if recursive:  # ε(n-1), then e(n) once the error layer has run, then ε(n)
-            self._eps = np.zeros((count, order))
-            self._decay = np.array([[1.0 - c.step_size] for c in configs])
-            self._pull = np.array([[c.step_size * c.regularization] for c in configs])
-        error, update = np.empty((count, order, 1)), np.empty((count, length, 1))
+        # each row's delta on the diagonal, added as the Gram stack is copied to the LU stack
+        self._ridge = np.array([c.regularization * np.eye(order) for c in configs])
+        # the unit-gain rows that hold fictitious weights: rows lo..hi-1, or (B, B) for none
+        lo, hi = (gained, p) if recursive and p > gained else (count, count)
+        self.units = lo, hi
+        # the right-hand sides, solved in place into z, and e(n), which a recursive batch keeps;
+        # ``_solved`` holds them as [z; e(n)] a row
+        stacks = np.zeros((2, count, order))
+        self._solved = stacks.transpose(1, 0, 2)
+        error, update = stacks[0, :, :, None], np.empty((count, length, 1))
+        if recursive:  # ε and e(n), with (B, M) coefficients
+            self._eps, self._scratch = np.zeros((count, order)), np.empty((count, order))
+            self._prior = stacks[1]
+            self._decay = np.repeat([[1.0 - c.step_size] for c in configs], order, axis=1)
+            self._pull = np.repeat([[c.step_size * c.regularization] for c in configs], order, axis=1)
         gram, lu = np.zeros((count, order, order)), np.empty((count, order, order))
         self._columns, self._errors, self._updates = weights[:, :, None], error, update[:, :, 0]
         self._grams, self._lu = gram, lu.transpose(0, 2, 1)
         self._diagonal = lu.reshape(count, -1)[:, :: order + 1]
         self._rhs = error[:, :, 0]
+        if recursive:  # the views the error layer reads and writes every step
+            self._carried = (self._rhs[:, 1:], self._eps[:, :-1])  # e(n)[1:] = ε(n-1)[:M-1]
+            self._heads = (self._errors[:, :1], self._rhs[:, 0])  # x(n).T w, then e(n)[0]
         self._systems = list(zip(self._lu, error))  # F-contiguous LU, (M, 1) rhs
         weighted = np.empty((built, length, order))
         built_rows = list(zip(configs, weights, weighted))  # zip stops at the summed rows
@@ -798,12 +822,21 @@ class _Batch:
         self._memory = [  # per head: the ring row a push weights, as (N, P) blocks, its mirror[, gain slots]
             [(r, _blocks(r, c), m, *gains) for r, m, *gains in zip(ring, ring[order:], *s)]
             for (c, _, ring), s in zip(memory, slots)]
-        # (weighted, gram, error, update): the built rows' stacks, then the unit-gain and summed rows
-        # one at a time, as (gram, z, update) over X(n), the row view: X(n) z is an (L, M) @ (M,) gemv
+        # (weighted, gram, error, update): the built rows' stacks, then the summed rows and the unit-gain
+        # rows that hold no fictitious weights one at a time, as (gram, z, update) over X(n), the row
+        # view: X(n) z is an (L, M) @ (M,) gemv
         self._parts = [(weighted, gram[:built], error[:built], update[:built])] if built else []
         products = np.empty((len(summed), length))
         outs = [*products, *self._updates[gained:p]]
-        self._row_parts = [(gram[b], self._rhs[b], out) for b, out in zip(range(built, p), outs)]
+        self._row_parts = [(gram[b], self._rhs[b], out) for b, out in zip(range(built, min(lo, p)), outs)]
+        # The fictitious weights' E, and (row, mu, G[0, 1:], E, update row) a row
+        self._fictitious = np.zeros((hi - lo, order))
+        self._unit_rows = [(b, configs[b].step_size, gram[b, 0, 1:], f, self._updates[b])
+                           for b, f in zip(range(lo, hi), self._fictitious)]
+        flat = self._fictitious.reshape(-1)  # its shift, as the Gram stack's: backwards, unbuffered
+        self._unit_update = ((flat[1:], flat[:-1]), self._fictitious[:, 0], self._rhs[lo:hi])
+        # the update stack's runs that take mu * W z, each as (updates, mu): all rows but the units
+        self._scaled = [(self._updates[a:b], self.mu[a:b]) for a, b in ((0, lo), (hi, count)) if a < b]
         self._ring_stacks = (gram[p:], error[p:], update[p:])
         # One lag ring per group size P the rows read (see above), under one head, with the two rows
         # a push writes by head, and a view by head that reads r(n - a - kP)[j] at [a, k, j].
@@ -849,6 +882,8 @@ class _Batch:
         batch = _Batch(configs, self.weights[keep], self.rings[ring_rows], self.head, self.recursive)
         if self.recursive:
             batch._grams[:], batch._eps[:] = self._grams[keep], self._eps[keep]
+            lo, hi = self.units
+            batch._fictitious[:] = self._fictitious[[b - lo for b in keep if lo <= b < hi]]
             batch._lags[:] = self._lags[[self._lag_groups.index(g) for g in batch._lag_groups]]
             batch._lag_head = self._lag_head
             for new, b in zip(batch._gain_rings, [b for b in keep if b >= self.summing]):
@@ -861,11 +896,11 @@ class _Batch:
             steps = [row(history, desired) for row in self._scalar_rows]
             return [prior for prior, _ in steps], {b: failed for b, (_, failed) in enumerate(steps) if failed}
         gains = self._gains()
-        prior = self._error(history, desired)
         parts = self._build(history, gains)
         self._gram(history, parts)
+        prior = self._error(history, desired)
         failed = self._solve()
-        self._update(parts, failed)
+        self._update(history, parts, failed)
         return prior, failed
 
     def _gains(self) -> list:
@@ -874,17 +909,21 @@ class _Batch:
 
     def _error(self, history: RegressorHistory, desired: np.ndarray) -> list:
         """The a-priori errors ``d - X.T w``, into the solve's right-hand sides; return each row's
-        e(n).  A recursive batch forms e(n)[0] alone, and keeps e(n) for the update layer."""
+        e(n)[0].  A recursive batch forms e(n)[0] alone, a unit-gain row's from ŵ and this step's
+        Gram row 0, and keeps e(n) as ``_prior``."""
         rhs = self._rhs
         if not self.recursive:
             np.matmul(history._transposed(), self._columns, out=self._errors)
             np.subtract(desired, rhs, out=rhs)
             return rhs[:, 0].tolist()
-        rhs[:, 1:] = self._eps[:, :-1]
-        np.matmul(history._x0[history._head], self._columns, out=self._errors[:, :1])  # one dot product a row
-        np.subtract(desired[0], rhs[:, 0], out=rhs[:, 0])
-        np.copyto(self._eps, rhs)
-        return rhs[:, 0].tolist()
+        np.copyto(*self._carried)
+        products, first = self._heads
+        np.matmul(history._x0[history._head], self._columns, out=products)  # one dot product a row
+        np.subtract(desired[0], first, out=first)
+        for b, mu, row, fictitious, _ in self._unit_rows:  # x(n).T w(n-1) = x(n).T ŵ + mu G(n)[0, 1:] Ē(n-1)
+            rhs[b, 0] -= mu * float(np.dot(row, fictitious[:-1]))
+        np.copyto(self._prior, rhs)
+        return first.tolist()
 
     def _build(self, history: RegressorHistory, gains: list) -> list:
         """Weight the gained rows' regressors by ``gains``, push the lag and gain rings; return
@@ -925,7 +964,9 @@ class _Batch:
         if self._summed:  # C = g @ the correlation view, mirrored onto G
             for (_, gains, views, *_), sums in zip(self._summed, self._sums):
                 np.matmul(gains, views[lag], out=sums)
-            self._grams[self.built : self.gained] = self._sums.reshape(len(self._sums), -1)[:, self._mirror]
+            # "clip": under the default "raise" numpy would buffer the output
+            np.take(self._sums.reshape(len(self._sums), -1), self._mirror, axis=1,
+                    out=self._grams[self.built : self.gained], mode="clip")
         if not self.recursive or self.gained == len(self.configs):
             return
         head, order = self.head, history.projection_order
@@ -947,24 +988,54 @@ class _Batch:
 
     def _solve(self) -> dict:
         """Solve ``(Gram + delta*I) z = e`` in place of the errors; return ``{row: failure}``."""
-        np.copyto(self._lu, self._grams)
-        return _solve_stack(self._systems, self._diagonal, self.delta)
+        np.add(self._grams, self._ridge, out=self._lu)
+        return _solve_stack(self._systems, self._diagonal)
 
-    def _update(self, parts: list, failed: dict) -> None:
-        """``w += mu * W z`` on every row but the failed ones; a recursive batch keeps ε."""
+    def _update(self, history: RegressorHistory, parts: list, failed: dict) -> None:
+        """``w += mu * W z`` on every row but the failed ones, whose z is zero; a recursive batch
+        moves its unit-gain rows' fictitious weights instead, and keeps ε."""
+        rhs = self._rhs
+        if failed:
+            rows = list(failed)
+            rhs[rows] = 0.0
         for weighted, _, error, out in parts:
             np.matmul(weighted, error, out=out)
         for _, gains, _, out, blocks, product in self._summed:  # g * (X(n) z)
             _weigh(gains, product, out, blocks)
-        self._updates *= self.mu
-        if failed:
-            self._updates[list(failed)] = 0.0
+        for updates, mu in self._scaled:
+            updates *= mu
+        if failed:  # zero even where W held NaN
+            self._updates[rows] = 0.0
+        if self._unit_rows:  # E = [0; Ē] + z, then ŵ += (mu E[M-1]) x(n-M+1)
+            shift, first, z = self._unit_update
+            np.copyto(*shift)
+            first[:] = 0.0
+            np.add(self._fictitious, z, out=self._fictitious)
+            start = history._head + history.projection_order - 1
+            oldest = history._buf[start : start + self.weights.shape[1]]
+            for _, mu, _, fictitious, update in self._unit_rows:
+                np.multiply(oldest, mu * float(fictitious[-1]), out=update)
         self.weights += self._updates
-        if self.recursive:
-            eps = self._decay * self._eps + self._pull * self._rhs
+        if self.recursive:  # ε = (1 - mu) e + mu delta z, in place
+            eps, prior = self._eps, self._prior
+            np.multiply(self._decay, prior, out=eps)
+            np.add(eps, np.multiply(self._pull, rhs, out=self._scratch), out=eps)
             if failed:  # a failed row kept its weights, so its errors stand
-                eps[list(failed)] = self._eps[list(failed)]
-            self._eps = eps
+                eps[rows] = prior[rows]
+
+    def formed(self, history: RegressorHistory) -> np.ndarray:
+        """A copy of every row's weights w(n), with a recursive batch's unit-gain rows formed
+        from their fictitious weights, ŵ + mu * X̄(n) Ē(n), over the history's single input
+        ring: (M - 1) * L products a row.  ``history`` is the one the batch last stepped on."""
+        weights = self.weights.copy()
+        if self._unit_rows:
+            step, order = history._buf.strides[0], history.projection_order
+            # X̄(n).T, row j = x(n - j): overlapping rows of the ring, which numpy's own loop reads
+            rows = as_strided(history._buf[history._head :], (order - 1, self.weights.shape[1]),
+                              (step, step), writeable=False)
+            for b, mu, _, fictitious, _ in self._unit_rows:  # a row at a time: a stack would take BLAS
+                weights[b] += mu * (fictitious[:-1] @ rows)
+        return weights
 
 
 def _lag_group(config: FilterConfig) -> int | None:

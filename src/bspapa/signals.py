@@ -192,8 +192,17 @@ def _power(true_h: np.ndarray) -> float:
 def _misalignment_rows(true_h: np.ndarray, power: float, est_rows: np.ndarray, out=None) -> list:
     """``misalignment_db`` of each row of ``est_rows``, given ``power = _power(true_h)``; no checks.
     ``out``, of the shape of ``est_rows``, is an optional C-contiguous buffer, with the same bits."""
+    return _decibels((_squared_errors(true_h, est_rows, out) / power).tolist())
+
+
+def _squared_errors(true_h: np.ndarray, est_rows: np.ndarray, out=None) -> np.ndarray:
+    """``||h - w||^2`` of each row ``w`` of ``est_rows``, as :func:`_misalignment_rows` forms it."""
     diff = np.subtract(est_rows, true_h, out=out)
-    ratios = (np.vecdot(diff, diff) / power).tolist()  # vecdot: the per-row BLAS dot's bits
+    return np.vecdot(diff, diff)  # vecdot: the per-row BLAS dot's bits
+
+
+def _decibels(ratios: list) -> list:
+    """``10*log10`` of each misalignment ratio, floored at ``MISALIGNMENT_FLOOR_DB``."""
     # 10*log10(1e-30) is the floor itself
     return [MISALIGNMENT_FLOOR_DB if r <= 1e-30 else 10.0 * math.log10(r) for r in ratios]
 

@@ -19,7 +19,12 @@ Two kinds live here, both independent of the production hot path:
   sqrt(L), and a memory row with P and M from ``_SUMMED_FROM`` on read their
   new column 0 from the same lag vectors, ``sum_k g_k(n) r(n - kP)``, and a
   memory row its row 0 too, ``sum_k g_k(n - j) r(n - kP)[j]`` from its last
-  M block gains (see :func:`lag_group`).
+  M block gains (see :func:`lag_group`).  A recursive unit-gain row holds
+  fictitious weights: ``state.weights`` is w-hat, and ``state.fictitious`` the
+  M floats E, with ``w = w-hat + mu * X[:, :M-1] @ E[:M-1]``
+  (:meth:`ReferenceState.formed`); its error is ``d(n) - x(n) @ w-hat - mu *
+  G(n)[0, 1:] @ E[:M-1]``, and its update ``E = [0, E[:M-1]] + z`` (z = 0 for
+  a failed solve), then ``w-hat += (mu * E[M-1]) * x(n - M + 1)``.
 * ``DenseReference``: one adaptation step written straight from the update
   equations (Paleologu, Ciochina & Benesty, "An efficient proportionate
   affine projection algorithm for echo cancellation", IEEE SPL 2010), with
@@ -100,16 +105,24 @@ def lag_group(config):
 
 class ReferenceState:
     """Weights plus a plainly shifted L-by-M memory matrix, and the recursions'
-    last Gram matrix, a-posteriori errors, lag vectors r(n - t) and block gains
-    g(n - t), newest first, all zero at the start."""
+    last Gram matrix, a-posteriori errors, fictitious-weight sums E, lag vectors
+    r(n - t) and block gains g(n - t), newest first, all zero at the start."""
 
     def __init__(self, config):
         L, M = config.filter_length, config.projection_order
+        self.config = config
         self.weights = np.zeros(L)
         self.memory = np.zeros((L, M))
-        self.gram, self.eps = np.zeros((M, M)), np.zeros(M)
+        self.gram, self.eps, self.fictitious = np.zeros((M, M)), np.zeros(M), np.zeros(M)
         self.lags = [np.zeros(M)] * (L - (lag_group(config) or config.group_size) + M)
         self.gains = [np.zeros(config.block_count)] * M
+
+    def formed(self, history) -> np.ndarray:
+        """The weights w(n): ``weights + mu * X[:, :M-1] @ E[:M-1]`` (E stays zero unless a
+        recursive unit-gain step moved it), the product over a sliding window of the input."""
+        M, L = self.config.projection_order, self.config.filter_length
+        older = sliding_window_view(history.window(), L)[: M - 1]  # row j is x(n - j)
+        return self.weights + self.config.step_size * (self.fictitious[:-1] @ older)
 
 
 def reference_filter_step(config, state, history, desired, build="efficient", recursive=False) -> None:
@@ -135,13 +148,10 @@ def reference_filter_step(config, state, history, desired, build="efficient", re
         weights += (mu * err / (float(x @ weighted) + delta)) * weighted
         return
     regressor_t = np.ascontiguousarray(reference_regressor_matrix(history).T)
-    if recursive:
-        err = np.concatenate(([desired[0] - float(x @ weights)], state.eps[:-1]))
-    else:
-        err = desired - regressor_t @ weights
     M, P, N = config.projection_order, config.group_size, config.block_count
     lagged = recursive and lag_group(config)
     summed = lagged and config.variant not in _MEMORY and N > 1
+    fictitious = recursive and N == 1 and config.variant not in _MEMORY
     if lagged:  # r(n) = x(n)[:P] @ X(n)[:P] for the row's lag group P
         regressor = np.ascontiguousarray(reference_regressor_matrix(history))
         state.lags = [x[:lagged] @ regressor[:lagged]] + state.lags[:-1]
@@ -178,10 +188,32 @@ def reference_filter_step(config, state, history, desired, build="efficient", re
             gram[0, :] = np.ascontiguousarray(weighted.T) @ x
     else:
         gram = regressor_t @ weighted
+    if recursive:
+        prior = desired[0] - float(x @ weights)
+        if fictitious:  # x(n) @ w(n-1) = x(n) @ w-hat + mu * G(n)[0, 1:] @ E[:M-1]
+            prior -= mu * float(np.dot(gram[0, 1:], state.fictitious[:-1]))
+        err = np.concatenate(([prior], state.eps[:-1]))
+    else:
+        err = desired - regressor_t @ weights
     state.gram, state.eps = gram, err  # a failed solve leaves the weights, so err stands
-    z = reference_solve(gram, delta, err)
-    weights += mu * (per_tap * (regressor @ z) if summed else weighted @ z)
+    try:
+        z = reference_solve(gram, delta, err)
+    except np.linalg.LinAlgError:
+        if fictitious:  # z = 0: w-hat moves so that w stays
+            _fictitious_step(config, state, history, np.zeros(M))
+        raise
+    if fictitious:
+        _fictitious_step(config, state, history, z)
+    else:
+        weights += mu * (per_tap * (regressor @ z) if summed else weighted @ z)
     state.eps = (1 - mu) * err + mu * delta * z
+
+
+def _fictitious_step(config, state, history, z) -> None:
+    """``E = [0, E[:M-1]] + z``, then ``w-hat += (mu * E[M-1]) * x(n - M + 1)``."""
+    M, L = config.projection_order, config.filter_length
+    state.fictitious = np.concatenate(([0.0], state.fictitious[:-1])) + z
+    state.weights += (config.step_size * state.fictitious[-1]) * history.window()[M - 1 : M - 1 + L]
 
 
 class DenseReference:

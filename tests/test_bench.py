@@ -22,6 +22,7 @@ from bspapa import (
     EchoScenario,
     ExperimentConfig,
     FilterConfig,
+    RegressorHistory,
     experiment_from_dict,
     gen_excitation,
     make_block_sparse_ir,
@@ -565,28 +566,35 @@ class TestUnitGainRows:
 
     def test_a_recursive_batch_that_loses_its_unit_row_mid_run_keeps_the_bits(self, monkeypatch):
         """Streamed directly, a recursive batch whose unit-gain row diverges at sample 100
-        carries the recursion state of the rows it keeps on to the batch without it."""
+        carries the recursion state of the rows it keeps on to the batch without it.  The
+        unit-gain row's misalignment comes from ``bench._UnitMisalignment``, the others'
+        from their weights, one ``bench._misalignment_rows`` call on each side of it."""
         sc = small_scenario(total=300, switch=150)
         x, d = bench.synthesize_scenario(sc)
         configs = [FilterConfig("papa", 32, _RECURSE_FROM, step_size=0.3), unit_entry(32, _RECURSE_FROM),
                    FilterConfig("mpapa", 32, _RECURSE_FROM, step_size=0.3)]
         [(entries, batch)] = _panel_batches(configs)
-        assert batch.recursive
-        unit, rows, calls = entries.index(1), bench._misalignment_rows, []
+        assert batch.recursive and batch.units == (entries.index(1), entries.index(1) + 1)
+        units, rows, calls, row_calls = bench._UnitMisalignment.__call__, bench._misalignment_rows, [], []
 
-        def unit_row_diverges_at_100(truth, power, weights, out):
-            values = rows(truth, power, weights, out)
+        def unit_row_diverges_at_100(self, *args):
+            values = units(self, *args)
             calls.append(len(values))
             if len(calls) == 101:  # sample 100, while every row is in the batch
-                values[unit] = float("inf")
+                values[0] = float("inf")
             return values
 
+        def counted(truth, power, weights, out):
+            row_calls.append(len(weights))
+            return rows(truth, power, weights, out)
+
         failures = {}
-        monkeypatch.setattr(bench, "_misalignment_rows", unit_row_diverges_at_100)
+        monkeypatch.setattr(bench._UnitMisalignment, "__call__", unit_row_diverges_at_100)
+        monkeypatch.setattr(bench, "_misalignment_rows", counted)
         mis = bench._stream_batch(batch, entries, x, d, sc.segments(), failures)
-        monkeypatch.setattr(bench, "_misalignment_rows", rows)
+        monkeypatch.undo()
         assert failures == {1: "diverged at sample 100: misalignment is inf dB"}
-        assert calls == [3] * 101 + [2] * 199
+        assert calls == [1] * 101 and row_calls == [1, 1] * 101 + [2] * 199
         for b, k in enumerate(entries):
             [(_, alone)] = _panel_batches([configs[k]])
             solo = bench._stream_batch(alone, [k], x, d, sc.segments(), {})
@@ -603,6 +611,7 @@ class TestUnitGainRows:
                    FilterConfig("papa", 32, _RECURSE_FROM, step_size=0.3), unit_entry(32, _RECURSE_FROM)]
         [(entries, batch)] = _panel_batches(configs)
         assert batch.recursive and entries == [1, 0, 2] and len(batch._summed) == 1
+        assert batch.units == (2, 3)  # the unit-gain row's misalignment is not read from its weights
         rows, calls = bench._misalignment_rows, []
 
         def papa_row_diverges_at_100(truth, power, weights, out):
@@ -617,7 +626,7 @@ class TestUnitGainRows:
         mis = bench._stream_batch(batch, entries, x, d, sc.segments(), failures)
         monkeypatch.setattr(bench, "_misalignment_rows", rows)
         assert failures == {1: "diverged at sample 100: misalignment is inf dB"}
-        assert calls == [3] * 101 + [2] * 199
+        assert calls == [2] * 101 + [1] * 199
         for b, k in enumerate(entries):
             [(_, alone)] = _panel_batches([configs[k]])
             solo = bench._stream_batch(alone, [k], x, d, sc.segments(), {})
@@ -679,6 +688,58 @@ class TestUnitGainRows:
             assert summary.failures.get(label) == solo[1].failures.get(label), label
         forks = see_cpus(monkeypatch, 3)
         assert outcome(exp) == serial and len(forks) == 2
+
+    @staticmethod
+    def streamed_and_exact(noise):
+        """An apa row (L=64, M=16, mu=0.5) streamed over 20 000 samples of AR(1) input,
+        pole 0.8, with ``noise`` on the echo; and the misalignment of the weights a twin
+        batch forms after each step, ``misalignment_db(h, formed w)``."""
+        L, M, total = 64, _RECURSE_FROM, 20000
+        cfg = FilterConfig("apa", L, M, step_size=0.5)
+        response = make_block_sparse_ir(L, [(5, 12)], seed=3)
+        x = gen_excitation(total, 17, "ar1", 0.8)
+        d = np.convolve(x, response.taps)[:total] + noise * np.random.default_rng(19).standard_normal(total)
+        [(_, batch)] = _panel_batches([cfg])
+        failures = {}
+        streamed = bench._stream_batch(batch, [0], x, d, [(0, total, response)], failures)[0]
+        assert not failures and batch.units == (0, 1)
+        [(_, twin)] = _panel_batches([cfg])
+        history, desired, exact = RegressorHistory(L, M), np.zeros(M), np.empty(total)
+        for n in range(total):
+            history.push(x[n])
+            desired[1:] = desired[:-1]
+            desired[0] = d[n]
+            twin.step(history, desired)
+            exact[n] = misalignment_db(response.taps, twin.formed(history)[0])
+        return streamed, exact
+
+    def test_a_unit_row_streams_its_misalignment_within_its_bound(self):
+        """With noise 1e-3 the row settles near -68 dB; every streamed value lies within
+        1e-9 dB of the misalignment of the weights it forms (6.1e-11 was measured)."""
+        streamed, exact = self.streamed_and_exact(1e-3)
+        assert exact[-1] < -60.0
+        assert float(np.max(np.abs(streamed - exact))) <= 1e-9
+
+    def test_a_noiseless_unit_row_reads_the_floor_exactly(self):
+        """Noiseless, the row reaches the -300 dB floor.  Above ``_EXACT_BELOW`` of
+        ||h||^2 (-100 dB) each streamed value lies within 1e-9 dB of the formed weights'
+        misalignment (6.5e-10 was measured); below it each is that value, formed every
+        sample, so the stream never reads NaN or the log of a negative ratio."""
+        streamed, exact = self.streamed_and_exact(0.0)
+        assert np.all(np.isfinite(streamed)) and streamed[-1] == -300.0
+        deep = exact <= 10.0 * np.log10(bench._EXACT_BELOW)
+        assert deep.sum() > 10000 and np.array_equal(streamed[deep], exact[deep])
+        assert float(np.max(np.abs(streamed[~deep] - exact[~deep]))) <= 1e-9
+
+    def test_a_delta_zero_unit_row_on_silent_input_fails_at_sample_0(self):
+        """A recursive apa row with delta=0 has a zero system on silent input: it fails at
+        sample 0, with the solver's message and pivot."""
+        [(_, batch)] = _panel_batches([unit_entry(32, _RECURSE_FROM, regularization=0.0)])
+        assert batch.recursive and batch.units == (0, 1)
+        response, failures = make_block_sparse_ir(32, [(9, 24)], seed=3), {}
+        bench._stream_batch(batch, [0], np.zeros(50), np.zeros(50), [(0, 50, response)], failures)
+        assert failures == {0: "aborted at sample 0: projection system singular to working precision "
+                               "(pivot 0.000e+00)"}
 
 
 @st.composite

@@ -521,11 +521,12 @@ class TestBlasLayout:
                 batch.step(history, rng.standard_normal(M))
             assert (None if history._rows is None else history._rows.shape) == rows
 
-    @pytest.mark.parametrize("variant,group,rows", [("apa", None, 4096), ("bs-papa", 64, 4096), ("bs-mpapa", 64, 64)])
+    @pytest.mark.parametrize("variant,group,rows", [("apa", None, 64), ("bs-papa", 64, 4096), ("bs-mpapa", 64, 64)])
     def test_long_echo_entries_never_make_the_m_fold_ring(self, variant, group, rows):
         """Long-echo's entries, each as its own panel batch at (4096, 16), read X(n).T only
         by its row 0: past a wrap of the window their history still holds one ring row, so a
-        push writes two slots.  The row ring holds the rows of X(n) the batch reads."""
+        push writes two slots.  The row ring holds the rows of X(n) the batch reads: APA's
+        fictitious weights and BS-MPAPA's memory row only those of their lag write."""
         L, M = 4096, 16
         [(_, batch)] = filters._panel_batches([FilterConfig(variant, L, M, group)])
         history = RegressorHistory(L, M)
@@ -537,6 +538,24 @@ class TestBlasLayout:
         assert history._xt is None and history._buf.base.shape == (1, 2 * (L + M - 1))
         assert history._slots.shape == (L + M - 1, 2)
         assert history._rows.shape == (2 * rows, M)
+
+    @pytest.mark.parametrize("variant", ["apa", "bs-papa"])
+    def test_a_recursive_batch_of_unit_gain_rows_reads_only_its_lag_rows(self, variant):
+        """A recursive batch whose only projection row is unit-gain (apa, bs-papa with
+        P = L) holds fictitious weights: its error reads x(n), its update x(n - M + 1) and
+        its Gram matrix the lag ring, so its history holds one ring row and a row ring of
+        2P rows, P = 16 the lag group of L = 256, past wraps of both."""
+        L, M = 256, filters._RECURSE_FROM
+        cfg = FilterConfig(variant, L, M, L if variant == "bs-papa" else None, step_size=0.3)
+        [(_, batch)] = filters._panel_batches([cfg])
+        assert batch.recursive and batch.units == (0, 1) and batch._lag_groups == [16]
+        history = RegressorHistory(L, M)
+        rng = np.random.default_rng(L)
+        for x, d in rng.standard_normal((L + M + 8, 2)):  # past a wrap of the window
+            history.push(x)
+            assert not batch.step(history, np.full(M, d))[1]
+        assert history._xt is None and history._buf.base.shape == (1, 2 * (L + M - 1))
+        assert history._rows.shape == (2 * 16, M)
 
     def test_a_fig2_batch_makes_both_rings(self):
         """fig2's batch at M=8 is not recursive: its error and Gram read X(n).T whole, and its
@@ -630,10 +649,10 @@ class TestSolveRegularized:
         rhs = rng.standard_normal((4, 5))
         base = np.empty((4, 5, 5))
         lu, diagonal = base.transpose(0, 2, 1), base.reshape(4, -1)[:, ::6]  # F-contiguous slices
-        np.copyto(lu, systems)
         solution = rhs.copy()
         delta = np.array([[0.1], [0.1], [0.0], [0.2]])
-        failed = filters._solve_stack(list(zip(lu, solution)), diagonal, delta)
+        np.copyto(lu, systems + delta[:, :, None] * np.eye(5))  # the stack takes delta on its diagonals
+        failed = filters._solve_stack(list(zip(lu, solution)), diagonal)
         assert list(failed) == [2] and failed[2].pivot == 0.0
         assert np.isnan(solution[1]).all()
         for b, delta in ((0, 0.1), (3, 0.2)):
@@ -654,7 +673,7 @@ class TestSolveRegularized:
         lu, diagonal = base.transpose(0, 2, 1), base.reshape(4, -1)[:, ::4]
         np.copyto(lu, systems)
         solution = np.ones((4, 3))
-        failed = filters._solve_stack(list(zip(lu, solution)), diagonal, np.zeros((4, 1)))
+        failed = filters._solve_stack(list(zip(lu, solution)), diagonal)  # delta = 0
         assert list(failed) == ([] if singular_at is None else [singular_at])
         assert np.isnan(solution[nan_at]).all()
 
@@ -832,11 +851,11 @@ class TestFilterStep:
             desired[1:] = desired[:-1]
             desired[0] = d
             gains = batch._gains()
-            prior = batch._error(history, desired)
             parts = batch._build(history, gains)
             batch._gram(history, parts)
+            prior = batch._error(history, desired)
             failed = batch._solve()
-            batch._update(parts, failed)
+            batch._update(history, parts, failed)
             assert not failed and prior == [filter_step(cfg, state, history, desired)]
             assert np.array_equal(batch.weights[0], state.weights) and batch.head == state.memory_head
         assert np.any(state.weights != 0.0)
