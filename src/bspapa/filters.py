@@ -26,10 +26,11 @@ A gained row with P and M from ``_SUM_FROM`` on builds no W there: its Gram
 matrix X.T G X = sum_k g_k R_k reads every block correlation R_k from a ring of
 lag vectors, one fresh P-term product a step, and its update is g * (X(n) z).
 The same ring, one per group size, gives a unit-gain row, and a memory row of
-such P, its new row and column 0 as sums of N lag vectors.
+such P, its new row and column 0 as sums of N lag vectors.  The ring has the
+history's period and is addressed by the history's head.
 
 A single block has gain exactly one, so its W is X(n) itself, which the history
-serves as a C-contiguous view (``RegressorHistory.regressor_rows``).  Every
+serves as a C-contiguous view (``RegressorHistory._first_rows``).  Every
 other row that builds W weights that view in place: M*L products, each block
 gain copied over its rows, then one multiply.  That gives the bits of the
 paper's (P+M-1)*N-product build, :func:`build_weighted_regressor_efficient`.
@@ -204,7 +205,7 @@ class FilterConfig:
                 f"variant {self.variant!r} is the projection_order={order} member, "
                 f"got projection_order={self.projection_order}"
             )
-        # validates the length and grouping; read every sample in the update loop
+        # validates the length and grouping; variant_gains reads it
         object.__setattr__(self, "partition", BlockPartition(self.filter_length, self.group_size))
 
     @property
@@ -318,19 +319,18 @@ class RegressorHistory:
     Row 0 as a one-row X(n).T with the same strides is always there.
 
     Every array handed out is a view of the ring buffer, valid until the
-    next push.  :meth:`regressor_matrix` and :meth:`block_windows` index
-    read-only strided views built once per ring (the block views once
-    per group size), so they cost one integer index per call.
+    next push.  :meth:`regressor_matrix` indexes a read-only strided view
+    built once per ring, so it costs one integer index per call.
 
-    :meth:`regressor_rows` serves X(n) itself C-contiguous, from a second
-    ring of 2R rows of M floats, mirrored like the first under a head of
-    its own: ring row ``head + i`` is row i of X(n), the M samples
+    :meth:`_first_rows` serves the first R rows of X(n) C-contiguous, from a
+    second ring of 2R rows of M floats, mirrored like the first under a head
+    of its own: ring row ``head + i`` is row i of X(n), the M samples
     x(n - i) .. x(n - i - M + 1), for i < R.  The ring exists only once a
-    caller has asked for R rows (:meth:`_first_rows`; the step kernel asks
-    for all L where it multiplies by X(n), and for the P rows of its largest
-    lag group where only a memory row's lag write reads them); a later call
-    for more rows makes it again, from the stored samples.  From then on
-    each push writes one row twice.  It costs ``2*R*M`` floats (0.13 MiB
+    caller has asked for R rows (the step kernel asks for all L where it
+    multiplies by X(n), and for the P rows of its largest lag group where
+    only a memory row's lag write reads them); a later call for more rows
+    makes it again, from the stored samples.  From then on each push writes
+    one row twice.  It costs ``2*R*M`` floats (0.13 MiB
     for R=L=1024, M=8; 1.0 MiB for R=L=4096, M=16; 16 KiB for R=P=64,
     M=16).
     """
@@ -345,7 +345,6 @@ class RegressorHistory:
         span = filter_length + projection_order - 1
         self._span = span
         self._head = 0
-        self._block_views: dict[int, np.ndarray] = {}
         self._ring(np.zeros((1, 2 * span)))
         # the row ring, made by _first_rows(): its 2R rows, the two a push writes by head, its head, R
         self._rows = self._row_slots = None
@@ -356,7 +355,6 @@ class RegressorHistory:
         span, length, order = self._span, self.filter_length, self.projection_order
         step = rows.strides[1]
         self._buf = rows[0]
-        self._block_views.clear()
         # Entry h is the 2K slots a push at head position h writes, K rows: slot
         # 2j + k is column h + k*span of row j.
         self._slots = as_strided(rows, (span, 2 * len(rows)), (step, span * step))
@@ -374,7 +372,9 @@ class RegressorHistory:
         self._head, self._buf[:] = state[2:]
 
     def push(self, sample: float) -> None:
-        """Append ``sample`` as the newest input x(n)."""
+        """Append ``sample``, a real scalar by :func:`~bspapa.gains._is_real`, as the newest input x(n)."""
+        if not _is_real(sample):
+            raise ValueError(f"sample must be a real scalar, got {sample!r}")
         self._head = head = (self._head - 1) % self._span
         self._slots[head] = sample
         if self._rows is not None:
@@ -408,10 +408,6 @@ class RegressorHistory:
             self._ring(rows)
         return self._xt[self._head]
 
-    def regressor_rows(self) -> np.ndarray:
-        """:meth:`regressor_matrix` as a C-contiguous view of the row ring."""
-        return self._first_rows(self.filter_length)
-
     def _first_rows(self, count: int) -> np.ndarray:
         """X(n)[:count] as a C-contiguous read-only view of the row ring, for ``count`` in
         [1, L].  A call for more rows than the ring holds makes it again from the stored
@@ -428,27 +424,6 @@ class RegressorHistory:
             self._rows.flags.writeable = False
             self._row_head, self._row_count = 0, count
         return self._rows[self._row_head : self._row_head + count]
-
-    def block_windows(self, group_size: int) -> np.ndarray:
-        """The N-by-(P+M-1) samples each block of ``group_size`` taps reads.
-
-        Row k holds window entries ``k*P .. k*P + P + M - 2``: every
-        regressor entry of block k is one of them.
-        """
-        views = self._block_views.get(group_size)
-        if views is None:
-            BlockPartition(self.filter_length, group_size)  # validates divisibility
-            step = self._buf.strides[0]
-            shape = (
-                self._span,
-                self.filter_length // group_size,
-                group_size + self.projection_order - 1,
-            )
-            views = as_strided(
-                self._buf, shape, (step, group_size * step, step), writeable=False
-            )
-            self._block_views[group_size] = views
-        return views[self._head]
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,9 +460,12 @@ def build_weighted_regressor_efficient(gains: GainVector, history: RegressorHist
     in BLAS; with one block the placed view alone would overlap itself.
     """
     _check_gains(gains, history.filter_length, "history")
-    group = gains.partition.group_size
-    windows = history.block_windows(group)
-    matrix = np.empty((history.filter_length, history.projection_order))
+    group, order = gains.partition.group_size, history.projection_order
+    window = history.window()
+    # row k holds window entries k*P .. k*P + P + M - 2, every regressor entry of block k
+    step = window.strides[0]
+    windows = np.ndarray((len(gains.block_gains), group + order - 1), float, window, 0, (group * step, step))
+    matrix = np.empty((history.filter_length, order))
     products = gains.block_gains[:, None] * windows  # (N, P+M-1)
     # Row i of block k is the M products from (k, i) on, so the copy moves whole
     # rows: the matrix as (N, P) items of M floats, one per row.
@@ -550,8 +528,8 @@ def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
     """
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"matrix must be square and nonempty, got shape {a.shape}")
     if b.shape != (a.shape[0],):
         raise ValueError(f"rhs length {b.shape} does not match matrix order {a.shape[0]}")
     if not _is_real(delta):
@@ -707,7 +685,7 @@ class _Batch:
     build only weights.  Built rows weight their regressor into a
     C-contiguous ``(Bb, L, M)`` stack: they copy their block gains over their
     slot and multiply it by X(n), the history's
-    :meth:`~RegressorHistory.regressor_rows` view, in place.  A unit-gain
+    :meth:`~RegressorHistory._first_rows` view, in place.  A unit-gain
     row (one block, of gain exactly one) uses that view itself, one row at a
     time: its X(n) z is an ``(L, M) @ (M,)`` product.  Memory rings
     are stacked as ``(Bm, 2M, L)`` under one head, whose row is weighted by
@@ -748,7 +726,9 @@ class _Batch:
     R_k(n)[a, a + j] = r_P(n - a - kP)[j], where r_P(m)[j] = sum_{i<P} x(m - i)
     x(m - i - j) is block 0's row 0 at time m.  A recursive batch keeps one
     ring of L + M - 1 lag vectors r_P per group size P its rows read, zero at
-    the start and mirrored under one head; its build writes each r_P(n) once,
+    the start and mirrored, the period of the history's own ring.  A recursive
+    batch steps once per push, from the stream's start, so the history's head
+    addresses the ring: its build writes each r_P(n) once there,
     ``x(n)[:P] @ X(n)[:P]`` on the row view.  Gained rows with P and M from
     ``_SUM_FROM`` on are summed rows, with no W: C[a, j] = sum_k g_k
     r_P(n - a - kP)[j] is one stacked ``(N,) @ (M, N, M)`` product over a
@@ -765,8 +745,8 @@ class _Batch:
     Every entry is a fresh P-term sum, so nothing drifts.
     """
 
-    def __init__(self, configs, weights: np.ndarray, rings: np.ndarray, head: int = 0, recursive=False):
-        self.configs, self.weights, self.rings, self.head = configs, weights, rings, head
+    def __init__(self, configs, weights: np.ndarray, rings: np.ndarray, recursive=False):
+        self.configs, self.weights, self.rings, self.head = configs, weights, rings, 0
         (count, length), order = weights.shape, configs[0].projection_order
         self.scalar, self.plain, self.recursive = configs[0].is_scalar, count - len(rings), recursive
         if self.scalar:  # the rows alone, each with an update row of its own
@@ -838,11 +818,11 @@ class _Batch:
         # the update stack's runs that take mu * W z, each as (updates, mu): all rows but the units
         self._scaled = [(self._updates[a:b], self.mu[a:b]) for a, b in ((0, lo), (hi, count)) if a < b]
         self._ring_stacks = (gram[p:], error[p:], update[p:])
-        # One lag ring per group size P the rows read (see above), under one head, with the two rows
-        # a push writes by head, and a view by head that reads r(n - a - kP)[j] at [a, k, j].
+        # One lag ring per group size P the rows read (see above), under the history's head, with the
+        # two rows a push writes by head, and a view by head that reads r(n - a - kP)[j] at [a, k, j].
         span = length + order - 1
         self._lag_groups = sorted({g for g in groups if g is not None})
-        self._lags, self._lag_head = np.zeros((len(self._lag_groups), 2 * span, order)), 0
+        self._lags = np.zeros((len(self._lag_groups), 2 * span, order))
         self._lag_slots = [(group, _mirrored(lags)) for group, lags in zip(self._lag_groups, self._lags)]
         row, tap = self._lags.strides[1:]
         views = {group: as_strided(lags, (span, order, length // group, order),
@@ -879,13 +859,13 @@ class _Batch:
         keep = [b for b in range(len(self.configs)) if b not in rows]
         ring_rows = [b - self.plain for b in keep if b >= self.plain]
         configs = [self.configs[b] for b in keep]
-        batch = _Batch(configs, self.weights[keep], self.rings[ring_rows], self.head, self.recursive)
+        batch = _Batch(configs, self.weights[keep], self.rings[ring_rows], self.recursive)
+        batch.head = self.head
         if self.recursive:
             batch._grams[:], batch._eps[:] = self._grams[keep], self._eps[keep]
             lo, hi = self.units
             batch._fictitious[:] = self._fictitious[[b - lo for b in keep if lo <= b < hi]]
             batch._lags[:] = self._lags[[self._lag_groups.index(g) for g in batch._lag_groups]]
-            batch._lag_head = self._lag_head
             for new, b in zip(batch._gain_rings, [b for b in keep if b >= self.summing]):
                 new[:] = self._gain_rings[b - self.summing]
         return batch
@@ -935,8 +915,8 @@ class _Batch:
                 _weigh(g, regressor, out, blocks)
             parts = parts + [(regressor, *row) for row in self._row_parts]
             if self._lag_slots:  # each lag vector r(n) = x(n)[:P] @ X(n)[:P], twice
-                self._lag_head = head = (self._lag_head - 1) % (self._lags.shape[1] // 2)
-                x = history._buf[history._head :]
+                head = history._head
+                x = history._buf[head:]
                 for group, slots in self._lag_slots:
                     np.matmul(x[:group], regressor[:group], out=slots[head, 0])
                     slots[head, 1] = slots[head, 0]
@@ -960,7 +940,7 @@ class _Batch:
             xt = history._transposed()
         for weighted, gram, _, _ in products:
             np.matmul(xt, weighted, out=gram)
-        lag = self._lag_head
+        lag = history._head
         if self._summed:  # C = g @ the correlation view, mirrored onto G
             for (_, gains, views, *_), sums in zip(self._summed, self._sums):
                 np.matmul(gains, views[lag], out=sums)
@@ -1097,7 +1077,9 @@ class AdaptiveFilter:
         return self.state.weights
 
     def process(self, sample: float, desired: float) -> float:
-        """Consume one (input, desired) pair, adapt, and return the a-priori error."""
+        """Consume one (input, desired) pair of real scalars, adapt, and return the a-priori error."""
+        if not _is_real(desired):
+            raise ValueError(f"desired must be a real scalar, got {desired!r}")
         self.history.push(sample)
         d = self._desired
         if d.size > 1:

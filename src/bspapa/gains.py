@@ -33,8 +33,10 @@ def _is_integer(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    """An int, a float or a numpy integer or float; a bool is not one.  Real-valued settings follow it."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    """An int, a float or a numpy integer or float; a bool is not one.  Real-valued settings and
+    the samples a stream pushes follow it; a float, numpy's float64 among them, takes one test."""
+    return isinstance(value, float) or (isinstance(value, (int, np.integer, np.floating))
+                                        and not isinstance(value, bool))
 
 
 def _as_float(value, name: str) -> float:

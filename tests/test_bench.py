@@ -279,6 +279,21 @@ class TestRunExperiment:
         for label, _ in panel:
             assert summary.failures[label].startswith("diverged at sample 100:")
 
+    def test_a_memory_filter_that_peaks_far_above_zero_db_and_recovers_is_no_failure(self):
+        """A rule that fails a diverging filter (ROADMAP item 10) must pass this one: mpapa at
+        M=8, mu=1 on an AR(1) echo path peaks at +141 dB near sample 245, with finite weights,
+        then settles within a few dB of apa's steady state.  A plain dB ceiling would have to
+        sit above that peak."""
+        scenario = EchoScenario(schedule=((0, make_block_sparse_ir(64, [(9, 24)], seed=3)),),
+                                pole=0.9, snr_db=30.0, seed=19, total_samples=4000)
+        panel = [(v, FilterConfig(v, 64, 8, step_size=1.0)) for v in ("mpapa", "apa")]
+        traces, summary = run_experiment(ExperimentConfig(scenario, panel, trace_decimation=1))
+        assert summary.failures == {}
+        peak = traces[0].values.max()
+        assert 130.0 < peak < 150.0 and 200 < traces[0].values.argmax() < 300, peak
+        steady = {label: summary.row(label, 0).steady_state_db for label, _ in panel}
+        assert steady["mpapa"] < -15.0 and abs(steady["mpapa"] - steady["apa"]) < 5.0, steady
+
     def test_steady_state_is_tail_mean(self):
         exp = ExperimentConfig(scenario=small_scenario(switch=None, total=1000),
                                panel=small_panel(), trace_decimation=1)

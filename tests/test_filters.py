@@ -28,7 +28,7 @@ from bspapa import (
     update_memory_regressor,
     variant_gains,
 )
-from oracles import reference_regressor_matrix
+from oracles import reference_efficient_build, reference_regressor_matrix
 
 
 def make_history(samples, filter_length, projection_order):
@@ -204,13 +204,35 @@ class TestRegressorHistory:
         with pytest.raises(ValueError):
             RegressorHistory(4, 0)
 
+    @pytest.mark.parametrize("sample", [np.array([1.0, 2.0]), np.array(1.0), [1.0], True, 1j, "1.0", None],
+                             ids=["vector", "0-d", "list", "bool", "complex", "str", "none"])
+    @pytest.mark.parametrize("rows", [False, True], ids=["one ring", "row ring"])
+    def test_a_sample_that_is_not_a_real_scalar_is_rejected_and_leaves_the_history(self, sample, rows):
+        """A pair of samples used to land in the live slot and its mirror, one each."""
+        history = make_history([3.0, 4.0, 5.0], 4, 2)
+        if rows:
+            history._first_rows(4)
+        state = pickle.dumps(history), history._head, history._row_head, history._buf.copy()
+        with pytest.raises(ValueError, match=re.escape(f"sample must be a real scalar, got {sample!r}")):
+            history.push(sample)
+        assert (history._head, history._row_head) == state[1:3]
+        assert np.array_equal(history._buf, state[3]) and pickle.dumps(history) == state[0]
+        if rows:
+            assert np.array_equal(history._first_rows(4), reference_regressor_matrix(history))
+
+    @pytest.mark.parametrize("sample", [2, np.float32(2.5), np.int64(-3), 1e308])
+    def test_every_real_scalar_is_a_sample(self, sample):
+        history = make_history([1.0], 3, 2)
+        history.push(sample)
+        np.testing.assert_array_equal(history.window(), [float(sample), 1.0, 0.0, 0.0])
+
     @pytest.mark.parametrize("L,M", [(16, 1), (16, 3), (64, 8)])
     @pytest.mark.parametrize("first_read", [0, 7])
     def test_row_ring_is_the_contiguous_regressor(self, L, M, first_read):
         rng = np.random.default_rng(L + M + first_read)
         history = make_history(rng.standard_normal(first_read), L, M)
         for _ in range(2 * (L + M) + 3):  # past 2*span pushes: the ring wraps
-            rows = history.regressor_rows()
+            rows = history._first_rows(L)
             assert rows.flags.c_contiguous and not rows.flags.writeable
             assert np.array_equal(rows, np.ascontiguousarray(history.regressor_matrix()))
             history.push(rng.standard_normal())
@@ -220,16 +242,18 @@ class TestRegressorHistory:
     def test_a_copy_keeps_up_with_the_original(self, L, M, clone):
         rng = np.random.default_rng(L + M)
         history = make_history(rng.standard_normal(3 * (L + M)), L, M)
-        history.regressor_rows()  # the original has a row ring, the copy makes its own
+        history._first_rows(L)  # the original has a row ring, the copy makes its own
         twin = clone(history)
+        gains = random_gains(rng, L, 4)
         for _ in range(2 * (L + M) + 3):
             sample = rng.standard_normal()
             history.push(sample)
             twin.push(sample)
             assert np.array_equal(twin.window(), history.window())
             assert np.array_equal(twin.regressor_matrix(), history.regressor_matrix())
-            assert np.array_equal(twin.regressor_rows(), history.regressor_rows())
-            assert np.array_equal(twin.block_windows(4), history.block_windows(4))
+            assert np.array_equal(twin._first_rows(L), history._first_rows(L))
+            built = build_weighted_regressor_efficient(gains, twin).matrix
+            assert np.array_equal(built, build_weighted_regressor_efficient(gains, history).matrix)
 
     @pytest.mark.parametrize("L,M,P", [(16, 3, 4), (64, 8, 16)])
     def test_a_ring_of_first_rows_grows_to_the_whole_regressor(self, L, M, P):
@@ -242,7 +266,7 @@ class TestRegressorHistory:
             history.push(rng.standard_normal())
         assert history._xt is None  # nothing above read X(n).T whole
         for _ in range(2 * (L + M) + 3):  # past 2L pushes and the window's wrap
-            rows = history.regressor_rows()
+            rows = history._first_rows(L)
             assert rows.flags.c_contiguous and history._rows.shape == (2 * L, M)
             assert np.array_equal(rows, np.ascontiguousarray(history.regressor_matrix()))
             assert np.array_equal(history._first_rows(P), rows[:P])
@@ -258,7 +282,7 @@ class TestRegressorHistory:
         rng = np.random.default_rng(31)
         history = make_history(rng.standard_normal(2 * L), L, M)
         read = {"none": lambda h: None, "first rows": lambda h: h._first_rows(P),
-                "all rows": RegressorHistory.regressor_rows, "transposed": RegressorHistory.regressor_matrix}[reads]
+                "all rows": lambda h: h._first_rows(L), "transposed": RegressorHistory.regressor_matrix}[reads]
         read(history)
         twin = clone(history)
         assert twin._xt is None and twin._rows is None  # a copy holds one ring row
@@ -270,11 +294,11 @@ class TestRegressorHistory:
             assert np.array_equal(twin.window(), history.window())
             assert np.array_equal(twin._first_rows(P), history._first_rows(P))
             assert np.array_equal(twin.regressor_matrix(), history.regressor_matrix())
-            assert np.array_equal(twin.regressor_rows(), history.regressor_rows())
+            assert np.array_equal(twin._first_rows(L), history._first_rows(L))
 
     def test_a_pickle_holds_one_ring_row(self):
         history = make_history(np.random.default_rng(30).standard_normal(3000), 1024, 8)
-        history.regressor_rows()
+        history._first_rows(1024)
         assert len(pickle.dumps(history)) < 64 * 1024
 
 
@@ -324,6 +348,24 @@ class TestRegressorBuilders:
         gains = random_gains(rng, 1024, 32)
         assert build_weighted_regressor_direct(gains, history).multiplication_count == 8192
         assert build_weighted_regressor_efficient(gains, history).multiplication_count == 1248
+
+    @pytest.mark.parametrize("L,M,P", [(16, 3, 4), (64, 8, 16)])
+    def test_efficient_build_follows_the_ring_through_its_wraps_and_swap(self, L, M, P):
+        """The build reads the live ring row every call: past several wraps of the window,
+        and after the first whole read of X(n).T swaps the ring for row 0 of its M-fold copy."""
+        rng = np.random.default_rng(L + M + P)
+        history = RegressorHistory(L, M)
+        part = BlockPartition(L, P)
+        span = L + M - 1
+        for n in range(5 * span):
+            history.push(rng.standard_normal())
+            if n == 2 * span + 3:
+                before = history._buf
+                history.regressor_matrix()
+                assert history._buf is not before
+            block_gains = rng.uniform(0.01, 3.0, part.block_count)
+            built = build_weighted_regressor_efficient(GainVector(block_gains, part), history).matrix
+            assert np.array_equal(built, reference_efficient_build(block_gains, P, history)), n
 
     def test_count_order_one_equals_direct(self):
         rng = np.random.default_rng(7)
@@ -612,6 +654,11 @@ class TestSolveRegularized:
             before = matrix.copy()
             solve_regularized(matrix, 0.5, rng.standard_normal(6))
             np.testing.assert_array_equal(matrix, before)
+
+    def test_empty_system_rejected_before_lapack(self, capfd):
+        with pytest.raises(ValueError, match=re.escape("matrix must be square and nonempty, got shape (0, 0)")):
+            solve_regularized(np.zeros((0, 0)), 0.1, np.zeros(0))
+        assert capfd.readouterr() == ("", "")
 
     def test_singular_raises_with_pivot(self):
         singular = np.array([[1.0, 2.0], [2.0, 4.0]])
@@ -1100,6 +1147,19 @@ class TestFilterStep:
         with pytest.raises(SingularSystemError) as excinfo:
             filt.process(0.0, 1.0)
         assert excinfo.value.pivot == 0.0
+
+    @pytest.mark.parametrize("variant", ["apa", "pnlms"])
+    @pytest.mark.parametrize("name", ["sample", "desired"])
+    def test_process_rejects_a_pair_that_is_not_two_real_scalars(self, variant, name):
+        """A vector sample used to return the desired sample and adapt; a vector desired
+        failed inside numpy.  Either is named, and the filter is left as it was."""
+        filt = AdaptiveFilter(FilterConfig(variant, 4, 1 if variant == "pnlms" else 2, step_size=0.5))
+        filt.process(1.0, 0.5)
+        before = pickle.dumps(filt)
+        pair = {"sample": (np.array([1.0, 2.0]), 0.5), "desired": (1.0, np.array([0.5, 1.0]))}[name]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a real scalar, got {pair[name == 'desired']!r}")):
+            filt.process(*pair)
+        assert pickle.dumps(filt) == before
 
     def test_process_returns_a_priori_error(self):
         cfg = FilterConfig("papa", 4, 2, step_size=0.5)
