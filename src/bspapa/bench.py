@@ -25,10 +25,6 @@ from .filters import FilterConfig, RegressorHistory, _panel_batches
 from .gains import StallGuards, _is_integer
 from .signals import (
     EchoScenario,
-    _decibels,
-    _misalignment_rows,
-    _power,
-    _squared_errors,
     gen_excitation,
     make_block_sparse_ir,
     scale_noise_for_snr,
@@ -160,108 +156,25 @@ def synthesize_scenario(scenario: EchoScenario) -> tuple[np.ndarray, np.ndarray]
     return x, d
 
 
-# A unit-gain row's streamed misalignment is formed exactly from its weights whenever its
-# running value falls below this share of its last exact value, and on every sample below
-# this share of ||h||^2 (-100 dB), where the recursion's relative accuracy nears 1e-9 dB
-# (see the README).
-_EXACT_DROP = 1e-2
-_EXACT_BELOW = 1e-10
-
-
-class _UnitMisalignment:
-    """The misalignment of a recursive batch's unit-gain rows, ``batch.units``, whose
-    weights rows hold fictitious weights (see ``filters._Batch``), from each step's
-    errors and solution instead of the weights.
-
-    A row's step is w(n) = w(n-1) + mu X(n) z with (X(n).T X(n) + delta I) z = e(n), and
-    X(n).T (h - w(n-1)) = y(n) - d(n) + e(n), where y(n) = X(n).T h is the clean echo, so
-
-        ||h - w(n)||^2 = ||h - w(n-1)||^2 - 2 mu z.T (y(n) - d(n) + e(n))
-                         + mu^2 (z.T e(n) - delta z.T z):
-
-    O(M) work a sample, two small products over the row's [z; e(n)].  y - d is
-    formed for a whole segment at its start, from one convolution of the input with its
-    response.  A row forms w and ||h - w||^2 exactly at each segment start, whenever its
-    running value falls below ``_EXACT_DROP`` of its last exact one, and on every sample
-    below ``_EXACT_BELOW * ||h||^2``: the recursion's error grows as the value falls,
-    about 100 times for every 20 dB.  Every value is the row's own arithmetic, so an
-    entry's trace does not depend on the rows beside it.
-    """
-
-    def __init__(self, batch):
-        lo, hi = batch.units
-        self.order = batch.configs[0].projection_order
-        self.steps = [(c.step_size, c.regularization) for c in batch.configs[lo:hi]]
-        self.values, self.exact = [0.0] * (hi - lo), [0.0] * (hi - lo)  # ||h - w||^2, last exact
-
-    def drop(self, rows) -> None:
-        """Forget the unit rows ``rows``, counted from the first unit row."""
-        for name in ("steps", "values", "exact"):
-            setattr(self, name, [v for i, v in enumerate(getattr(self, name)) if i not in rows])
-
-    def segment(self, x, d, start: int, end: int, truth) -> None:
-        """Form y(m) - d(m) for the M - 1 samples before the segment [start, end) and its
-        own, all under its response ``truth``: reversed, so y(n) - d(n) is a forward slice."""
-        first = start - self.order + 1  # the oldest sample y(n) - d(n) reads, n = start
-        lead, known = max(0, first - truth.size + 1), max(first, 0)  # x(m - k), k < L, from lead on
-        clean = np.convolve(x[lead:end], truth)[known - lead : end - lead] - d[known:end]
-        self.clean = np.concatenate((np.zeros(known - first), clean))[::-1].copy()
-        self.end = end
-
-    def __call__(self, batch, history: RegressorHistory, truth, power: float, n: int, start: bool) -> list:
-        """Each unit row's misalignment after the step ``batch`` took at sample ``n``, the
-        first of its segment if ``start``, whose response is ``truth`` of ``power``."""
-        lo, hi = batch.units
-        if start:  # every row formed exactly
-            self.exact = _squared_errors(truth, batch.formed(history)[lo:hi]).tolist()
-            self.values = list(self.exact)
-            return _decibels([v / power for v in self.values])
-        formed, back = None, self.end - 1 - n
-        clean = self.clean[back : back + self.order]  # y(n) - d(n)
-        for i, (mu, delta) in enumerate(self.steps):
-            solved = batch._solved[lo + i]  # [z; e(n)]
-            z = solved[0]
-            zz, ez = np.dot(solved, z).tolist()
-            zc = float(np.dot(z, clean))
-            value = self.values[i] - 2.0 * mu * (zc + ez) + mu * mu * (ez - delta * zz)
-            if value < max(_EXACT_DROP * self.exact[i], _EXACT_BELOW * power):  # never NaN
-                if formed is None:
-                    formed = batch.formed(history)[lo:hi]
-                value = self.exact[i] = float(_squared_errors(truth, formed[i]))
-            self.values[i] = value
-        return _decibels([v / power for v in self.values])
-
-
 def _stream_batch(batch, entries, x, d, segments, failures):
     """Stream a zeroed batch of ``filters._panel_batches``, whose row b is panel
     entry ``entries[b]``, over the scenario; return the misalignment per row and
-    sample.  An entry that fails leaves the batch with ``failures[entry]`` set.
-    The misalignment of a row is read from its weights, that of a recursive
-    batch's unit-gain rows from :class:`_UnitMisalignment`."""
-    length, order = batch.weights.shape[1], batch.configs[0].projection_order
-    history, desired = RegressorHistory(length, order), np.zeros(order)
-    mis, diff = np.empty((len(entries), x.size)), np.empty(batch.weights.shape)
+    sample, which the batch forms after each step (``filters._Batch.misalignment``).
+    An entry that fails leaves the batch with ``failures[entry]`` set."""
+    order = batch.configs[0].projection_order
+    history, desired = RegressorHistory(batch.weights.shape[1], order), np.zeros(order)
+    mis = np.empty((len(entries), x.size))
     rows = np.arange(len(entries))  # starting row of each filter still in the batch
     target = slice(None)  # indexes ``rows`` faster while no filter has left
-    units = _UnitMisalignment(batch)
     for start, end, response in segments:
-        truth, power = response.taps, _power(response.taps)
-        if batch.units[1] > batch.units[0]:
-            units.segment(x, d, start, end, truth)
+        batch.segment(x, d, start, end, response.taps)
         for n in range(start, end):
             history.push(x[n])
             if order > 1:
                 desired[1:] = desired[:-1]
             desired[0] = d[n]
             _, singular = batch.step(history, desired)
-            lo, hi = batch.units
-            if hi == lo:
-                values = _misalignment_rows(truth, power, batch.weights, diff)
-            else:  # the weights rows before the unit rows, the unit rows, the rows after them
-                values = _misalignment_rows(truth, power, batch.weights[:lo], diff[:lo]) if lo else []
-                values += units(batch, history, truth, power, n, n == start)
-                if hi < rows.size:
-                    values += _misalignment_rows(truth, power, batch.weights[hi:], diff[hi:])
+            values = batch.misalignment(history, n)
             mis[target, n] = values
             if singular or not all(map(math.isfinite, values)):
                 # NaN or inf: the weights left the finite range
@@ -272,8 +185,7 @@ def _stream_batch(batch, entries, x, d, segments, failures):
                 rows = target = np.delete(rows, list(failed))
                 if not rows.size:
                     return mis
-                units.drop([b - lo for b in failed if lo <= b < hi])
-                batch, diff = batch.without(failed), diff[: rows.size]
+                batch = batch.without(failed)
     return mis
 
 
@@ -380,9 +292,9 @@ def run_experiment(config: ExperimentConfig):
     ``filters._RECURSE_FROM`` on, a batch forms its a-priori errors and its
     unit-gain and memory rows' Gram matrices by the fast affine projection
     recursions (see ``filters._Batch``), and its unit-gain rows keep
-    fictitious weights, whose misalignment the stream reads from a scalar
-    recursion (see ``_UnitMisalignment``), so there an entry agrees with
-    ``AdaptiveFilter`` only to rounding.  Each trace equals the entry's
+    fictitious weights, whose misalignment the batch streams by a scalar
+    recursion (``filters._Batch.misalignment``), so there an entry agrees
+    with ``AdaptiveFilter`` only to rounding.  Each trace equals the entry's
     one-entry run bit for bit, so the results do not depend on the CPU count,
     and ``taskset -c 0`` runs the whole panel in this process.  The children's
     memory is not in this process's peak RSS.  A solver failure or a

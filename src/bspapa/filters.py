@@ -58,7 +58,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .gains import BlockPartition, GainVector, StallGuards
-from .gains import _as_float, _block_norms, _floored_gains, _is_integer, _is_real
+from .gains import _as_float, _block_norms, _floored_gains, _is_integer, _is_real, _real_array
+from .signals import _decibels, _misalignment_rows, _power, _squared_errors
 
 __all__ = [
     "VARIANTS",
@@ -100,6 +101,12 @@ _SUM_FROM = 16
 # A panel's batch forms its errors and its unit-gain and memory rows' Gram
 # matrices recursively from this projection order on: only there is it faster.
 _RECURSE_FROM = 16
+# A unit-gain row's streamed misalignment is formed exactly from its weights whenever its
+# running value falls below this share of its last exact value, and on every sample below
+# this share of ||h||^2 (-100 dB), where the recursion's relative accuracy nears 1e-9 dB
+# (see the README).
+_EXACT_DROP = 1e-2
+_EXACT_BELOW = 1e-10
 
 
 def _load_flapack():
@@ -382,8 +389,12 @@ class RegressorHistory:
             self._row_slots[row] = self._buf[head : head + self.projection_order]
 
     def extend(self, samples) -> None:
-        """Push a batch of samples, oldest first."""
-        for s in np.asarray(samples, dtype=float).ravel():
+        """Push ``samples``, a 1-D sequence of real scalars, oldest first; anything else is
+        rejected before the first push."""
+        samples = _real_array(samples, "samples")
+        if samples.ndim != 1:
+            raise ValueError(f"samples must be a 1-D sequence, got shape {samples.shape}")
+        for s in samples:
             self.push(s)
 
     def window(self) -> np.ndarray:
@@ -526,8 +537,7 @@ def solve_regularized(matrix, delta: float, rhs) -> np.ndarray:
     warning is emitted on that path.  A NaN pivot is not a collapse: a NaN
     system solves to NaN.
     """
-    a = np.asarray(matrix, dtype=float)
-    b = np.asarray(rhs, dtype=float)
+    a, b = _real_array(matrix, "matrix"), _real_array(rhs, "rhs")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValueError(f"matrix must be square and nonempty, got shape {a.shape}")
     if b.shape != (a.shape[0],):
@@ -721,6 +731,10 @@ class _Batch:
     product.  Its error is e(n)[0] = d(n) - x(n).T ŵ(n-1) - mu *
     G(n)[0, 1:] Ē(n-1), so the Gram layer, which forms that row, runs before
     the error layer.
+    The batch also forms the stream's misalignment, so only it reads the
+    fictitious weights: :meth:`segment` starts a segment, and
+    :meth:`misalignment` gives every row's value after a step, a unit-gain
+    row's by a scalar recursion.
 
     Row i of X(n) is row i - 1 of X(n-1), so block k's correlation is
     R_k(n)[a, a + j] = r_P(n - a - kP)[j], where r_P(m)[j] = sum_{i<P} x(m - i)
@@ -746,7 +760,7 @@ class _Batch:
     """
 
     def __init__(self, configs, weights: np.ndarray, rings: np.ndarray, recursive=False):
-        self.configs, self.weights, self.rings, self.head = configs, weights, rings, 0
+        self.configs, self.weights, self.rings, self.head, self._stream = configs, weights, rings, 0, None
         (count, length), order = weights.shape, configs[0].projection_order
         self.scalar, self.plain, self.recursive = configs[0].is_scalar, count - len(rings), recursive
         if self.scalar:  # the rows alone, each with an update row of its own
@@ -855,16 +869,20 @@ class _Batch:
         self._ring_views = np.ndarray(shape, rings.dtype, rings, 0, (row, ring, tap, row))
 
     def without(self, rows) -> "_Batch":
-        """A new batch of copies of every filter but ``rows``, with their recursion state."""
+        """A new batch of copies of every filter but ``rows``, with their recursion and stream state."""
         keep = [b for b in range(len(self.configs)) if b not in rows]
         ring_rows = [b - self.plain for b in keep if b >= self.plain]
         configs = [self.configs[b] for b in keep]
         batch = _Batch(configs, self.weights[keep], self.rings[ring_rows], self.recursive)
-        batch.head = self.head
+        batch.head, (lo, hi) = self.head, self.units
+        units = [b - lo for b in keep if lo <= b < hi]  # the unit-gain rows kept, from the first
+        if self._stream:  # the segment, a buffer of the rows kept, and their running and last exact values
+            *segment, diff = self._stream
+            batch._stream = (*segment, diff[: len(keep)])
+            batch._running, batch._exact = [self._running[i] for i in units], [self._exact[i] for i in units]
         if self.recursive:
             batch._grams[:], batch._eps[:] = self._grams[keep], self._eps[keep]
-            lo, hi = self.units
-            batch._fictitious[:] = self._fictitious[[b - lo for b in keep if lo <= b < hi]]
+            batch._fictitious[:] = self._fictitious[units]
             batch._lags[:] = self._lags[[self._lag_groups.index(g) for g in batch._lag_groups]]
             for new, b in zip(batch._gain_rings, [b for b in keep if b >= self.summing]):
                 new[:] = self._gain_rings[b - self.summing]
@@ -1016,6 +1034,63 @@ class _Batch:
             for b, mu, _, fictitious, _ in self._unit_rows:  # a row at a time: a stack would take BLAS
                 weights[b] += mu * (fictitious[:-1] @ rows)
         return weights
+
+    def segment(self, x: np.ndarray, d: np.ndarray, start: int, end: int, truth: np.ndarray) -> None:
+        """Start the misalignment stream of the segment [start, end) of input ``x`` and desired
+        ``d``, whose response is ``truth``: keep h, ||h||^2 and a buffer of the weights' shape, and
+        for the unit-gain rows form y(m) - d(m), y = X.T h the clean echo, over the M - 1 samples
+        before the segment and its own: reversed, so y(n) - d(n) is a forward slice."""
+        clean = None
+        if self._unit_rows:
+            order = self.configs[0].projection_order
+            first = start - order + 1  # the oldest sample y(n) - d(n) reads, n = start
+            lead, known = max(0, first - truth.size + 1), max(first, 0)  # x(m - k), k < L, from lead on
+            clean = np.convolve(x[lead:end], truth)[known - lead : end - lead] - d[known:end]
+            clean = np.concatenate((np.zeros(known - first), clean))[::-1].copy()
+        self._stream = truth, _power(truth), start, end, clean, np.empty(self.weights.shape)
+        self._running, self._exact = [0.0] * len(self._unit_rows), [0.0] * len(self._unit_rows)
+
+    def misalignment(self, history: RegressorHistory, n: int) -> list:
+        """Every row's misalignment in dB after the step at sample ``n`` of the segment
+        :meth:`segment` started, ``history`` the one the batch stepped on.  A weights row's is
+        read from its weights, a unit-gain row's (fictitious weights) from each step's errors
+        and solution instead: its step is w(n) = w(n-1) + mu X(n) z with
+        (X(n).T X(n) + delta I) z = e(n), and X(n).T (h - w(n-1)) = y(n) - d(n) + e(n), so
+
+            ||h - w(n)||^2 = ||h - w(n-1)||^2 - 2 mu z.T (y(n) - d(n) + e(n))
+                             + mu^2 (z.T e(n) - delta z.T z):
+
+        O(M) work a sample, two small products over the row's [z; e(n)].  A row forms w
+        (:meth:`formed`) and ||h - w||^2 exactly at the segment's start, whenever its running
+        value falls below ``_EXACT_DROP`` of its last exact one, and on every sample below
+        ``_EXACT_BELOW * ||h||^2``: the recursion's error grows as the value falls, about 100
+        times for every 20 dB.  Every value is the row's own arithmetic, so an entry's trace
+        does not depend on the rows beside it."""
+        truth, power, start, end, clean, diff = self._stream
+        if not self._unit_rows:
+            return _misalignment_rows(truth, power, self.weights, diff)
+        (lo, hi), running, exact = self.units, self._running, self._exact
+        values = _misalignment_rows(truth, power, self.weights[:lo], diff[:lo]) if lo else []
+        if n == start:  # every unit row formed exactly
+            running[:] = exact[:] = _squared_errors(truth, self.formed(history)[lo:hi]).tolist()
+        else:
+            formed, back = None, end - 1 - n
+            recent = clean[back : back + history.projection_order]  # y(n) - d(n)
+            for i, (b, mu, _, _, _) in enumerate(self._unit_rows):
+                solved = self._solved[b]  # [z; e(n)]
+                z = solved[0]
+                zz, ez = np.dot(solved, z).tolist()
+                zc = float(np.dot(z, recent))
+                value = running[i] - 2.0 * mu * (zc + ez) + mu * mu * (ez - self.configs[b].regularization * zz)
+                if value < max(_EXACT_DROP * exact[i], _EXACT_BELOW * power):  # never NaN
+                    if formed is None:
+                        formed = self.formed(history)[lo:hi]
+                    value = exact[i] = float(_squared_errors(truth, formed[i]))
+                running[i] = value
+        values += _decibels([v / power for v in running])
+        if hi < len(diff):
+            values += _misalignment_rows(truth, power, self.weights[hi:], diff[hi:])
+        return values
 
 
 def _lag_group(config: FilterConfig) -> int | None:

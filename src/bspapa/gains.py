@@ -39,6 +39,16 @@ def _is_real(value) -> bool:
                                         and not isinstance(value, bool))
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array, if numpy holds it as integers or floats; a bool, complex,
+    string or object array, which a float conversion would read, clip or drop part of, is a
+    ValueError naming ``name``."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got an array of dtype {array.dtype}")
+    return array.astype(float, copy=False)
+
+
 def _as_float(value, name: str) -> float:
     """``value``, a real number by :func:`_is_real`, as a Python float.  An integer past the
     float range, where ``float`` raises ``OverflowError``, is a ValueError naming ``name``."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gains import _as_float, _is_integer, _is_real
+from .gains import _as_float, _is_integer, _is_real, _real_array
 
 __all__ = [
     "ImpulseResponse",
@@ -78,6 +78,14 @@ class ImpulseResponse:
         return mask
 
 
+def _generator(seed) -> np.random.Generator:
+    """numpy's generator for ``seed``, an integer >= 0 by :func:`~bspapa.gains._is_integer`;
+    anything else, where numpy would raise a TypeError or take True as 1, is a ValueError."""
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def make_block_sparse_ir(filter_length: int, clusters, seed: int) -> ImpulseResponse:
     """Impulse response with standard-normal taps inside the given clusters.
 
@@ -89,7 +97,7 @@ def make_block_sparse_ir(filter_length: int, clusters, seed: int) -> ImpulseResp
     if filter_length < 1:
         raise ValueError(f"filter_length must be positive, got {filter_length}")
     response = ImpulseResponse(np.zeros(filter_length), clusters)  # validates the clusters
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     for start, end in response.cluster_spec:
         response.taps[start - 1 : end] = rng.standard_normal(end - start + 1)
     return response
@@ -132,7 +140,7 @@ def gen_excitation(n_samples: int, seed: int, kind: str = "white", pole: float |
     """
     if not (_is_integer(n_samples) and n_samples >= 1):
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-    white = np.random.default_rng(seed).standard_normal(n_samples)
+    white = _generator(seed).standard_normal(n_samples)
     if kind == "white":
         return white
     if kind == "ar1":
@@ -157,7 +165,7 @@ def scale_noise_for_snr(clean_echo, snr_db: float, seed: int) -> np.ndarray:
     clean_power = float(np.mean(clean * clean))
     if clean_power == 0.0:
         raise ValueError("clean_echo has zero power; SNR scaling is undefined")
-    raw = np.random.default_rng(seed).standard_normal(clean.size)
+    raw = _generator(seed).standard_normal(clean.size)
     raw_power = float(np.mean(raw * raw))
     try:  # at an extreme snr_db the power ratio overflows or the noise power underflows
         target_power = clean_power / 10.0 ** (float(snr_db) / 10.0)
@@ -171,10 +179,10 @@ def scale_noise_for_snr(clean_echo, snr_db: float, seed: int) -> np.ndarray:
 def misalignment_db(true_h, est_h) -> float:
     """Normalized misalignment 10*log10(||h - h_est||^2 / ||h||^2), floored at -300 dB.
 
-    A non-finite estimate gives NaN or +inf, never a finite value.
+    A non-finite estimate gives NaN or +inf, never a finite value.  Both arguments must hold
+    real numbers (see :func:`~bspapa.gains._real_array`).
     """
-    h = np.asarray(true_h, dtype=float)
-    w = np.asarray(est_h, dtype=float)
+    h, w = _real_array(true_h, "true_h"), _real_array(est_h, "est_h")
     if h.shape != w.shape:
         raise ValueError(f"shape mismatch: {h.shape} vs {w.shape}")
     return _misalignment_rows(h, _power(h), w[None])[0]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter  # the independent reference for the synthesized bits
 
-from bspapa import bench
+from bspapa import bench, filters
 from bspapa import (
     VARIANTS,
     ConfigError,
@@ -582,18 +582,19 @@ class TestUnitGainRows:
     def test_a_recursive_batch_that_loses_its_unit_row_mid_run_keeps_the_bits(self, monkeypatch):
         """Streamed directly, a recursive batch whose unit-gain row diverges at sample 100
         carries the recursion state of the rows it keeps on to the batch without it.  The
-        unit-gain row's misalignment comes from ``bench._UnitMisalignment``, the others'
-        from their weights, one ``bench._misalignment_rows`` call on each side of it."""
+        unit-gain row's misalignment comes from its recursion, whose values alone reach
+        ``filters._decibels``, the others' from their weights, one
+        ``filters._misalignment_rows`` call on each side of it."""
         sc = small_scenario(total=300, switch=150)
         x, d = bench.synthesize_scenario(sc)
         configs = [FilterConfig("papa", 32, _RECURSE_FROM, step_size=0.3), unit_entry(32, _RECURSE_FROM),
                    FilterConfig("mpapa", 32, _RECURSE_FROM, step_size=0.3)]
         [(entries, batch)] = _panel_batches(configs)
         assert batch.recursive and batch.units == (entries.index(1), entries.index(1) + 1)
-        units, rows, calls, row_calls = bench._UnitMisalignment.__call__, bench._misalignment_rows, [], []
+        units, rows, calls, row_calls = filters._decibels, filters._misalignment_rows, [], []
 
-        def unit_row_diverges_at_100(self, *args):
-            values = units(self, *args)
+        def unit_row_diverges_at_100(ratios):
+            values = units(ratios)
             calls.append(len(values))
             if len(calls) == 101:  # sample 100, while every row is in the batch
                 values[0] = float("inf")
@@ -604,8 +605,8 @@ class TestUnitGainRows:
             return rows(truth, power, weights, out)
 
         failures = {}
-        monkeypatch.setattr(bench._UnitMisalignment, "__call__", unit_row_diverges_at_100)
-        monkeypatch.setattr(bench, "_misalignment_rows", counted)
+        monkeypatch.setattr(filters, "_decibels", unit_row_diverges_at_100)
+        monkeypatch.setattr(filters, "_misalignment_rows", counted)
         mis = bench._stream_batch(batch, entries, x, d, sc.segments(), failures)
         monkeypatch.undo()
         assert failures == {1: "diverged at sample 100: misalignment is inf dB"}
@@ -627,7 +628,7 @@ class TestUnitGainRows:
         [(entries, batch)] = _panel_batches(configs)
         assert batch.recursive and entries == [1, 0, 2] and len(batch._summed) == 1
         assert batch.units == (2, 3)  # the unit-gain row's misalignment is not read from its weights
-        rows, calls = bench._misalignment_rows, []
+        rows, calls = filters._misalignment_rows, []
 
         def papa_row_diverges_at_100(truth, power, weights, out):
             values = rows(truth, power, weights, out)
@@ -637,9 +638,9 @@ class TestUnitGainRows:
             return values
 
         failures = {}
-        monkeypatch.setattr(bench, "_misalignment_rows", papa_row_diverges_at_100)
+        monkeypatch.setattr(filters, "_misalignment_rows", papa_row_diverges_at_100)
         mis = bench._stream_batch(batch, entries, x, d, sc.segments(), failures)
-        monkeypatch.setattr(bench, "_misalignment_rows", rows)
+        monkeypatch.setattr(filters, "_misalignment_rows", rows)
         assert failures == {1: "diverged at sample 100: misalignment is inf dB"}
         assert calls == [2] * 101 + [1] * 199
         for b, k in enumerate(entries):
@@ -660,7 +661,7 @@ class TestUnitGainRows:
         [(entries, batch)] = _panel_batches(configs)
         assert batch.recursive and entries == [1, 2, 0] and batch._lag_groups == [16]
         assert len(batch._summed) == len(batch._memory_sums) == 1
-        rows, calls = bench._misalignment_rows, []
+        rows, calls = filters._misalignment_rows, []
 
         def papa_row_diverges_at_100(truth, power, weights, out):
             values = rows(truth, power, weights, out)
@@ -670,9 +671,9 @@ class TestUnitGainRows:
             return values
 
         failures = {}
-        monkeypatch.setattr(bench, "_misalignment_rows", papa_row_diverges_at_100)
+        monkeypatch.setattr(filters, "_misalignment_rows", papa_row_diverges_at_100)
         mis = bench._stream_batch(batch, entries, x, d, sc.segments(), failures)
-        monkeypatch.setattr(bench, "_misalignment_rows", rows)
+        monkeypatch.setattr(filters, "_misalignment_rows", rows)
         assert failures == {1: "diverged at sample 100: misalignment is inf dB"}
         assert calls == [3] * 101 + [2] * 199
         for b, k in enumerate(entries):
@@ -742,7 +743,7 @@ class TestUnitGainRows:
         sample, so the stream never reads NaN or the log of a negative ratio."""
         streamed, exact = self.streamed_and_exact(0.0)
         assert np.all(np.isfinite(streamed)) and streamed[-1] == -300.0
-        deep = exact <= 10.0 * np.log10(bench._EXACT_BELOW)
+        deep = exact <= 10.0 * np.log10(filters._EXACT_BELOW)
         assert deep.sum() > 10000 and np.array_equal(streamed[deep], exact[deep])
         assert float(np.max(np.abs(streamed[~deep] - exact[~deep]))) <= 1e-9
 

@@ -4,6 +4,7 @@ import copy
 import pickle
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,26 @@ class TestRegressorHistory:
         assert np.array_equal(history._buf, state[3]) and pickle.dumps(history) == state[0]
         if rows:
             assert np.array_equal(history._first_rows(4), reference_regressor_matrix(history))
+
+    @pytest.mark.parametrize("samples", [[[1.0, 2.0], [3.0, 4.0]], "5", 5.0, [True, False], [1.0, 1j],
+                                         [1.0, None], ["1", "2"]],
+                             ids=["2-d", "str", "0-d", "bools", "complex", "none", "strs"])
+    def test_extend_takes_only_a_1d_sequence_of_real_scalars(self, samples):
+        """A 2-D batch used to push its every element, and a string the number it spells;
+        a rejected batch pushes nothing."""
+        history = make_history([3.0, 4.0, 5.0], 4, 2)
+        state = pickle.dumps(history)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a complex batch lost its imaginary part with a warning
+            with pytest.raises(ValueError, match="^samples must (be a 1-D sequence|hold real numbers)"):
+                history.extend(samples)
+        assert pickle.dumps(history) == state
+
+    @pytest.mark.parametrize("samples", [[2, 3], np.arange(2, 4, dtype=np.int8), np.array([2.0, 3.0]), []])
+    def test_extend_pushes_each_real_scalar_oldest_first(self, samples):
+        history = make_history([1.0], 3, 2)
+        history.extend(samples)
+        np.testing.assert_array_equal(history.window()[: len(samples) + 1], [*np.asarray(samples)[::-1], 1.0])
 
     @pytest.mark.parametrize("sample", [2, np.float32(2.5), np.int64(-3), 1e308])
     def test_every_real_scalar_is_a_sample(self, sample):
@@ -659,6 +680,17 @@ class TestSolveRegularized:
         with pytest.raises(ValueError, match=re.escape("matrix must be square and nonempty, got shape (0, 0)")):
             solve_regularized(np.zeros((0, 0)), 0.1, np.zeros(0))
         assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("matrix,rhs,name", [
+        (np.eye(2), 1j * np.ones(2), "rhs"), (np.eye(2) + 0j, np.ones(2), "matrix"), (np.eye(2), ["1", "2"], "rhs"),
+        ([[1.0, None], [0.0, 1.0]], np.ones(2), "matrix"), (np.eye(2, dtype=bool), np.ones(2), "matrix")],
+        ids=["complex rhs", "complex matrix", "str rhs", "none", "bool matrix"])
+    def test_complex_or_non_numeric_input_is_rejected_by_name(self, matrix, rhs, name):
+        """A complex right-hand side used to lose its imaginary part with only a ComplexWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must hold real numbers"):
+                solve_regularized(matrix, 0.1, rhs)
 
     def test_singular_raises_with_pivot(self):
         singular = np.array([[1.0, 2.0], [2.0, 4.0]])

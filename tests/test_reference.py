@@ -428,3 +428,33 @@ def test_the_recursions_drift_from_the_full_products_within_their_bound():
     print(f"[drift] largest relative weight gap over {steps} samples: {worst:.2e}")
     assert worst <= BOUND
     assert float(np.max(np.abs(full[0] - response.taps))) < 0.05  # the filters converged
+
+
+def test_a_summing_memory_row_holds_to_the_full_products():
+    """A summing memory row, the row kind of long-echo's BS-MPAPA(P=64), against
+    ``filter_step``'s full products: a recursive batch of one bs-mpapa row (P=16) at
+    (64, 16), whose Gram row and column 0 are sums of lag vectors and gains from its ring,
+    over 20 000 samples of AR(1) input (pole 0.8), mu = 0.2, noise 1e-3.  From sample
+    ``SETTLED`` on, past the start-up transient, the weights the batch forms stay within
+    ``BOUND`` times the largest weight; the transient's gap is held to its own bound."""
+    BOUND, TRANSIENT, SETTLED = 1e-10, 1e-6, 2500  # stated before the test first ran
+    L, M, steps = 64, filters._RECURSE_FROM, 20000
+    cfg = FilterConfig("bs-mpapa", L, M, group_size=16, step_size=0.2)
+    [(_, batch)] = filters._panel_batches([cfg])
+    assert batch.recursive and len(batch._memory_sums) == 1 and batch._lag_groups == [16]
+    state = FilterState.initial(cfg)
+    response = make_block_sparse_ir(L, [(L // 8, L // 8 + L // 4 - 1)], seed=3)
+    x = gen_excitation(steps, 17, "ar1", 0.8)
+    d = np.convolve(x, response.taps)[:steps] + 1e-3 * np.random.default_rng(19).standard_normal(steps)
+    history, desired, gaps = RegressorHistory(L, M), np.zeros(M), np.empty(steps)
+    for n in range(steps):
+        history.push(x[n])
+        desired[1:] = desired[:-1]
+        desired[0] = d[n]
+        assert not batch.step(history, desired)[1]
+        filter_step(cfg, state, history, desired)
+        gaps[n] = float(np.max(np.abs(batch.formed(history)[0] - state.weights))) / float(np.max(np.abs(state.weights)))
+    print(f"[summing memory] transient gap {gaps[:SETTLED].max():.2e}, settled {gaps[SETTLED:].max():.2e}")
+    assert gaps[:SETTLED].max() <= TRANSIENT
+    assert gaps[SETTLED:].max() <= BOUND
+    assert float(np.max(np.abs(state.weights - response.taps))) < 0.05  # the filter converged

@@ -1,6 +1,7 @@
 """Scenario synthesis: impulse responses, excitation, noise, misalignment."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,39 @@ class TestMisalignment:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             misalignment_db(np.ones(4), np.ones(5))
+
+    @pytest.mark.parametrize("true_h,est_h,name", [
+        (None, None, "true_h"), (np.ones(3), 1j * np.ones(3), "est_h"), (1j * np.ones(3), np.ones(3), "true_h"),
+        (["1", "2"], np.ones(2), "true_h"), (np.ones(2), [True, False], "est_h")],
+        ids=["none", "complex estimate", "complex truth", "str", "bool"])
+    def test_complex_or_non_numeric_input_is_rejected_by_name(self, true_h, est_h, name):
+        """None used to raise "'float' object is not iterable", and a complex estimate lost its
+        imaginary part with only a ComplexWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must hold real numbers"):
+                misalignment_db(true_h, est_h)
+
+
+class TestSeeds:
+    CALLS = {
+        "gen_excitation": lambda seed: gen_excitation(10, seed),
+        "make_block_sparse_ir": lambda seed: make_block_sparse_ir(16, [(2, 5)], seed=seed),
+        "scale_noise_for_snr": lambda seed: scale_noise_for_snr(np.ones(8), 10.0, seed),
+    }
+
+    @pytest.mark.parametrize("seed", [1.5, 0.3, True, np.float64(2.0), -1, "3", None, np.nan])
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_a_seed_that_is_not_an_integer_at_least_zero_is_rejected_by_name(self, call, seed):
+        """A float seed used to raise numpy's "SeedSequence expects int" TypeError, and True
+        ran as seed 1."""
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+            call(seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(7), 2**64])
+    def test_every_integer_at_least_zero_is_a_seed(self, seed):
+        expected = np.random.default_rng(int(seed)).standard_normal(10)
+        np.testing.assert_array_equal(gen_excitation(10, seed), expected)
 
 
 class TestEchoScenario:
