@@ -24,10 +24,12 @@ recursions: of its M errors only e(n)[0] is a product, and the Gram matrix of
 a unit-gain or memory row is last step's, shifted, with a new row 0 and column 0.
 A gained row with P and M from ``_SUM_FROM`` on builds no W there: its Gram
 matrix X.T G X = sum_k g_k R_k reads every block correlation R_k from a ring of
-lag vectors, one fresh P-term product a step, and its update is g * (X(n) z).
-The same ring, one per group size, gives a unit-gain row, and a memory row of
-such P, its new row and column 0 as sums of N lag vectors.  The ring has the
-history's period and is addressed by the history's head.
+lag vectors, and its update is g * (X(n) z).  The same ring, one per group
+size, gives a unit-gain row, and a memory row of such P, its new row and
+column 0 as sums of N lag vectors.  What reads only the input is formed a
+block ahead: the lag vectors, and a unit-gain row's whole Gram matrix, factored
+(``_Batch._fill``), ``_BLOCK`` samples at a time from the stream that
+``run_experiment`` synthesized, else one sample ahead from the history.
 
 A single block has gain exactly one, so its W is X(n) itself, which the history
 serves as a C-contiguous view (``RegressorHistory._first_rows``).  Every
@@ -58,7 +60,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .gains import BlockPartition, GainVector, StallGuards
-from .gains import _as_float, _block_norms, _floored_gains, _is_integer, _is_real, _real_array
+from .gains import _as_float, _block_norms, _floored_gains, _is_integer, _is_real, _real_array, _real_scalar
 from .signals import _decibels, _misalignment_rows, _power, _squared_errors
 
 __all__ = [
@@ -101,6 +103,9 @@ _SUM_FROM = 16
 # A panel's batch forms its errors and its unit-gain and memory rows' Gram
 # matrices recursively from this projection order on: only there is it faster.
 _RECURSE_FROM = 16
+# A recursive batch forms the work that reads only the input (lag vectors, and its unit-gain
+# rows' Gram matrices, factored) this many samples ahead when it has the stream (see _Batch._fill).
+_BLOCK = 64
 # A unit-gain row's streamed misalignment is formed exactly from its weights whenever its
 # running value falls below this share of its last exact value, and on every sample below
 # this share of ||h||^2 (-100 dB), where the recursion's relative accuracy nears 1e-9 dB
@@ -176,7 +181,7 @@ class FilterConfig:
     regressor_mode: ClassVar[str] = "efficient"
 
     def __post_init__(self) -> None:
-        if self.variant not in _ALIASES:
+        if not isinstance(self.variant, str) or self.variant not in _ALIASES:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         for name in ("filter_length", "projection_order", "group_size"):
             value = getattr(self, name)
@@ -334,11 +339,9 @@ class RegressorHistory:
     of its own: ring row ``head + i`` is row i of X(n), the M samples
     x(n - i) .. x(n - i - M + 1), for i < R.  The ring exists only once a
     caller has asked for R rows (the step kernel asks for all L where it
-    multiplies by X(n), and for the P rows of its largest lag group where
-    only a memory row's lag write reads them); a later call for more rows
-    makes it again, from the stored samples.  From then on each push writes
-    one row twice.  It costs ``2*R*M`` floats (0.13 MiB
-    for R=L=1024, M=8; 1.0 MiB for R=L=4096, M=16; 16 KiB for R=P=64,
+    multiplies by X(n)); a later call for more rows makes it again, from the
+    stored samples.  From then on each push writes one row twice.  It costs
+    ``2*R*M`` floats (0.13 MiB for R=L=1024, M=8; 1.0 MiB for R=L=4096,
     M=16).
     """
 
@@ -379,9 +382,10 @@ class RegressorHistory:
         self._head, self._buf[:] = state[2:]
 
     def push(self, sample: float) -> None:
-        """Append ``sample``, a real scalar by :func:`~bspapa.gains._is_real`, as the newest input x(n)."""
-        if not _is_real(sample):
-            raise ValueError(f"sample must be a real scalar, got {sample!r}")
+        """Append ``sample``, a real scalar by :func:`~bspapa.gains._is_real` within the float
+        range, as the newest input x(n)."""
+        if not isinstance(sample, float):
+            sample = _real_scalar(sample, "sample")
         self._head = head = (self._head - 1) % self._span
         self._slots[head] = sample
         if self._rows is not None:
@@ -446,15 +450,24 @@ class WeightedRegressor:
 
 
 def _check_gains(gains: GainVector, filter_length: int, holder: str) -> None:
-    """Reject ``gains`` unless they cover the ``filter_length`` taps ``holder`` holds."""
+    """Reject ``gains`` unless they are a :class:`GainVector` covering the ``filter_length``
+    taps ``holder`` holds."""
+    if not isinstance(gains, GainVector):
+        raise ValueError(f"gains must be a GainVector, got {gains!r}")
     if gains.partition.filter_length != filter_length:
         raise ValueError(
             f"gains cover {gains.partition.filter_length} taps but {holder} holds {filter_length}"
         )
 
 
+def _check_history(history) -> None:
+    if not isinstance(history, RegressorHistory):
+        raise ValueError(f"history must be a RegressorHistory, got {history!r}")
+
+
 def build_weighted_regressor_direct(gains: GainVector, history: RegressorHistory) -> WeightedRegressor:
     """Weighted regressor by plain row scaling: M*L products; the reference for the efficient build."""
+    _check_history(history)
     _check_gains(gains, history.filter_length, "history")
     matrix = gains.expand()[:, None] * history.regressor_matrix()
     return WeightedRegressor(matrix, history.projection_order * history.filter_length)
@@ -470,6 +483,7 @@ def build_weighted_regressor_efficient(gains: GainVector, history: RegressorHist
     and always a C-contiguous copy, so the Gram matrix and the update run
     in BLAS; with one block the placed view alone would overlap itself.
     """
+    _check_history(history)
     _check_gains(gains, history.filter_length, "history")
     group, order = gains.partition.group_size, history.projection_order
     window = history.window()
@@ -498,9 +512,9 @@ def update_memory_regressor(state: FilterState, gains: GainVector, newest_input)
     ring = state.memory_ring
     if ring is None:
         raise ValueError("memory regressor is only maintained for mpapa/bs-mpapa filters")
-    x = np.asarray(newest_input, dtype=float)
+    x = _real_array(newest_input, "newest_input")
     if x.shape != (ring.shape[1],):
-        raise ValueError(f"expected an input vector of length {ring.shape[1]}, got shape {x.shape}")
+        raise ValueError(f"newest_input must be a vector of length {ring.shape[1]}, got shape {x.shape}")
     _check_gains(gains, ring.shape[1], "the memory ring")
     order = ring.shape[0] // 2
     state.memory_head = head = (state.memory_head - 1) % order
@@ -594,7 +608,7 @@ def variant_gains(config: FilterConfig, weights) -> GainVector:
     floored norm over itself is one, and ``sqrt(w*w) == |w|`` short of
     overflow (underflowed taps sit below the ``rho*q`` floor anyway).
     """
-    w = np.asarray(weights, dtype=float)
+    w = _real_array(weights, "weights")
     if w.shape != (config.filter_length,):
         raise ValueError(
             f"expected a weight vector of length {config.filter_length}, got shape {w.shape}"
@@ -633,12 +647,14 @@ def filter_step(
         or history.projection_order != config.projection_order
     ):
         raise ValueError("history dimensions do not match the filter config")
-    desired = np.asarray(desired, dtype=float)
+    desired = _real_array(desired, "desired")
     if desired.shape != (config.projection_order,):
         raise ValueError(
             f"expected {config.projection_order} desired samples, got shape {desired.shape}"
         )
     weights = state.weights
+    if not isinstance(weights, np.ndarray):
+        raise ValueError(f"expected float weights of length {config.filter_length}, got {weights!r}")
     if weights.dtype != float or weights.shape != (config.filter_length,):
         raise ValueError(
             f"expected float weights of length {config.filter_length}, got "
@@ -687,12 +703,12 @@ class _Batch:
     """The step kernel: B filters sharing (L, M) and the branch, stepped as one.
 
     A step is six layers, one method each: gains, build, Gram, error, solve,
-    update.  The weights are the rows of one ``(B, L)`` block, in four runs:
-    built rows, summed rows, unit-gain rows, memory rows (those that keep
-    their products first, then those that sum); ``_panel_batches`` orders
-    them so.  The one gain pass fills each other row's own gain buffers, in
-    the order the build reads the rows (built, memory, then summed), and the
-    build only weights.  Built rows weight their regressor into a
+    update, after a recursive batch's block fill (below).  The weights are the
+    rows of one ``(B, L)`` block, in four runs: built rows, summed rows,
+    unit-gain rows, memory rows (those that keep their products first, then
+    those that sum); ``_panel_batches`` orders them so.  The one gain pass
+    fills each other row's own gain buffers, in the order the build reads the
+    rows (built, memory, then summed), and the build only weights.  Built rows weight their regressor into a
     C-contiguous ``(Bb, L, M)`` stack: they copy their block gains over their
     slot and multiply it by X(n), the history's
     :meth:`~RegressorHistory._first_rows` view, in place.  A unit-gain
@@ -702,12 +718,11 @@ class _Batch:
     x(n) the same way.  Each stacked product equals the per-filter product bit
     for bit.  The history's copies of its input are made as the batch reads
     them: a batch with a built or summed row, or a unit-gain row that is not
-    recursive, reads all of X(n) from the row view; one whose only readers are
-    its lag writes reads X(n)[:P], P its largest lag group, so its history's
-    row ring holds 2P rows (16 KiB at P=64, M=16, not 1 MiB); other batches
-    read none.  Only a full-product error or Gram, that of a batch that is not
-    recursive, of its built rows, or of a memory row's gemvs, reads X(n).T
-    whole and makes the history's M-fold ring.  A step allocates no array of L floats.  A
+    recursive, reads all of X(n) from the row view; other batches read none
+    (the block fill forms its lag vectors from rows of its own).  Only a
+    full-product error or Gram, that of a batch that is not recursive, of its
+    built rows, or of a memory row's gemvs, reads X(n).T whole and makes the
+    history's M-fold ring.  A step allocates no array of L floats.  A
     single-projection batch is its :class:`_ScalarRow` steps.  No checks.
 
     A ``recursive`` batch keeps, per row, the a-posteriori errors
@@ -715,11 +730,14 @@ class _Batch:
     failed) and its Gram matrices, both zero at the start.  Its error layer
     forms only e(n)[0] = d(n) - x(n).T w, as one dot product a row, and takes
     e(n)[1:] = ε(n-1)[:M-1]; it keeps e(n) beside the z its solve writes
-    (``_solved`` holds [z; e(n)] a row).  Its unit-gain and memory rows' Gram
-    matrix is G(n-1)[:-1, :-1] shifted down the diagonal, with column 0,
-    X(n).T W[:, 0], and then row 0, x(n).T W, formed anew; for a unit-gain row
-    both are X(n).T x(n), so that matrix is symmetric.  Built rows form the
-    full product.  :meth:`without` carries the state of the rows it keeps.
+    (``_solved`` holds [z; e(n)] a row).  Its memory rows' Gram matrix is
+    G(n-1)[:-1, :-1] shifted down the diagonal, with column 0, X(n).T W[:, 0],
+    and then row 0, x(n).T W, formed anew.  A unit-gain row's would be the
+    same with both equal to c(n) = X(n).T x(n), so its whole matrix reads the
+    input alone, G(m)[a, b] = c(m - min(a, b))[|a - b|], and the block fill
+    forms and factors it (below).  Built rows form the full product.
+    :meth:`without` carries the state of the rows it keeps, the block formed
+    ahead included.
 
     A recursive batch's unit-gain rows (``units``, a run of rows) hold
     fictitious weights (Gay & Tavathia): the weights row is ŵ, and the row
@@ -729,8 +747,7 @@ class _Batch:
     ŵ += (mu * E(n)[M-1]) * x(n-M+1), one multiply-add of L floats from the
     history's single input ring, where w would take an (L, M) @ (M,)
     product.  Its error is e(n)[0] = d(n) - x(n).T ŵ(n-1) - mu *
-    G(n)[0, 1:] Ē(n-1), so the Gram layer, which forms that row, runs before
-    the error layer.
+    c(n)[1:] Ē(n-1), with c(n) = G(n)[0] from the block fill.
     The batch also forms the stream's misalignment, so only it reads the
     fictitious weights: :meth:`segment` starts a segment, and
     :meth:`misalignment` gives every row's value after a step, a unit-gain
@@ -739,28 +756,48 @@ class _Batch:
     Row i of X(n) is row i - 1 of X(n-1), so block k's correlation is
     R_k(n)[a, a + j] = r_P(n - a - kP)[j], where r_P(m)[j] = sum_{i<P} x(m - i)
     x(m - i - j) is block 0's row 0 at time m.  A recursive batch keeps one
-    ring of L + M - 1 lag vectors r_P per group size P its rows read, zero at
-    the start and mirrored, the period of the history's own ring.  A recursive
-    batch steps once per push, from the stream's start, so the history's head
-    addresses the ring: its build writes each r_P(n) once there,
-    ``x(n)[:P] @ X(n)[:P]`` on the row view.  Gained rows with P and M from
-    ``_SUM_FROM`` on are summed rows, with no W: C[a, j] = sum_k g_k
-    r_P(n - a - kP)[j] is one stacked ``(N,) @ (M, N, M)`` product over a
-    strided view of the ring, G[a, b] = C[min(a, b), |a - b|] is exactly
-    symmetric, and the update is g * (X(n) z), the gains applied as the
+    ring of lag vectors r_P per group size P its rows read, zero at the start
+    and mirrored, of ``_slots`` slots: whole blocks of ``_BLOCK``, at least
+    L + M - 1 + K.  It steps once per push from the stream's start, and keeps
+    the count (``_next``): sample m sits in slot (-1 - m) mod ``_slots``, so
+    r_P(m - t) is t slots on.
+
+    The block fill (:meth:`_fill`, :meth:`_form`) forms what reads only the
+    input ahead of the steps that read it.  Given the stream (:meth:`segment`),
+    whenever a step reaches the first sample not yet formed, it forms the
+    samples up to the next multiple of ``_BLOCK`` (K = 64), one stacked call an
+    item, from newest-first samples and K + P - 1 rows of M of them copied once:
+    every group's r_P(m) = x(m)[:P] @ X(m)[:P], the gemv a step would take, so
+    the bits are the same; the unit-gain column c(m) = sum_k r_P(m - kP); and
+    each unit-gain row's G(m) + delta*I, from a strided view of the last
+    K + M - 1 columns, factored by ``dgetrf`` item by item, with the pivot
+    test of :func:`_solve_stack` over the block and each failure kept under its
+    own sample.  A step then solves its unit-gain rows by ``dgetrs`` alone.  A
+    block never crosses a multiple of K, so its slots are one run and the ring
+    is never moved.  Without the stream, or past its end, the same code forms
+    one sample ahead from the history's window.  Its state is K*M*M floats of
+    factors a unit-gain row, and about (2K + P)*M floats of rows, columns and
+    ring slots beyond the span (0.18 MiB in all for APA at L=4096, M=16).
+
+    Gained rows with P and M from ``_SUM_FROM`` on are summed rows, with no W:
+    C[a, j] = sum_k g_k r_P(n - a - kP)[j] is one stacked ``(N,) @ (M, N, M)``
+    product over a strided view of the ring, G[a, b] = C[min(a, b), |a - b|] is
+    exactly symmetric, and the update is g * (X(n) z), the gains applied as the
     build does.  A unit-gain row's column 0 is sum_k r_P(n - kP); a
     memory row's is sum_k g_k(n) r_P(n - kP), row 0 of its C, and its row 0
     sum_k g_k(n - j) r_P(n - kP)[j], from a mirrored ring of its last M block
-    gains.  The rule (:func:`_lag_group`): a unit-gain row always sums, and a
-    gained row, memory or not, from ``_SUM_FROM`` on; below that, a memory row's
-    row 0 sum, an elementwise (M, N) pass, is slower than its gemv, so ``mpapa``
-    keeps its two.  Build + Gram products a step: summed 0 + (P*M + N*M^2),
-    unit-gain 0 + (P*M + N*M), memory L + (P*M + 2*N*M).
+    gains; both read w, so they stay in the step.  The rule
+    (:func:`_lag_group`): a unit-gain row always sums, and a gained row, memory
+    or not, from ``_SUM_FROM`` on; below that, a memory row's row 0 sum, an
+    elementwise (M, N) pass, is slower than its gemv, so ``mpapa`` keeps its two.
+    Build + Gram products a step: summed 0 + (P*M + N*M^2), unit-gain
+    0 + (P*M + N*M), memory L + (P*M + 2*N*M).
     Every entry is a fresh P-term sum, so nothing drifts.
     """
 
     def __init__(self, configs, weights: np.ndarray, rings: np.ndarray, recursive=False):
-        self.configs, self.weights, self.rings, self.head, self._stream = configs, weights, rings, 0, None
+        self.configs, self.weights, self.rings, self.head = configs, weights, rings, 0
+        self._stream = self._input = None  # the misalignment stream and the input (see segment)
         (count, length), order = weights.shape, configs[0].projection_order
         self.scalar, self.plain, self.recursive = configs[0].is_scalar, count - len(rings), recursive
         if self.scalar:  # the rows alone, each with an update row of its own
@@ -792,15 +829,19 @@ class _Batch:
             self._prior = stacks[1]
             self._decay = np.repeat([[1.0 - c.step_size] for c in configs], order, axis=1)
             self._pull = np.repeat([[c.step_size * c.regularization] for c in configs], order, axis=1)
-        gram, lu = np.zeros((count, order, order)), np.empty((count, order, order))
+        # Every row but the unit-gain ones factors its system each step: an LU stack of those rows,
+        # as (gram, ridge, LU) runs, the unit-gain rows' run left out.
+        gram, lu = np.zeros((count, order, order)), np.empty((count - hi + lo, order, order))
         self._columns, self._errors, self._updates = weights[:, :, None], error, update[:, :, 0]
         self._grams, self._lu = gram, lu.transpose(0, 2, 1)
-        self._diagonal = lu.reshape(count, -1)[:, :: order + 1]
+        self._ridged = [(gram[a:b], self._ridge[a:b], self._lu[a - at : b - at])
+                        for a, b, at in ((0, lo, 0), (hi, count, hi - lo)) if a < b]
+        self._diagonal = lu.reshape(len(lu), order * order)[:, :: order + 1]
         self._rhs = error[:, :, 0]
         if recursive:  # the views the error layer reads and writes every step
             self._carried = (self._rhs[:, 1:], self._eps[:, :-1])  # e(n)[1:] = ε(n-1)[:M-1]
             self._heads = (self._errors[:, :1], self._rhs[:, 0])  # x(n).T w, then e(n)[0]
-        self._systems = list(zip(self._lu, error))  # F-contiguous LU, (M, 1) rhs
+        self._systems = list(zip(self._lu, [*error[:lo], *error[hi:]]))  # F-contiguous LU, (M, 1) rhs
         weighted = np.empty((built, length, order))
         built_rows = list(zip(configs, weights, weighted))  # zip stops at the summed rows
         memory = list(zip(configs[p:], weights[p:], rings))
@@ -823,45 +864,62 @@ class _Batch:
         products = np.empty((len(summed), length))
         outs = [*products, *self._updates[gained:p]]
         self._row_parts = [(gram[b], self._rhs[b], out) for b, out in zip(range(built, min(lo, p)), outs)]
-        # The fictitious weights' E, and (row, mu, G[0, 1:], E, update row) a row
+        # the rows of X(n) the build reads: all of them where it multiplies by X(n), else none
+        self._row_count = length if self._row_parts or self._in_place else 0
+        # The fictitious weights' E, and (row, mu, E, update row) a row
         self._fictitious = np.zeros((hi - lo, order))
-        self._unit_rows = [(b, configs[b].step_size, gram[b, 0, 1:], f, self._updates[b])
+        self._unit_rows = [(b, configs[b].step_size, f, self._updates[b])
                            for b, f in zip(range(lo, hi), self._fictitious)]
         flat = self._fictitious.reshape(-1)  # its shift, as the Gram stack's: backwards, unbuffered
         self._unit_update = ((flat[1:], flat[:-1]), self._fictitious[:, 0], self._rhs[lo:hi])
         # the update stack's runs that take mu * W z, each as (updates, mu): all rows but the units
         self._scaled = [(self._updates[a:b], self.mu[a:b]) for a, b in ((0, lo), (hi, count)) if a < b]
         self._ring_stacks = (gram[p:], error[p:], update[p:])
-        # One lag ring per group size P the rows read (see above), under the history's head, with the
-        # two rows a push writes by head, and a view by head that reads r(n - a - kP)[j] at [a, k, j].
+        # One lag ring per group size P the rows read (see above), of ``_slots`` slots mirrored, with
+        # a view by slot that reads r(m - a - kP)[j] at [a, k, j] for the sample m in that slot.
         span = length + order - 1
         self._lag_groups = sorted({g for g in groups if g is not None})
-        self._lags = np.zeros((len(self._lag_groups), 2 * span, order))
-        self._lag_slots = [(group, _mirrored(lags)) for group, lags in zip(self._lag_groups, self._lags)]
+        self._slots = -(-(span + _BLOCK) // _BLOCK) * _BLOCK  # whole blocks, at least span + K
+        self._lags = np.zeros((len(self._lag_groups), 2 * self._slots, order))
         row, tap = self._lags.strides[1:]
-        views = {group: as_strided(lags, (span, order, length // group, order),
+        views = {group: as_strided(lags, (self._slots, order, length // group, order),
                                    (row, row, group * row, tap), writeable=False)
                  for group, lags in zip(self._lag_groups, self._lags)}
-        # the rows of X(n) the build reads: all of them to multiply by it, else the largest lag group's
-        self._row_count = length if self._row_parts or self._in_place else max(self._lag_groups, default=0)
+        # The block fill's state (see _fill): the next sample to step, the first one not yet formed,
+        # the input stream, newest-first samples and rows for a block, and this step's slot.
+        self._next = self._formed = self._slot = self._item = 0
+        largest = max(self._lag_groups, default=1)
+        self._recent = np.zeros(_BLOCK + largest + order - 2) if self._lag_groups else None
+        self._block_rows = np.empty((_BLOCK + largest - 1, order)) if self._lag_groups else None
         self._sums = np.empty((len(summed), order, order))  # C[a, j] = sum_k g_k r(n - a - kP)[j]
         a, b = np.indices((order, order))
         self._mirror = np.minimum(a, b) * order + abs(a - b)  # G[a, b] = C[min(a, b), |a - b|]
+        # the mirror copy's bound operands: C flat a row, and the summed rows' Gram stack
+        self._flat_sums = self._sums.reshape(len(summed), order * order)
+        self._summed_grams = gram[built:gained]
         # (P, gains, correlation views, update row, its (N, P) blocks, X(n)z)
         self._summed = [
             (c.group_size, g, views[c.group_size], u, _blocks(u, c), product)
             for (c, _, u), (_, _, g, _), product in zip(
                 summed, self._gained[len(self._gained) - len(summed):], products)]
-        # Unit-gain rows' column 0 sums N lag vectors: (ones, views), or None; (gram, gain ring,
-        # views) a summing memory row.
-        unit = groups[gained] if p > gained else None
+        # The unit-gain rows' block state: their column c(m) = sum_k r(m - kP) newest first, the
+        # block's and the M - 1 before it, with (ones, views); each row's G(m) + delta I, factored,
+        # with the pivots and F-contiguous views a step solves with; {sample: {row: failure}}.
+        unit = groups[lo] if hi > lo else None
         self._unit_sum = unit and (np.ones(length // unit), views[unit])
+        self._unit_columns = np.zeros((_BLOCK + order - 1, order)) if unit else None
+        self._c = self._unit_failed = None  # c(n), every unit-gain row's G(n)[0], and its failures
+        self._lower = a > b
+        blocks = np.empty((hi - lo, _BLOCK, order, order))
+        self._unit_lu = [(block, [item.T for item in block], [None] * _BLOCK, error[b])
+                         for b, block in zip(range(lo, hi), blocks)]
+        self._singular = {}
         self._memory_sums = [(gram[b], gains, views[groups[b]], np.empty((order, length // groups[b])))
                              for b, gains in zip(range(self.summing, count), self._gain_rings)]
-        # The shift of the unit-gain and memory rows' Gram stack down its diagonal, as one copy
-        # along the flat stack: its overlap runs backwards unbuffered, and what it writes to row
-        # and column 0 is formed anew.
-        flat = gram[gained:].reshape(-1)
+        # The shift of the memory rows' Gram stack down its diagonal, as one copy along the flat
+        # stack: its overlap runs backwards unbuffered, and what it writes to row and column 0 is
+        # formed anew.
+        flat = gram[p:].reshape(-1)
         self._shift = (flat[order + 1 :], flat[: len(flat) - order - 1])
         # Indexed by head: the (Bm, L, M) regressors as in FilterState.
         ring, row, tap = rings.strides
@@ -880,12 +938,25 @@ class _Batch:
             *segment, diff = self._stream
             batch._stream = (*segment, diff[: len(keep)])
             batch._running, batch._exact = [self._running[i] for i in units], [self._exact[i] for i in units]
+        batch._input = self._input
         if self.recursive:
             batch._grams[:], batch._eps[:] = self._grams[keep], self._eps[keep]
             batch._fictitious[:] = self._fictitious[units]
             batch._lags[:] = self._lags[[self._lag_groups.index(g) for g in batch._lag_groups]]
             for new, b in zip(batch._gain_rings, [b for b in keep if b >= self.summing]):
                 new[:] = self._gain_rings[b - self.summing]
+            # the block formed ahead: positions, the unit-gain column and each kept row's factors
+            batch._next, batch._formed = self._next, self._formed
+            if units:
+                batch._unit_columns[:] = self._unit_columns
+                for (block, _, pivots, _), i in zip(batch._unit_lu, units):
+                    old = self._unit_lu[i]
+                    block[:], pivots[:] = old[0], old[2]
+                index = {b: i for i, b in enumerate(keep)}
+                for sample, failed in self._singular.items():
+                    kept = {index[b]: exc for b, exc in failed.items() if b in index}
+                    if kept:
+                        batch._singular[sample] = kept
         return batch
 
     def step(self, history: RegressorHistory, desired: np.ndarray):
@@ -893,6 +964,8 @@ class _Batch:
         if self.scalar:  # one call a row; a failed row keeps its weights
             steps = [row(history, desired) for row in self._scalar_rows]
             return [prior for prior, _ in steps], {b: failed for b, (_, failed) in enumerate(steps) if failed}
+        if self._lag_groups:
+            self._fill(history)
         gains = self._gains()
         parts = self._build(history, gains)
         self._gram(history, parts)
@@ -901,14 +974,77 @@ class _Batch:
         self._update(history, parts, failed)
         return prior, failed
 
+    def _fill(self, history: RegressorHistory) -> None:
+        """Place this step in the block formed ahead, first forming the next block if this
+        sample is not in it: K samples up to the next multiple of ``_BLOCK`` from the stream
+        :meth:`segment` gave, else one sample from the history's window."""
+        n = self._next
+        if n == self._formed:
+            stream = self._input
+            if stream is None or n >= stream.size:
+                count, recent = 1, history._buf[history._head :]
+            else:  # newest first: x(n + count - 1) down to the oldest sample the block reads
+                count, recent = min(_BLOCK - n % _BLOCK, stream.size - n), self._recent
+                top = n + count
+                first = max(top - len(recent), 0)
+                np.copyto(recent[: top - first], stream[first:top][::-1])
+                recent[top - first :] = 0.0  # before the stream's start
+            self._form(recent, n, count)
+            self._formed = n + count
+        self._next, self._slot, self._item = n + 1, (-1 - n) % self._slots, self._formed - 1 - n
+        if self._unit_rows:
+            self._c = self._unit_columns[self._item]
+            self._unit_failed = self._singular.pop(n, None)
+
+    def _form(self, recent: np.ndarray, n: int, count: int) -> None:
+        """Form the input-only work of samples n .. n + count - 1, from ``recent``, the
+        newest-first samples from x(n + count - 1) on, in one stacked call an item: each lag
+        group's vectors r(m) = x(m)[:P] @ X(m)[:P], the unit-gain column c(m), and each unit-gain
+        row's G(m) + delta*I, factored, with its failures kept under m.  The block never crosses
+        a multiple of ``_BLOCK``, so its slots of the lag ring are one run."""
+        order, step = self.configs[0].projection_order, recent.strides[0]
+        rows = self._block_rows[: count + self._lag_groups[-1] - 1]  # row t: M samples from recent[t]
+        np.copyto(rows, as_strided(recent, rows.shape, (step, step)))
+        first, stride = (-n - count) % self._slots, rows.strides[0]  # the newest sample's slot
+        for group, lags in zip(self._lag_groups, self._lags):
+            out = lags[first : first + count]
+            np.matmul(as_strided(recent, (count, 1, group), (step, 0, step)),
+                      as_strided(rows, (count, group, order), (stride, stride, step)), out=out[:, None])
+            lags[self._slots + first : self._slots + first + count] = out
+        if not self._unit_rows:
+            return
+        columns, (ones, views) = self._unit_columns, self._unit_sum
+        np.copyto(columns[count : count + order - 1], columns[: order - 1])  # the M - 1 before
+        np.matmul(ones, views[first : first + count, 0], out=columns[:count])
+        # G(m)[a, b] = c(m - min(a, b))[|a - b|]: entry (t, a, b) reads c(m - a)[b - a] at and above
+        # the diagonal, and the transposed view below it
+        row = columns.strides[0]
+        upper = as_strided(columns, (count, order, order), (row, row - step, step), writeable=False)
+        scale, top = order * _EPS, n + count - 1
+        for (block, items, pivots, _), b in zip(self._unit_lu, range(*self.units)):
+            lu = block[:count]
+            np.add(upper, self._ridge[b], out=lu)
+            np.add(upper.transpose(0, 2, 1), self._ridge[b], out=lu, where=self._lower)
+            for t in range(count):
+                _, pivots[t], info = dgetrf(items[t], 1)  # overwrite_a, positional: keywords cost more
+                if info < 0:
+                    raise ValueError(f"dgetrf rejected argument {-info}")
+            # the pivot test of _solve_stack, item by item
+            magnitudes = np.abs(lu.reshape(count, -1)[:, :: order + 1])
+            smallest = np.minimum.reduce(magnitudes, 1)
+            for t in np.flatnonzero(smallest <= scale * np.maximum.reduce(magnitudes, 1)).tolist():
+                pivot = float(smallest[t])
+                self._singular.setdefault(top - t, {})[b] = SingularSystemError(
+                    f"projection system singular to working precision (pivot {pivot:.3e})", pivot=pivot)
+
     def _gains(self) -> list:
         """Every gained row's block gains, in buffers of its own, in the order the build reads them."""
         return [_block_gains(config, w, gains, squares) for config, w, gains, squares in self._gained]
 
     def _error(self, history: RegressorHistory, desired: np.ndarray) -> list:
         """The a-priori errors ``d - X.T w``, into the solve's right-hand sides; return each row's
-        e(n)[0].  A recursive batch forms e(n)[0] alone, a unit-gain row's from ŵ and this step's
-        Gram row 0, and keeps e(n) as ``_prior``."""
+        e(n)[0].  A recursive batch forms e(n)[0] alone, a unit-gain row's from ŵ and c(n), this
+        step's Gram row 0, and keeps e(n) as ``_prior``."""
         rhs = self._rhs
         if not self.recursive:
             np.matmul(history._transposed(), self._columns, out=self._errors)
@@ -918,26 +1054,22 @@ class _Batch:
         products, first = self._heads
         np.matmul(history._x0[history._head], self._columns, out=products)  # one dot product a row
         np.subtract(desired[0], first, out=first)
-        for b, mu, row, fictitious, _ in self._unit_rows:  # x(n).T w(n-1) = x(n).T ŵ + mu G(n)[0, 1:] Ē(n-1)
-            rhs[b, 0] -= mu * float(np.dot(row, fictitious[:-1]))
+        if self._unit_rows:  # x(n).T w(n-1) = x(n).T ŵ + mu G(n)[0, 1:] Ē(n-1)
+            row = self._c[1:]
+            for b, mu, fictitious, _ in self._unit_rows:
+                rhs[b, 0] -= mu * float(np.dot(row, fictitious[:-1]))
         np.copyto(self._prior, rhs)
         return first.tolist()
 
     def _build(self, history: RegressorHistory, gains: list) -> list:
-        """Weight the gained rows' regressors by ``gains``, push the lag and gain rings; return
-        the (W, Gram, error, update) stacks and rows."""
+        """Weight the gained rows' regressors by ``gains`` and push the memory and gain rings;
+        return the (W, Gram, error, update) stacks and rows."""
         gains, parts = iter(gains), self._parts
         if self._row_count:
             regressor = history._first_rows(self._row_count)
             for (_, out, blocks), g in zip(self._in_place, gains):
                 _weigh(g, regressor, out, blocks)
             parts = parts + [(regressor, *row) for row in self._row_parts]
-            if self._lag_slots:  # each lag vector r(n) = x(n)[:P] @ X(n)[:P], twice
-                head = history._head
-                x = history._buf[head:]
-                for group, slots in self._lag_slots:
-                    np.matmul(x[:group], regressor[:group], out=slots[head, 0])
-                    slots[head, 1] = slots[head, 0]
         if self._memory:
             self.head = head = (self.head - 1) % history.projection_order
             x = history._buf[history._head : history._head + self.weights.shape[1]]
@@ -952,27 +1084,23 @@ class _Batch:
 
     def _gram(self, history: RegressorHistory, parts: list) -> None:
         """Each stack's Gram matrix ``X.T W``; a recursive batch sums its summed rows', and
-        shifts its unit-gain and memory rows' and forms their row and column 0 alone."""
+        shifts its memory rows' and forms their row and column 0 alone.  A unit-gain row of a
+        recursive batch has its matrix formed and factored ahead (:meth:`_form`)."""
         products = parts[: len(self._parts)] if self.recursive else parts
         if products or self.summing > self.plain:  # only these multiply by X(n).T whole
             xt = history._transposed()
         for weighted, gram, _, _ in products:
             np.matmul(xt, weighted, out=gram)
-        lag = history._head
+        lag = self._slot
         if self._summed:  # C = g @ the correlation view, mirrored onto G
             for (_, gains, views, *_), sums in zip(self._summed, self._sums):
                 np.matmul(gains, views[lag], out=sums)
             # "clip": under the default "raise" numpy would buffer the output
-            np.take(self._sums.reshape(len(self._sums), -1), self._mirror, axis=1,
-                    out=self._grams[self.built : self.gained], mode="clip")
-        if not self.recursive or self.gained == len(self.configs):
+            self._flat_sums.take(self._mirror, 1, self._summed_grams, "clip")
+        if self.plain == len(self.configs) or not self.recursive:
             return
         head, order = self.head, history.projection_order
         np.copyto(*self._shift)
-        units = self._grams[self.gained : self.plain]
-        if len(units):  # column 0, then the same row 0: sum_k r(n - kP)
-            ones, views = self._unit_sum
-            units[:, :, 0] = units[:, 0] = ones @ views[lag, 0]
         if self.summing > self.plain:  # memory rows' column 0 and row 0 from X(n)
             memory, rings = self._grams[self.plain : self.summing], self.rings[: self.summing - self.plain]
             np.matmul(xt, rings[:, head, :, None], out=memory[:, :, :1])
@@ -985,9 +1113,26 @@ class _Batch:
             np.add.reduce(np.multiply(terms, gains[head : head + order], out=terms), 1, out=gram[0])
 
     def _solve(self) -> dict:
-        """Solve ``(Gram + delta*I) z = e`` in place of the errors; return ``{row: failure}``."""
-        np.add(self._grams, self._ridge, out=self._lu)
-        return _solve_stack(self._systems, self._diagonal)
+        """Solve ``(Gram + delta*I) z = e`` in place of the errors; return ``{row: failure}``.
+        A recursive batch's unit-gain rows solve with the factors formed ahead."""
+        failed = {}
+        if self._systems:
+            for gram, ridge, lu in self._ridged:
+                np.add(gram, ridge, out=lu)
+            failed = _solve_stack(self._systems, self._diagonal)
+        if not self._unit_rows:
+            return failed
+        lo, hi = self.units
+        if failed:  # the stack skips the unit-gain rows
+            failed = {b if b < lo else b + hi - lo: exc for b, exc in failed.items()}
+        item, singular = self._item, self._unit_failed
+        for (_, items, pivots, rhs), b in zip(self._unit_lu, range(lo, hi)):
+            if singular is None or b not in singular:
+                if dgetrs(items[item], pivots[item], rhs, 0, 1)[1] < 0:  # trans, overwrite_b
+                    raise ValueError("dgetrs rejected an argument")
+        if singular:
+            failed = dict(sorted({**failed, **singular}.items()))
+        return failed
 
     def _update(self, history: RegressorHistory, parts: list, failed: dict) -> None:
         """``w += mu * W z`` on every row but the failed ones, whose z is zero; a recursive batch
@@ -1011,7 +1156,7 @@ class _Batch:
             np.add(self._fictitious, z, out=self._fictitious)
             start = history._head + history.projection_order - 1
             oldest = history._buf[start : start + self.weights.shape[1]]
-            for _, mu, _, fictitious, update in self._unit_rows:
+            for _, mu, fictitious, update in self._unit_rows:
                 np.multiply(oldest, mu * float(fictitious[-1]), out=update)
         self.weights += self._updates
         if self.recursive:  # ε = (1 - mu) e + mu delta z, in place
@@ -1031,7 +1176,7 @@ class _Batch:
             # X̄(n).T, row j = x(n - j): overlapping rows of the ring, which numpy's own loop reads
             rows = as_strided(history._buf[history._head :], (order - 1, self.weights.shape[1]),
                               (step, step), writeable=False)
-            for b, mu, _, fictitious, _ in self._unit_rows:  # a row at a time: a stack would take BLAS
+            for b, mu, fictitious, _ in self._unit_rows:  # a row at a time: a stack would take BLAS
                 weights[b] += mu * (fictitious[:-1] @ rows)
         return weights
 
@@ -1047,7 +1192,7 @@ class _Batch:
             lead, known = max(0, first - truth.size + 1), max(first, 0)  # x(m - k), k < L, from lead on
             clean = np.convolve(x[lead:end], truth)[known - lead : end - lead] - d[known:end]
             clean = np.concatenate((np.zeros(known - first), clean))[::-1].copy()
-        self._stream = truth, _power(truth), start, end, clean, np.empty(self.weights.shape)
+        self._stream, self._input = (truth, _power(truth), start, end, clean, np.empty(self.weights.shape)), x
         self._running, self._exact = [0.0] * len(self._unit_rows), [0.0] * len(self._unit_rows)
 
     def misalignment(self, history: RegressorHistory, n: int) -> list:
@@ -1076,7 +1221,7 @@ class _Batch:
         else:
             formed, back = None, end - 1 - n
             recent = clean[back : back + history.projection_order]  # y(n) - d(n)
-            for i, (b, mu, _, _, _) in enumerate(self._unit_rows):
+            for i, (b, mu, _, _) in enumerate(self._unit_rows):
                 solved = self._solved[b]  # [z; e(n)]
                 z = solved[0]
                 zz, ez = np.dot(solved, z).tolist()
@@ -1153,8 +1298,8 @@ class AdaptiveFilter:
 
     def process(self, sample: float, desired: float) -> float:
         """Consume one (input, desired) pair of real scalars, adapt, and return the a-priori error."""
-        if not _is_real(desired):
-            raise ValueError(f"desired must be a real scalar, got {desired!r}")
+        if not isinstance(desired, float):
+            desired = _real_scalar(desired, "desired")
         self.history.push(sample)
         d = self._desired
         if d.size > 1:

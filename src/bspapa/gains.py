@@ -49,6 +49,15 @@ def _real_array(value, name: str) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
+def _real_scalar(value, name: str) -> float:
+    """``value``, a real number by :func:`_is_real`, as a Python float; anything else, and an
+    integer past the float range, is a ValueError naming ``name``.  For values that are not
+    floats: a per-sample caller tests ``isinstance(value, float)`` first."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real scalar, got {value!r}")
+    return _as_float(value, name)
+
+
 def _as_float(value, name: str) -> float:
     """``value``, a real number by :func:`_is_real`, as a Python float.  An integer past the
     float range, where ``float`` raises ``OverflowError``, is a ValueError naming ``name``."""
@@ -121,7 +130,7 @@ class GainVector:
     partition: BlockPartition
 
     def __post_init__(self) -> None:
-        gains = np.asarray(self.block_gains, dtype=float)
+        gains = _real_array(self.block_gains, "block_gains")
         if gains.shape != (self.partition.block_count,):
             raise ValueError(
                 f"expected {self.partition.block_count} block gains, got shape {gains.shape}"

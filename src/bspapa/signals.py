@@ -30,8 +30,15 @@ MISALIGNMENT_FLOOR_DB = -300.0
 
 def _validated_clusters(clusters, filter_length: int) -> tuple[tuple[int, int], ...]:
     """Normalize 1-based inclusive (start, end) integer ranges; reject bad layouts."""
+    try:
+        pairs = [tuple(pair) for pair in clusters]
+    except TypeError:
+        raise ValueError(f"clusters must be a sequence of (start, end) pairs, got {clusters!r}") from None
     spec = []
-    for start, end in clusters:
+    for pair in pairs:
+        if len(pair) != 2:
+            raise ValueError(f"cluster {pair!r}: expected a (start, end) pair")
+        start, end = pair
         if not (_is_integer(start) and _is_integer(end)):
             raise ValueError(f"cluster ({start!r}, {end!r}): endpoints must be integers")
         start, end = int(start), int(end)
@@ -59,7 +66,7 @@ class ImpulseResponse:
     cluster_spec: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        taps = np.asarray(self.taps, dtype=float)
+        taps = _real_array(self.taps, "taps")
         if taps.ndim != 1 or taps.size == 0:
             raise ValueError("taps must be a nonempty 1-D vector")
         object.__setattr__(self, "taps", taps)
@@ -96,6 +103,8 @@ def make_block_sparse_ir(filter_length: int, clusters, seed: int) -> ImpulseResp
         raise ValueError(f"filter_length must be an integer, got {filter_length!r}")
     if filter_length < 1:
         raise ValueError(f"filter_length must be positive, got {filter_length}")
+    if filter_length > np.iinfo(np.intp).max:
+        raise ValueError(f"filter_length {filter_length} is too large to index an array")
     response = ImpulseResponse(np.zeros(filter_length), clusters)  # validates the clusters
     rng = _generator(seed)
     for start, end in response.cluster_spec:
@@ -118,7 +127,7 @@ def ar1_filter(driving, pole: float) -> np.ndarray:
         raise ValueError(f"AR(1) pole must be a real number, got {pole!r}")
     if not -1.0 < pole < 1.0:
         raise ValueError(f"AR(1) pole must satisfy |pole| < 1, got {pole}")
-    samples = np.asarray(driving, dtype=float)
+    samples = _real_array(driving, "AR(1) driving")
     if samples.ndim != 1:
         raise ValueError(f"AR(1) driving must be a 1-D sequence, got shape {samples.shape}")
     bad = np.flatnonzero(~np.isfinite(samples))
@@ -159,7 +168,7 @@ def scale_noise_for_snr(clean_echo, snr_db: float, seed: int) -> np.ndarray:
     """
     if not _is_real(snr_db):
         raise ValueError(f"snr_db must be a real number, got {snr_db!r}")
-    clean = np.asarray(clean_echo, dtype=float)
+    clean = _real_array(clean_echo, "clean_echo")
     if clean.size == 0:
         raise ValueError("clean_echo must be nonempty")
     clean_power = float(np.mean(clean * clean))
@@ -172,7 +181,9 @@ def scale_noise_for_snr(clean_echo, snr_db: float, seed: int) -> np.ndarray:
     except (OverflowError, ZeroDivisionError):
         target_power = 0.0
     if not 0.0 < target_power < math.inf:
-        raise ValueError(f"snr_db={snr_db} puts the noise power outside the positive floats")
+        raise ValueError(
+            f"snr_db={snr_db} over the clean_echo power {clean_power:.6g} puts the noise power "
+            f"outside the positive floats")
     return raw * np.sqrt(target_power / raw_power)
 
 
@@ -264,7 +275,7 @@ class EchoScenario:
             raise ValueError("schedule switches past the end of the run")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite (or None for no noise), got {self.snr_db}")
-        if self.excitation not in ("white", "ar1"):
+        if not isinstance(self.excitation, str) or self.excitation not in ("white", "ar1"):
             raise ValueError(f"unknown excitation {self.excitation!r}")
         if self.excitation == "ar1":
             if self.pole is None or not -1.0 < self.pole < 1.0:

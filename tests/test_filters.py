@@ -567,29 +567,33 @@ class TestBlasLayout:
 
     def test_a_recursive_batch_makes_one_lag_ring_per_group_size(self):
         """apa (P = 16, the divisor of L = 256 nearest its root), bs-papa and bs-mpapa
-        with P = 16 read one lag ring; a memory row's lag write reads X(n)[:P], so alone
-        its history makes a row ring of 2P rows.  mpapa (P = 1) keeps its products over
+        with P = 16 read one lag ring, of whole blocks of ``filters._BLOCK`` slots, at least
+        L + M - 1 + K of them, mirrored.  The block fill forms the lag vectors from the input
+        alone, so a memory row alone makes no row ring.  mpapa (P = 1) keeps its products over
         X(n): no lag ring, and no row ring."""
-        L, M = 256, filters._RECURSE_FROM
+        L, M, K = 256, filters._RECURSE_FROM, filters._BLOCK
         configs = [FilterConfig("apa", L, M), FilterConfig("bs-papa", L, M, 16), FilterConfig("bs-mpapa", L, M, 16)]
         rng = np.random.default_rng(256)
-        for members, groups, rows in ((configs, [16], (2 * L, M)), (configs[2:], [16], (2 * 16, M)),
+        for members, groups, rows in ((configs, [16], (2 * L, M)), (configs[2:], [16], None),
                                       ([FilterConfig("mpapa", L, M)], [], None)):
             [(_, batch)] = filters._panel_batches(members)
             assert batch.recursive and batch._lag_groups == groups
-            assert batch._lags.shape == (len(groups), 2 * (L + M - 1), M)
+            slots = batch._slots
+            assert slots % K == 0 and L + M - 1 + K <= slots < L + M - 1 + 2 * K
+            assert batch._lags.shape == (len(groups), 2 * slots, M)
             history = RegressorHistory(L, M)
             for _ in range(5):
                 history.push(rng.standard_normal())
                 batch.step(history, rng.standard_normal(M))
             assert (None if history._rows is None else history._rows.shape) == rows
 
-    @pytest.mark.parametrize("variant,group,rows", [("apa", None, 64), ("bs-papa", 64, 4096), ("bs-mpapa", 64, 64)])
+    @pytest.mark.parametrize("variant,group,rows", [("apa", None, None), ("bs-papa", 64, 4096), ("bs-mpapa", 64, None)])
     def test_long_echo_entries_never_make_the_m_fold_ring(self, variant, group, rows):
         """Long-echo's entries, each as its own panel batch at (4096, 16), read X(n).T only
         by its row 0: past a wrap of the window their history still holds one ring row, so a
-        push writes two slots.  The row ring holds the rows of X(n) the batch reads: APA's
-        fictitious weights and BS-MPAPA's memory row only those of their lag write."""
+        push writes two slots.  The row ring holds the rows of X(n) the batch reads: only
+        BS-PAPA's summed row, whose update is g * (X(n) z), reads any; APA's fictitious weights
+        and BS-MPAPA's memory row read none, since the block fill forms their lag vectors."""
         L, M = 4096, 16
         [(_, batch)] = filters._panel_batches([FilterConfig(variant, L, M, group)])
         history = RegressorHistory(L, M)
@@ -600,14 +604,14 @@ class TestBlasLayout:
             assert not batch.step(history, d)[1]
         assert history._xt is None and history._buf.base.shape == (1, 2 * (L + M - 1))
         assert history._slots.shape == (L + M - 1, 2)
-        assert history._rows.shape == (2 * rows, M)
+        assert (None if history._rows is None else history._rows.shape) == (rows and (2 * rows, M))
 
     @pytest.mark.parametrize("variant", ["apa", "bs-papa"])
     def test_a_recursive_batch_of_unit_gain_rows_reads_only_its_lag_rows(self, variant):
         """A recursive batch whose only projection row is unit-gain (apa, bs-papa with
         P = L) holds fictitious weights: its error reads x(n), its update x(n - M + 1) and
-        its Gram matrix the lag ring, so its history holds one ring row and a row ring of
-        2P rows, P = 16 the lag group of L = 256, past wraps of both."""
+        its Gram matrix the lag ring, which the block fill forms from the input alone, so its
+        history holds one ring row and no row ring, past a wrap of the window."""
         L, M = 256, filters._RECURSE_FROM
         cfg = FilterConfig(variant, L, M, L if variant == "bs-papa" else None, step_size=0.3)
         [(_, batch)] = filters._panel_batches([cfg])
@@ -618,7 +622,7 @@ class TestBlasLayout:
             history.push(x)
             assert not batch.step(history, np.full(M, d))[1]
         assert history._xt is None and history._buf.base.shape == (1, 2 * (L + M - 1))
-        assert history._rows.shape == (2 * 16, M)
+        assert history._rows is None
 
     def test_a_fig2_batch_makes_both_rings(self):
         """fig2's batch at M=8 is not recursive: its error and Gram read X(n).T whole, and its

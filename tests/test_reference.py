@@ -458,3 +458,130 @@ def test_a_summing_memory_row_holds_to_the_full_products():
     assert gaps[:SETTLED].max() <= TRANSIENT
     assert gaps[SETTLED:].max() <= BOUND
     assert float(np.max(np.abs(state.weights - response.taps))) < 0.05  # the filter converged
+
+
+# Every row run of a recursive batch, by shape: a prime L (its unit-gain row sums lag group 1)
+# with an odd M, and two composite L with built, summed, unit-gain (lag group 8), memory rows with
+# gemvs and summing memory rows.
+SWEEP = {
+    (61, 17): [("papa", None), ("apa", None), ("mpapa", None)],
+    (64, 16): [("bs-papa", 4), ("bs-papa", 16), ("apa", None), ("mpapa", None), ("bs-mpapa", 16)],
+    (96, 24): [("bs-papa", 8), ("bs-papa", 32), ("bs-papa", 96), ("mpapa", None), ("bs-mpapa", 32)],
+}
+
+
+def _sweep_configs(shape, step_size):
+    L, M = shape
+    return [variant_config(v, L, M, P, step_size=step_size) for v, P in SWEEP[shape]]
+
+
+def _gram_rows(batch) -> list:
+    """Every row's Gram row 0 at the last step: a unit-gain row's is c(n), formed ahead."""
+    lo, hi = batch.units
+    return [batch._c if lo <= b < hi else batch._grams[b, 0] for b in range(len(batch.configs))]
+
+
+@pytest.mark.parametrize("shape", list(SWEEP))
+def test_a_batch_given_the_stream_equals_one_stepped_on_its_history(shape):
+    """A recursive batch given the stream (``segment``) forms the work that reads only the
+    input ``filters._BLOCK`` samples ahead; the same batch stepped on its history alone forms it
+    one sample ahead, through the same code.  Past three wraps of the lag ring, over many block
+    boundaries and through two ``without()`` calls inside a block, the two give equal a-priori
+    errors, weights, formed weights, a-posteriori errors, Gram rows 0 and failures at every
+    sample, bit for bit.  A delta=0 unit-gain row fails over a silent lead-in and again over a
+    silent stretch, inside blocks, each time at its own sample and with the message and pivot
+    that ``solve_regularized`` gives for the recursive reference's Gram matrix."""
+    L, M = shape
+    configs = _sweep_configs(shape, 0.3) + [FilterConfig("apa", L, M, step_size=0.3, regularization=0.0)]
+    doomed = len(configs) - 1
+    [(rows, streamed)], [(_, stepped)] = filters._panel_batches(configs), filters._panel_batches(configs)
+    assert streamed.recursive and streamed.units[1] - streamed.units[0] == 2
+    steps = 3 * streamed._slots + 40  # past three wraps of the lag ring
+    response = make_block_sparse_ir(L, [(L // 8, L // 8 + L // 4 - 1)], seed=3)
+    x = gen_excitation(steps, 13, "ar1", 0.8)
+    x[:70] = x[300 : 300 + L + 20] = 0.0  # the silent lead-in crosses a block boundary
+    d = np.convolve(x, response.taps)[:steps] + 1e-3 * np.random.default_rng(19).standard_normal(steps)
+    streamed.segment(x, d, 0, steps, response.taps)
+    oracle = ReferenceState(configs[doomed])
+    history, desired, failures = RegressorHistory(L, M), np.zeros(M), []
+    for n in range(steps):
+        history.push(x[n])
+        desired[1:] = desired[:-1]
+        desired[0] = d[n]
+        (prior, failed), (prior_one, failed_one) = streamed.step(history, desired), stepped.step(history, desired)
+        assert prior == prior_one, n
+        assert [(b, str(e), e.pivot) for b, e in failed.items()] == [
+            (b, str(e), e.pivot) for b, e in failed_one.items()], n
+        for a, b in ((streamed.weights, stepped.weights), (streamed.formed(history), stepped.formed(history)),
+                     (streamed._eps, stepped._eps), (_gram_rows(streamed), _gram_rows(stepped))):
+            assert np.array_equal(a, b), n
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # scipy's lu_factor warns of an exact zero
+                reference_filter_step(configs[doomed], oracle, history, desired, recursive=True)
+        except np.linalg.LinAlgError:
+            pass
+        b = rows.index(doomed)
+        try:
+            solve_regularized(oracle.gram, 0.0, np.ones(M))
+        except filters.SingularSystemError as exc:
+            assert (str(failed[b]), failed[b].pivot) == (str(exc), exc.pivot), n
+            failures.append(n)
+        else:
+            assert b not in failed, n
+        assert set(failed) <= {b}, n
+        if n in (5, 333):  # inside a block: the built row, then the memory row with gemvs
+            gone = [rows.index(0 if n == 5 else SWEEP[shape].index(("mpapa", None)))]
+            rows = [k for i, k in enumerate(rows) if i not in gone]
+            streamed, stepped = streamed.without(gone), stepped.without(gone)
+    assert failures[0] == 0 and any(n % filters._BLOCK for n in failures) and max(failures) > 300
+    assert streamed._formed == steps and stepped._formed == steps
+
+
+@pytest.mark.parametrize("shape", list(SWEEP))
+def test_every_recursive_row_run_holds_to_the_full_products(shape):
+    """Every row run of a recursive batch given the stream, against ``filter_step``'s full
+    products: built, summed, unit-gain (lag group 1 at the prime L, 8 above), memory rows with
+    gemvs and summing memory rows, over 4000 samples (7000 at M = 24) of AR(1) input (pole 0.8), mu = 0.2,
+    noise 1e-3, past three wraps of the lag and memory rings, with the built row leaving by
+    ``without()`` inside a block at sample 1000.  From sample ``SETTLED`` on, past the start-up
+    transient, each row's formed weights stay within ``BOUND`` times its largest weight; the
+    transient's gap is held to its own bound and printed apart."""
+    # Stated before the test first ran.  BOUND: the start-up readings of mpapa at (64, 16) were
+    # still 1.2e-10 over samples 2500-5000 on this stream; TRANSIENT: its peak read 6.6e-3.
+    BOUND, TRANSIENT = 1e-9, 1e-1
+    L, M = shape
+    # The first run read 1.2e-8 over samples 2500-4000 for mpapa at (96, 24): there the transient's
+    # gap decays geometrically, about 20 times every 600 samples, from 5.8e-2 at its peak to 1.7e-8
+    # at 2500 and below 5e-15 from 5400 on, so at M = 24 the transient ends later.
+    SETTLED, steps = (6000, 7000) if M == 24 else (2500, 4000)
+    configs = _sweep_configs(shape, 0.2)
+    [(rows, batch)] = filters._panel_batches(configs)
+    assert batch.recursive
+    states = [FilterState.initial(cfg) for cfg in configs]
+    response = make_block_sparse_ir(L, [(L // 8, L // 8 + L // 4 - 1)], seed=3)
+    x = gen_excitation(steps, 17, "ar1", 0.8)
+    d = np.convolve(x, response.taps)[:steps] + 1e-3 * np.random.default_rng(19).standard_normal(steps)
+    batch.segment(x, d, 0, steps, response.taps)
+    history, desired, gaps = RegressorHistory(L, M), np.zeros(M), np.zeros((len(configs), steps))
+    for n in range(steps):
+        history.push(x[n])
+        desired[1:] = desired[:-1]
+        desired[0] = d[n]
+        assert not batch.step(history, desired)[1]
+        formed = batch.formed(history)
+        for b, k in enumerate(rows):
+            filter_step(configs[k], states[k], history, desired)
+            scale = float(np.max(np.abs(states[k].weights)))
+            gap = float(np.max(np.abs(formed[b] - states[k].weights)))
+            gaps[k, n] = gap / scale if scale else gap
+        if n == 1000:
+            b = rows.index(0)
+            rows, batch = rows[:b] + rows[b + 1 :], batch.without([b])
+    for k, (variant, group) in enumerate(SWEEP[shape]):
+        settled = f"{gaps[k, SETTLED:].max():.2e}" if k in rows else "none (left at sample 1000)"
+        print(f"[{shape} {variant} P={group}] transient gap {gaps[k, :SETTLED].max():.2e}, settled {settled}")
+    assert gaps[:, :SETTLED].max() <= TRANSIENT
+    assert gaps[:, SETTLED:].max() <= BOUND
+    for k in rows:  # every row that stayed converged
+        assert float(np.max(np.abs(states[k].weights - response.taps))) < 0.05, SWEEP[shape][k]
