@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .filters import FilterConfig, RegressorHistory, _panel_batches
+from .filters import FilterConfig, RegressorHistory
+from .kernel import _panel_batches
 from .gains import StallGuards, _is_integer
 from .signals import (
     EchoScenario,
@@ -157,9 +158,9 @@ def synthesize_scenario(scenario: EchoScenario) -> tuple[np.ndarray, np.ndarray]
 
 
 def _stream_batch(batch, entries, x, d, segments, failures):
-    """Stream a zeroed batch of ``filters._panel_batches``, whose row b is panel
+    """Stream a zeroed batch of ``kernel._panel_batches``, whose row b is panel
     entry ``entries[b]``, over the scenario; return the misalignment per row and
-    sample, which the batch forms after each step (``filters._Batch.misalignment``).
+    sample, which the batch forms after each step (``kernel._Batch.misalignment``).
     An entry that fails leaves the batch with ``failures[entry]`` set."""
     order = batch.configs[0].projection_order
     history, desired = RegressorHistory(batch.weights.shape[1], order), np.zeros(order)
@@ -286,14 +287,14 @@ def run_experiment(config: ExperimentConfig):
     The entries are dealt over the CPUs this process may run on, one shard
     each; a shard beyond the first runs in a forked child, and none outlives
     the call.  Within a shard, entries sharing the projection order and branch
-    (projection or scalar) run as one batch built by ``filters._panel_batches``
+    (projection or scalar) run as one batch built by ``kernel._panel_batches``
     over one input history: one stacked error, Gram matrix, pivot test, update
     and misalignment pass per sample.  From projection order
-    ``filters._RECURSE_FROM`` on, a batch forms its a-priori errors and its
+    ``kernel._RECURSE_FROM`` on, a batch forms its a-priori errors and its
     unit-gain and memory rows' Gram matrices by the fast affine projection
-    recursions (see ``filters._Batch``), and its unit-gain rows keep
+    recursions (see ``kernel._Batch``), and its unit-gain rows keep
     fictitious weights, whose misalignment the batch streams by a scalar
-    recursion (``filters._Batch.misalignment``), so there an entry agrees
+    recursion (``kernel._Batch.misalignment``), so there an entry agrees
     with ``AdaptiveFilter`` only to rounding.  Each trace equals the entry's
     one-entry run bit for bit, so the results do not depend on the CPU count,
     and ``taskset -c 0`` runs the whole panel in this process.  The children's

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter  # the independent reference for the synthesized bits
 
-from bspapa import bench, filters
+from bspapa import bench, kernel
 from bspapa import (
     VARIANTS,
     ConfigError,
@@ -35,7 +35,7 @@ from bspapa import (
 )
 from bspapa.bench import RunSummary, SegmentSummary, _substream_seed, with_seed
 from bspapa.cli import main as cli_main
-from bspapa.filters import _RECURSE_FROM, _panel_batches
+from bspapa.kernel import _RECURSE_FROM, _panel_batches
 
 
 def small_scenario(seed=5, total=1200, switch=600, snr_db=30.0, kind="ar1"):
@@ -583,15 +583,15 @@ class TestUnitGainRows:
         """Streamed directly, a recursive batch whose unit-gain row diverges at sample 100
         carries the recursion state of the rows it keeps on to the batch without it.  The
         unit-gain row's misalignment comes from its recursion, whose values alone reach
-        ``filters._decibels``, the others' from their weights, one
-        ``filters._misalignment_rows`` call on each side of it."""
+        ``kernel._decibels``, the others' from their weights, one
+        ``kernel._misalignment_rows`` call on each side of it."""
         sc = small_scenario(total=300, switch=150)
         x, d = bench.synthesize_scenario(sc)
         configs = [FilterConfig("papa", 32, _RECURSE_FROM, step_size=0.3), unit_entry(32, _RECURSE_FROM),
                    FilterConfig("mpapa", 32, _RECURSE_FROM, step_size=0.3)]
         [(entries, batch)] = _panel_batches(configs)
         assert batch.recursive and batch.units == (entries.index(1), entries.index(1) + 1)
-        units, rows, calls, row_calls = filters._decibels, filters._misalignment_rows, [], []
+        units, rows, calls, row_calls = kernel._decibels, kernel._misalignment_rows, [], []
 
         def unit_row_diverges_at_100(ratios):
             values = units(ratios)
@@ -605,8 +605,8 @@ class TestUnitGainRows:
             return rows(truth, power, weights, out)
 
         failures = {}
-        monkeypatch.setattr(filters, "_decibels", unit_row_diverges_at_100)
-        monkeypatch.setattr(filters, "_misalignment_rows", counted)
+        monkeypatch.setattr(kernel, "_decibels", unit_row_diverges_at_100)
+        monkeypatch.setattr(kernel, "_misalignment_rows", counted)
         mis = bench._stream_batch(batch, entries, x, d, sc.segments(), failures)
         monkeypatch.undo()
         assert failures == {1: "diverged at sample 100: misalignment is inf dB"}
@@ -628,7 +628,7 @@ class TestUnitGainRows:
         [(entries, batch)] = _panel_batches(configs)
         assert batch.recursive and entries == [1, 0, 2] and len(batch._summed) == 1
         assert batch.units == (2, 3)  # the unit-gain row's misalignment is not read from its weights
-        rows, calls = filters._misalignment_rows, []
+        rows, calls = kernel._misalignment_rows, []
 
         def papa_row_diverges_at_100(truth, power, weights, out):
             values = rows(truth, power, weights, out)
@@ -638,9 +638,9 @@ class TestUnitGainRows:
             return values
 
         failures = {}
-        monkeypatch.setattr(filters, "_misalignment_rows", papa_row_diverges_at_100)
+        monkeypatch.setattr(kernel, "_misalignment_rows", papa_row_diverges_at_100)
         mis = bench._stream_batch(batch, entries, x, d, sc.segments(), failures)
-        monkeypatch.setattr(filters, "_misalignment_rows", rows)
+        monkeypatch.setattr(kernel, "_misalignment_rows", rows)
         assert failures == {1: "diverged at sample 100: misalignment is inf dB"}
         assert calls == [2] * 101 + [1] * 199
         for b, k in enumerate(entries):
@@ -661,7 +661,7 @@ class TestUnitGainRows:
         [(entries, batch)] = _panel_batches(configs)
         assert batch.recursive and entries == [1, 2, 0] and batch._lag_groups == [16]
         assert len(batch._summed) == len(batch._memory_sums) == 1
-        rows, calls = filters._misalignment_rows, []
+        rows, calls = kernel._misalignment_rows, []
 
         def papa_row_diverges_at_100(truth, power, weights, out):
             values = rows(truth, power, weights, out)
@@ -671,9 +671,9 @@ class TestUnitGainRows:
             return values
 
         failures = {}
-        monkeypatch.setattr(filters, "_misalignment_rows", papa_row_diverges_at_100)
+        monkeypatch.setattr(kernel, "_misalignment_rows", papa_row_diverges_at_100)
         mis = bench._stream_batch(batch, entries, x, d, sc.segments(), failures)
-        monkeypatch.setattr(filters, "_misalignment_rows", rows)
+        monkeypatch.setattr(kernel, "_misalignment_rows", rows)
         assert failures == {1: "diverged at sample 100: misalignment is inf dB"}
         assert calls == [3] * 101 + [2] * 199
         for b, k in enumerate(entries):
@@ -743,7 +743,7 @@ class TestUnitGainRows:
         sample, so the stream never reads NaN or the log of a negative ratio."""
         streamed, exact = self.streamed_and_exact(0.0)
         assert np.all(np.isfinite(streamed)) and streamed[-1] == -300.0
-        deep = exact <= 10.0 * np.log10(filters._EXACT_BELOW)
+        deep = exact <= 10.0 * np.log10(kernel._EXACT_BELOW)
         assert deep.sum() > 10000 and np.array_equal(streamed[deep], exact[deep])
         assert float(np.max(np.abs(streamed[~deep] - exact[~deep]))) <= 1e-9
 

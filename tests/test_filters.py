@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bspapa import filters
+from bspapa import filters, kernel
 from bspapa import (
     AdaptiveFilter,
     BlockPartition,
@@ -520,7 +520,7 @@ class TestBlasLayout:
         count = plain + memory  # B = 1, 1, 5, 6; the memory rows come last
         configs = [FilterConfig("bs-papa", 16, 3, group_size=4)] * plain
         configs += [FilterConfig("bs-mpapa", 16, 3, group_size=4)] * memory
-        batch = filters._Batch(configs, np.zeros((count, 16)), np.zeros((memory, 6, 16)))
+        batch = kernel._Batch(configs, np.zeros((count, 16)), np.zeros((memory, 6, 16)))
         history = RegressorHistory(16, 3)
         rng = np.random.default_rng(count)
         for _ in range(7):  # past 2M pushes: the memory ring wraps
@@ -553,9 +553,9 @@ class TestBlasLayout:
             FilterConfig(v, L, 1 if v.endswith("pnlms") else M, P if v.startswith("bs-") else None)
             for v in variants
         ]
-        [(_, batch)] = filters._panel_batches(configs)
+        [(_, batch)] = kernel._panel_batches(configs)
         # from _SUM_FROM on a panel's batch is recursive and sums
-        assert batch.scalar or bool(batch._summed) == (min(M, P) >= filters._SUM_FROM)
+        assert batch.scalar or bool(batch._summed) == (min(M, P) >= kernel._SUM_FROM)
         order = configs[0].projection_order
         history = RegressorHistory(L, order)
         rng = np.random.default_rng(len(variants))
@@ -567,16 +567,16 @@ class TestBlasLayout:
 
     def test_a_recursive_batch_makes_one_lag_ring_per_group_size(self):
         """apa (P = 16, the divisor of L = 256 nearest its root), bs-papa and bs-mpapa
-        with P = 16 read one lag ring, of whole blocks of ``filters._BLOCK`` slots, at least
+        with P = 16 read one lag ring, of whole blocks of ``kernel._BLOCK`` slots, at least
         L + M - 1 + K of them, mirrored.  The block fill forms the lag vectors from the input
         alone, so a memory row alone makes no row ring.  mpapa (P = 1) keeps its products over
         X(n): no lag ring, and no row ring."""
-        L, M, K = 256, filters._RECURSE_FROM, filters._BLOCK
+        L, M, K = 256, kernel._RECURSE_FROM, kernel._BLOCK
         configs = [FilterConfig("apa", L, M), FilterConfig("bs-papa", L, M, 16), FilterConfig("bs-mpapa", L, M, 16)]
         rng = np.random.default_rng(256)
         for members, groups, rows in ((configs, [16], (2 * L, M)), (configs[2:], [16], None),
                                       ([FilterConfig("mpapa", L, M)], [], None)):
-            [(_, batch)] = filters._panel_batches(members)
+            [(_, batch)] = kernel._panel_batches(members)
             assert batch.recursive and batch._lag_groups == groups
             slots = batch._slots
             assert slots % K == 0 and L + M - 1 + K <= slots < L + M - 1 + 2 * K
@@ -595,7 +595,7 @@ class TestBlasLayout:
         BS-PAPA's summed row, whose update is g * (X(n) z), reads any; APA's fictitious weights
         and BS-MPAPA's memory row read none, since the block fill forms their lag vectors."""
         L, M = 4096, 16
-        [(_, batch)] = filters._panel_batches([FilterConfig(variant, L, M, group)])
+        [(_, batch)] = kernel._panel_batches([FilterConfig(variant, L, M, group)])
         history = RegressorHistory(L, M)
         rng = np.random.default_rng(4096)
         samples, desired = rng.standard_normal(L + M + 8), rng.standard_normal((L + M + 8, M))
@@ -612,9 +612,9 @@ class TestBlasLayout:
         P = L) holds fictitious weights: its error reads x(n), its update x(n - M + 1) and
         its Gram matrix the lag ring, which the block fill forms from the input alone, so its
         history holds one ring row and no row ring, past a wrap of the window."""
-        L, M = 256, filters._RECURSE_FROM
+        L, M = 256, kernel._RECURSE_FROM
         cfg = FilterConfig(variant, L, M, L if variant == "bs-papa" else None, step_size=0.3)
-        [(_, batch)] = filters._panel_batches([cfg])
+        [(_, batch)] = kernel._panel_batches([cfg])
         assert batch.recursive and batch.units == (0, 1) and batch._lag_groups == [16]
         history = RegressorHistory(L, M)
         rng = np.random.default_rng(L)
@@ -629,7 +629,7 @@ class TestBlasLayout:
         rows weight all of X(n), so its history makes the M-fold ring and the full row ring."""
         configs = [cfg for _, cfg in preset_config("fig2").panel]
         L, M = configs[0].filter_length, configs[0].projection_order
-        [(_, batch)] = filters._panel_batches(configs)
+        [(_, batch)] = kernel._panel_batches(configs)
         history = RegressorHistory(L, M)
         rng = np.random.default_rng(8)
         for _ in range(5):
@@ -767,7 +767,7 @@ class TestSolveRegularized:
         weights = 0.1 * rng.standard_normal((3, 16))
         weights[1] = np.nan
         solo = [FilterState(weights[b].copy(), np.zeros((6, 16)) if b == 2 else None) for b in (0, 2)]
-        batch = filters._Batch(configs, weights.copy(), np.zeros((1, 6, 16)))
+        batch = kernel._Batch(configs, weights.copy(), np.zeros((1, 6, 16)))
         history = RegressorHistory(16, 3)
         for n in range(40):
             history.push(rng.standard_normal())
@@ -926,7 +926,7 @@ class TestFilterStep:
         only a recursive batch sums it."""
         L = 64
         cfg = FilterConfig(variant, L, M, group_size=group, step_size=0.3)
-        batch = filters._Batch([cfg], np.zeros((1, L)), np.zeros((int(cfg.is_memory), 2 * M, L)))
+        batch = kernel._Batch([cfg], np.zeros((1, L)), np.zeros((int(cfg.is_memory), 2 * M, L)))
         state, history, desired = FilterState.initial(cfg), RegressorHistory(L, M), np.zeros(M)
         rng = np.random.default_rng(32)
         for x, d in rng.standard_normal((3 * M + 5, 2)):
@@ -1064,7 +1064,7 @@ class TestFilterStep:
             FilterConfig("bs-pnlms", 256, group_size=32, step_size=0.5),
             FilterConfig("bs-pnlms", 256, group_size=256, step_size=0.6),
         ]
-        [(indices, batch)] = filters._panel_batches(configs)
+        [(indices, batch)] = kernel._panel_batches(configs)
         solo = [AdaptiveFilter(cfg) for cfg in configs]
         rng = np.random.default_rng(26)
         history = RegressorHistory(256, 1)
@@ -1084,7 +1084,7 @@ class TestFilterStep:
             FilterConfig("bs-pnlms", 64, group_size=8, regularization=0.0 if doomed == 1 else 0.01),
             FilterConfig("bs-pnlms", 64, group_size=64, regularization=0.0 if doomed == 2 else 0.01),
         ]
-        [(_, batch)] = filters._panel_batches(configs)
+        [(_, batch)] = kernel._panel_batches(configs)
         history = RegressorHistory(64, 1)
         history.push(0.0)
         _, failed = batch.step(history, np.ones(1))
@@ -1127,7 +1127,7 @@ class TestFilterStep:
                    FilterConfig("bs-pnlms", 1024, group_size=1024)]
         tracemalloc.start()
         try:
-            [(_, batch)] = filters._panel_batches(configs)
+            [(_, batch)] = kernel._panel_batches(configs)
             size = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -1154,7 +1154,7 @@ class TestFilterStep:
             def step(history, desired):
                 filter_step(configs[0], state, history, desired)
         else:
-            [(_, batch)] = filters._panel_batches(configs)
+            [(_, batch)] = kernel._panel_batches(configs)
 
             def step(history, desired):
                 assert not batch.step(history, desired)[1]

@@ -31,7 +31,7 @@ from bspapa import (
     solve_regularized,
     synthesize_scenario,
 )
-from bspapa import filters
+from bspapa import filters, kernel
 from bspapa.gains import _floored_gains
 from oracles import (
     dense_gap,
@@ -144,14 +144,14 @@ def test_dense_paper_equations_over_random_parameters(variant, M, P, mu, delta, 
 
 def test_reduction_check_catches_a_squared_one_tap_gain(monkeypatch):
     """Criterion 1 fails when one-tap groupings weigh taps by w*w, not |w|."""
-    original = filters._block_gains
+    original = kernel._block_gains
 
     def squared(config, weights, *buffers):
         if config.group_size == 1 and config.block_count > 1:
             return _floored_gains(weights * weights, config.guards)
         return original(config, weights, *buffers)
 
-    monkeypatch.setattr(filters, "_block_gains", squared)
+    monkeypatch.setattr(kernel, "_block_gains", squared)
     gaps = reduction_gaps()
     assert all(gaps[name] > 1e-10 for name in ("papa", "pnlms", "mpapa")), gaps
     assert all(gaps[name] <= 1e-10 for name in ("apa", "bs-pnlms")), gaps
@@ -191,18 +191,18 @@ def test_scalar_rows_bit_identical_to_reference(L, group):
 
 
 def test_oracle_comparison_catches_a_squared_one_tap_gain_in_scalar_rows(monkeypatch):
-    """The scalar rows take their gains from ``filters._block_gains``: weighing
+    """The scalar rows take their gains from ``kernel._block_gains``: weighing
     one-tap blocks by w*w there, not |w|, moves PNLMS off the oracle."""
     cfg = FilterConfig("pnlms", 64, step_size=0.4)
     assert scalar_gap(cfg)[0] == 0.0
-    original = filters._block_gains
+    original = kernel._block_gains
 
     def squared(config, weights, *buffers):
         if config.group_size == 1 and config.block_count > 1:
             return _floored_gains(weights * weights, config.guards)
         return original(config, weights, *buffers)
 
-    monkeypatch.setattr(filters, "_block_gains", squared)
+    monkeypatch.setattr(kernel, "_block_gains", squared)
     assert scalar_gap(cfg)[0] > 1e-6
 
 
@@ -213,18 +213,18 @@ BOTH_BUILDS = [("apa", 1024), ("papa", 1), ("bs-papa", 4), ("bs-papa", 64), ("mp
 
 
 def test_batch_with_both_builds_equals_solo_runs_and_reference():
-    """At M = ``filters._SUM_FROM`` a six-entry batch of full products, built
+    """At M = ``kernel._SUM_FROM`` a six-entry batch of full products, built
     as a ``FilterState`` builds its batch of one, weights X(n) in place for
     every gained row, the P=64 row too, and reads X(n) itself for the
     unit-gain row.  It equals each solo run and the reference step exactly,
     past a wrap of the memory rings."""
-    L, M, steps = 1024, filters._SUM_FROM, 120
+    L, M, steps = 1024, kernel._SUM_FROM, 120
     members = BOTH_BUILDS
     configs = [variant_config(v, L, M, P, step_size=0.3) for v, P in members]
-    [(indices, panel_batch)] = filters._panel_batches(configs)
+    [(indices, panel_batch)] = kernel._panel_batches(configs)
     assert panel_batch.recursive  # run_experiment's batch there takes the recursions; see below
     rows = [configs[k] for k in indices]
-    batch = filters._Batch(rows, np.zeros((len(rows), L)), np.zeros((2, 2 * M, L)))
+    batch = kernel._Batch(rows, np.zeros((len(rows), L)), np.zeros((2, 2 * M, L)))
     assert [c.group_size for c, *_ in batch._in_place] == [1, 4, 64]
     solo = [AdaptiveFilter(cfg) for cfg in configs]
     refs = [ReferenceState(cfg) for cfg in configs]
@@ -249,7 +249,7 @@ def test_batch_with_both_builds_equals_solo_runs_and_reference():
 
 
 def test_recursive_panel_batch_equals_the_reference_and_its_one_entry_runs():
-    """From ``filters._RECURSE_FROM`` on, a panel's batch takes the fast affine
+    """From ``kernel._RECURSE_FROM`` on, a panel's batch takes the fast affine
     projection recursions.  Past a wrap of the memory rings, each of its rows
     equals the recursive reference step bit for bit, its weights row and the
     weights it forms (the unit-gain row's are fictitious), and the misalignment
@@ -258,11 +258,11 @@ def test_recursive_panel_batch_equals_the_reference_and_its_one_entry_runs():
     A delta=0 unit-gain row, singular at sample 0, fails there as in its
     one-entry run, and the batch it leaves carries the others' recursion state
     on.  The bs-papa rows of P=64 and P=16 sum their block correlations."""
-    L, M, steps = 1024, filters._RECURSE_FROM, 40
+    L, M, steps = 1024, kernel._RECURSE_FROM, 40
     configs = [variant_config(v, L, M, P, step_size=0.3) for v, P in BOTH_BUILDS]
     configs.append(variant_config("apa", L, M, L, step_size=0.3, regularization=0.0))
     configs.append(variant_config("bs-papa", L, M, 16, step_size=0.3))
-    [(rows, batch)] = filters._panel_batches(configs)
+    [(rows, batch)] = kernel._panel_batches(configs)
     assert batch.recursive and rows == [1, 2, 3, 7, 0, 6, 4, 5]
     assert [c.group_size for c, *_ in batch._in_place] == [1, 4]
     assert [group for group, *_ in batch._summed] == [64, 16]
@@ -303,9 +303,9 @@ def test_recursive_panel_batch_equals_the_reference_and_its_one_entry_runs():
     assert all(np.any(w != 0.0) for w in batch.weights)
 
 
-@pytest.mark.parametrize("M", [filters._RECURSE_FROM, 20])
+@pytest.mark.parametrize("M", [kernel._RECURSE_FROM, 20])
 def test_summed_rows_equal_the_reference_past_wraps_of_their_lag_rings(M):
-    """A recursive batch's bs-papa rows with P and M from ``filters._SUM_FROM``
+    """A recursive batch's bs-papa rows with P and M from ``kernel._SUM_FROM``
     on read a ring of L + M - 1 lag vectors, one per group size, which the
     unit-gain row (P = 8) and the bs-mpapa row (P = 16) read too.  Past three
     wraps of it, beside an in-place row, each row equals the recursive
@@ -313,7 +313,7 @@ def test_summed_rows_equal_the_reference_past_wraps_of_their_lag_rings(M):
     L = 64
     configs = [variant_config(v, L, M, P, step_size=0.3) for v, P in
                (("bs-papa", 16), ("papa", 1), ("bs-papa", 32), ("apa", L), ("bs-mpapa", 16))]
-    [(rows, batch)] = filters._panel_batches(configs)
+    [(rows, batch)] = kernel._panel_batches(configs)
     assert batch.recursive and rows == [1, 0, 2, 3, 4]
     assert [group for group, *_ in batch._summed] == [16, 32] and batch._lag_groups == [8, 16, 32]
     refs = [ReferenceState(cfg) for cfg in configs]
@@ -342,9 +342,9 @@ def test_a_failed_recursive_row_keeps_its_errors_and_steps_on(L):
     fills (its Gram matrix has rank n + 1 at sample n), then adapts exactly as the
     recursive reference step does, its fictitious weights and the weights it forms
     alike.  It sums lag vectors, P = 4 at L = 32 and P = 1 at the prime L = 31."""
-    M = filters._RECURSE_FROM
+    M = kernel._RECURSE_FROM
     cfg = FilterConfig("apa", L, M, step_size=0.3, regularization=0.0)
-    [(_, batch)] = filters._panel_batches([cfg])
+    [(_, batch)] = kernel._panel_batches([cfg])
     assert batch._lag_groups == ([4] if L == 32 else [1])
     ref_state, rng = ReferenceState(cfg), np.random.default_rng(41)
     history, desired, failures = RegressorHistory(L, M), np.zeros(M), []
@@ -365,17 +365,17 @@ def test_a_failed_recursive_row_keeps_its_errors_and_steps_on(L):
     assert np.any(batch.weights != 0.0)
 
 
-@pytest.mark.parametrize("order", [filters._RECURSE_FROM - 1, filters._RECURSE_FROM])
+@pytest.mark.parametrize("order", [kernel._RECURSE_FROM - 1, kernel._RECURSE_FROM])
 @pytest.mark.parametrize("variant,group", [("apa", None), ("mpapa", None), ("bs-mpapa", 8)])
 def test_filter_step_keeps_full_products_after_an_in_place_weight_edit(variant, group, order):
     """``filter_step`` forms every product at every order, so a weight edit made
     in place between calls, which its batch of one cannot see, leaves it equal
     to the full-product reference.  ``_panel_batches`` takes the recursions
-    exactly from ``filters._RECURSE_FROM`` on, one order on each side."""
+    exactly from ``kernel._RECURSE_FROM`` on, one order on each side."""
     L = 32
     cfg = FilterConfig(variant, L, order, group_size=group, step_size=0.3)
-    [(_, batch)] = filters._panel_batches([cfg])
-    assert batch.recursive == (order >= filters._RECURSE_FROM)
+    [(_, batch)] = kernel._panel_batches([cfg])
+    assert batch.recursive == (order >= kernel._RECURSE_FROM)
     rng = np.random.default_rng(order)
     history, desired = RegressorHistory(L, order), np.zeros(order)
     state, ref_state = FilterState.initial(cfg), ReferenceState(cfg)
@@ -393,7 +393,7 @@ def test_filter_step_keeps_full_products_after_an_in_place_weight_edit(variant, 
 
 def test_the_recursions_drift_from_the_full_products_within_their_bound():
     """The recursions' drift check: a recursive panel batch of bs-papa (P=16,
-    summed), apa, mpapa and bs-mpapa at M = ``filters._RECURSE_FROM`` against
+    summed), apa, mpapa and bs-mpapa at M = ``kernel._RECURSE_FROM`` against
     ``filter_step``, which forms every product, over 60 000 samples of AR(1)
     input.  Each error and Gram entry the recursions carry lives at most M
     steps, and each summed Gram entry is a fresh sum of lag products, so nothing
@@ -401,10 +401,10 @@ def test_the_recursions_drift_from_the_full_products_within_their_bound():
     its fictitious weights) stays within ``BOUND`` times the largest weight, at
     every sample."""
     BOUND = 1e-10  # stated before measuring; gaps of 2e-14 to 3e-12 were seen over 1500 steps
-    L, M, steps = 64, filters._RECURSE_FROM, 60000
+    L, M, steps = 64, kernel._RECURSE_FROM, 60000
     configs = [FilterConfig(v, L, M, group_size=g, step_size=0.2)
                for v, g in (("bs-papa", 16), ("apa", None), ("mpapa", None), ("bs-mpapa", 8))]
-    [(rows, batch)] = filters._panel_batches(configs)
+    [(rows, batch)] = kernel._panel_batches(configs)
     assert batch.recursive and rows == [0, 1, 2, 3] and len(batch._summed) == 1
     assert batch._lag_groups == [8, 16] and not batch._memory_sums  # mpapa, bs-mpapa P=8 keep their gemvs
     states = [FilterState.initial(cfg) for cfg in configs]
@@ -438,9 +438,9 @@ def test_a_summing_memory_row_holds_to_the_full_products():
     ``SETTLED`` on, past the start-up transient, the weights the batch forms stay within
     ``BOUND`` times the largest weight; the transient's gap is held to its own bound."""
     BOUND, TRANSIENT, SETTLED = 1e-10, 1e-6, 2500  # stated before the test first ran
-    L, M, steps = 64, filters._RECURSE_FROM, 20000
+    L, M, steps = 64, kernel._RECURSE_FROM, 20000
     cfg = FilterConfig("bs-mpapa", L, M, group_size=16, step_size=0.2)
-    [(_, batch)] = filters._panel_batches([cfg])
+    [(_, batch)] = kernel._panel_batches([cfg])
     assert batch.recursive and len(batch._memory_sums) == 1 and batch._lag_groups == [16]
     state = FilterState.initial(cfg)
     response = make_block_sparse_ir(L, [(L // 8, L // 8 + L // 4 - 1)], seed=3)
@@ -484,7 +484,7 @@ def _gram_rows(batch) -> list:
 @pytest.mark.parametrize("shape", list(SWEEP))
 def test_a_batch_given_the_stream_equals_one_stepped_on_its_history(shape):
     """A recursive batch given the stream (``segment``) forms the work that reads only the
-    input ``filters._BLOCK`` samples ahead; the same batch stepped on its history alone forms it
+    input ``kernel._BLOCK`` samples ahead; the same batch stepped on its history alone forms it
     one sample ahead, through the same code.  Past three wraps of the lag ring, over many block
     boundaries and through two ``without()`` calls inside a block, the two give equal a-priori
     errors, weights, formed weights, a-posteriori errors, Gram rows 0 and failures at every
@@ -494,7 +494,7 @@ def test_a_batch_given_the_stream_equals_one_stepped_on_its_history(shape):
     L, M = shape
     configs = _sweep_configs(shape, 0.3) + [FilterConfig("apa", L, M, step_size=0.3, regularization=0.0)]
     doomed = len(configs) - 1
-    [(rows, streamed)], [(_, stepped)] = filters._panel_batches(configs), filters._panel_batches(configs)
+    [(rows, streamed)], [(_, stepped)] = kernel._panel_batches(configs), kernel._panel_batches(configs)
     assert streamed.recursive and streamed.units[1] - streamed.units[0] == 2
     steps = 3 * streamed._slots + 40  # past three wraps of the lag ring
     response = make_block_sparse_ir(L, [(L // 8, L // 8 + L // 4 - 1)], seed=3)
@@ -534,7 +534,7 @@ def test_a_batch_given_the_stream_equals_one_stepped_on_its_history(shape):
             gone = [rows.index(0 if n == 5 else SWEEP[shape].index(("mpapa", None)))]
             rows = [k for i, k in enumerate(rows) if i not in gone]
             streamed, stepped = streamed.without(gone), stepped.without(gone)
-    assert failures[0] == 0 and any(n % filters._BLOCK for n in failures) and max(failures) > 300
+    assert failures[0] == 0 and any(n % kernel._BLOCK for n in failures) and max(failures) > 300
     assert streamed._formed == steps and stepped._formed == steps
 
 
@@ -556,7 +556,7 @@ def test_every_recursive_row_run_holds_to_the_full_products(shape):
     # at 2500 and below 5e-15 from 5400 on, so at M = 24 the transient ends later.
     SETTLED, steps = (6000, 7000) if M == 24 else (2500, 4000)
     configs = _sweep_configs(shape, 0.2)
-    [(rows, batch)] = filters._panel_batches(configs)
+    [(rows, batch)] = kernel._panel_batches(configs)
     assert batch.recursive
     states = [FilterState.initial(cfg) for cfg in configs]
     response = make_block_sparse_ir(L, [(L // 8, L // 8 + L // 4 - 1)], seed=3)
