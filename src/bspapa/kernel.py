@@ -118,9 +118,9 @@ class _Batch:
     unit-gain rows, memory rows (those that keep their products first, then
     those that sum); ``_panel_batches`` orders them so.  The one gain pass
     fills each other row's own gain buffers, in the order the build reads the
-    rows (built, memory, then summed), and the build only weights.  Built rows weight their regressor into a
-    C-contiguous ``(Bb, L, M)`` stack: they copy their block gains over their
-    slot and multiply it by X(n), the history's
+    rows (built, memory, then summed), and the build only weights.  Built rows
+    weight their regressor into a C-contiguous ``(Bb, L, M)`` stack: they copy
+    their block gains over their slot and multiply it by X(n), the history's
     :meth:`~RegressorHistory._first_rows` view, in place.  A unit-gain
     row (one block, of gain exactly one) uses that view itself, one row at a
     time: its X(n) z is an ``(L, M) @ (M,)`` product.  Memory rings
@@ -181,7 +181,7 @@ class _Batch:
     the bits are the same; the unit-gain column c(m) = sum_k r_P(m - kP); and
     each unit-gain row's G(m) + delta*I, from a strided view of the last
     K + M - 1 columns, factored by ``dgetrf`` item by item, with the pivot
-    test of :func:`_solve_stack` over the block and each failure kept under its
+    test of :func:`~bspapa.filters._solve_stack` over the block and each failure kept under its
     own sample.  A step then solves its unit-gain rows by ``dgetrs`` alone.  A
     block never crosses a multiple of K, so its slots are one run and the ring
     is never moved.  Without the stream, or past its end, the same code forms
@@ -296,7 +296,7 @@ class _Batch:
                                    (row, row, group * row, tap), writeable=False)
                  for group, lags in zip(self._lag_groups, self._lags)}
         # The block fill's state (see _fill): the next sample to step, the first one not yet formed,
-        # the input stream, newest-first samples and rows for a block, and this step's slot.
+        # this step's slot and item, and buffers of newest-first samples and rows for a block.
         self._next = self._formed = self._slot = self._item = 0
         largest = max(self._lag_groups, default=1)
         self._recent = np.zeros(_BLOCK + largest + order - 2) if self._lag_groups else None
